@@ -185,10 +185,16 @@ def _load_valid_dataset(path: str) -> PanelDataset:
     return d
 
 
-def _open_out(out: str):
-    if out == "-":
-        return sys.stdout
-    return open(out, "w", newline="", encoding="utf-8")
+def _write_csv(out: str, header, rows) -> None:
+    """Write a header and rows as CSV to ``out`` ('-' for stdout)."""
+    fh = sys.stdout if out == "-" else open(out, "w", newline="", encoding="utf-8")
+    try:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 @click.group()
@@ -248,15 +254,11 @@ def estimate(input_path, method, group, out):
         if not diag.converged:
             click.echo("warning: solver did not converge; writing best iterate", err=True)
             status = 3
-    fh = _open_out(out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "value"])
-        for t, v in zip(est.support, est.values):
-            writer.writerow([repr(float(t)), repr(float(v))])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_csv(
+        out,
+        ["time", "value"],
+        ([repr(float(t)), repr(float(v))] for t, v in zip(est.support, est.values)),
+    )
     sys.exit(status)
 
 
@@ -335,47 +337,42 @@ def simulate(case, beta, n1, n2, nu, reps, seed, weights, stats, alpha, out):
     except (ValueError, DatasetFormatError) as exc:
         _fail(f"error: {exc}", 2)
     rows = run_power_study([cfg])
-    fh = _open_out(out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(
+    _write_csv(
+        out,
+        [
+            "case",
+            "beta",
+            "group_sizes",
+            "nu",
+            "replications",
+            "seed",
+            "alpha",
+            "statistic",
+            "weight",
+            "rejections",
+            "failures",
+            "reject_rate",
+            "suspect",
+        ],
+        (
             [
-                "case",
-                "beta",
-                "group_sizes",
-                "nu",
-                "replications",
-                "seed",
-                "alpha",
-                "statistic",
-                "weight",
-                "rejections",
-                "failures",
-                "reject_rate",
-                "suspect",
+                row.case,
+                repr(row.beta),
+                "+".join(str(s) for s in row.group_sizes),
+                row.nu_mode,
+                row.replications,
+                row.base_seed,
+                repr(row.alpha),
+                row.statistic,
+                row.weight,
+                row.rejections,
+                row.failures,
+                repr(row.reject_rate),
+                int(row.suspect),
             ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.case,
-                    repr(row.beta),
-                    "+".join(str(s) for s in row.group_sizes),
-                    row.nu_mode,
-                    row.replications,
-                    row.base_seed,
-                    repr(row.alpha),
-                    row.statistic,
-                    row.weight,
-                    row.rejections,
-                    row.failures,
-                    repr(row.reject_rate),
-                    int(row.suspect),
-                ]
-            )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+            for row in rows
+        ),
+    )
     sys.exit(0)
 
 
@@ -400,15 +397,11 @@ def qq(n, reps, seed, stat, out):
         statistics=(stat,),
     )
     table = qq_study(cfg, statistic=stat)
-    fh = _open_out(out)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["theoretical", "empirical"])
-        for theo, emp in table:
-            writer.writerow([repr(float(theo)), repr(float(emp))])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write_csv(
+        out,
+        ["theoretical", "empirical"],
+        ([repr(float(theo)), repr(float(emp))] for theo, emp in table),
+    )
     sys.exit(0)
 
 

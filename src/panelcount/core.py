@@ -119,6 +119,8 @@ class StepEstimate:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if support.size != values.size or support.size == 0:
             raise ValueError("support and values must have equal positive length")
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(values))):
+            raise ValueError("support and values must be finite")
         if np.any(np.diff(support) <= 0):
             raise ValueError("support must be strictly increasing")
         if values[0] < 0 or np.any(np.diff(values) < 0):
@@ -160,6 +162,13 @@ def _path_errors(p: ObservationPath, k: int) -> list[str]:
         return errs
     if p.times.size < 1:
         errs.append(f"subject {sid}: no observations")
+        return errs
+    # NaN fails every ordering comparison below, so it must be caught first.
+    if not np.all(np.isfinite(p.times)):
+        errs.append(f"subject {sid}: non-finite observation time")
+    if not np.all(np.isfinite(p.counts)):
+        errs.append(f"subject {sid}: non-finite count")
+    if errs:
         return errs
     if p.times[0] <= 0:
         errs.append(f"subject {sid}: first observation time must be positive")

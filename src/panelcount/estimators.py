@@ -108,9 +108,14 @@ def isotonic_regression(y, w):
     return np.repeat(means, sizes)
 
 
+def _increments(flat: FlatObservations, u: np.ndarray) -> np.ndarray:
+    """Increments of grid values ``u`` over each row's interval (u = 0 at the origin)."""
+    return u[flat.rank] - np.where(flat.prev_rank >= 0, u[np.clip(flat.prev_rank, 0, None)], 0.0)
+
+
 def _loglik_flat(flat: FlatObservations, u: np.ndarray) -> float:
     """phi(u | X) with the 0*log(0) = 0 convention; -inf when infeasible."""
-    du = u[flat.rank] - np.where(flat.prev_rank >= 0, u[np.clip(flat.prev_rank, 0, None)], 0.0)
+    du = _increments(flat, u)
     pos = flat.dN > 0
     if np.any(pos & (du <= 0)):
         return float("-inf")
@@ -124,10 +129,8 @@ def _loglik_diff(flat: FlatObservations, u_new: np.ndarray, u_old: np.ndarray) -
     ratios.  Resolves gains far below the float granularity of the absolute
     log-likelihood, which the line searches need near the optimum.  Returns
     -inf when ``u_new`` is infeasible."""
-    left_new = np.where(flat.prev_rank >= 0, u_new[np.clip(flat.prev_rank, 0, None)], 0.0)
-    left_old = np.where(flat.prev_rank >= 0, u_old[np.clip(flat.prev_rank, 0, None)], 0.0)
-    du_new = u_new[flat.rank] - left_new
-    du_old = u_old[flat.rank] - left_old
+    du_new = _increments(flat, u_new)
+    du_old = _increments(flat, u_old)
     pos = flat.dN > 0
     if np.any(pos & (du_new <= 0)):
         return float("-inf")
@@ -138,7 +141,7 @@ def _loglik_diff(flat: FlatObservations, u_new: np.ndarray, u_old: np.ndarray) -
 
 
 def _grad_curv_flat(flat: FlatObservations, u: np.ndarray, floor_ratio: float):
-    du = u[flat.rank] - np.where(flat.prev_rank >= 0, u[np.clip(flat.prev_rank, 0, None)], 0.0)
+    du = _increments(flat, u)
     pos = flat.dN > 0
     if np.any(pos & (du <= 0)):
         raise ValueError("u infeasible: zero increment over an interval with events")
@@ -163,7 +166,7 @@ def _grad_curv_flat(flat: FlatObservations, u: np.ndarray, floor_ratio: float):
 
 def _hessian_flat(flat: FlatObservations, u: np.ndarray) -> np.ndarray:
     """Dense Hessian of phi in the grid coordinates (exposure terms are linear)."""
-    du = u[flat.rank] - np.where(flat.prev_rank >= 0, u[np.clip(flat.prev_rank, 0, None)], 0.0)
+    du = _increments(flat, u)
     pos = flat.dN > 0
     w = np.zeros_like(du)
     w[pos] = flat.dN[pos] / du[pos] ** 2
@@ -240,21 +243,14 @@ def _npmple_flat(grid: TimeGrid, flat: FlatObservations) -> StepEstimate:
 
 
 def log_likelihood(d: PanelDataset, e: StepEstimate) -> float:
-    """Poisson log-likelihood of ``e`` (parts independent of it dropped).
+    """Poisson log-likelihood of ``e`` (parts independent of it dropped),
+    with every subject's mean starting from 0 at time 0 as in the solver.
 
     Returns -inf when some interval carries events but ``e`` does not
     increase over it (infeasible point, distinct from a numeric error).
     """
-    flat = flatten_observations(d)
-    right = eval_step(e, flat.times)
-    left = eval_step(e, flat.prev_times)
-    du = right - left
-    pos = flat.dN > 0
-    if np.any(pos & (du <= 0)):
-        return float("-inf")
-    ll = float(np.sum(flat.dN[pos] * np.log(du[pos])))
-    ll -= float(np.sum(right[flat.is_last]))
-    return ll
+    grid = build_time_grid(d)
+    return _loglik_flat(flatten_observations(d, grid), eval_step(e, grid.points))
 
 
 def gradient_and_curvature(

@@ -7,6 +7,12 @@ against the pooled estimate, ``v_statistics`` contrasts group 1 with each
 other group.  Their limiting covariances depend only on the group sizes and
 a common per-subject variance that ``sigma_hat_sq`` estimates, giving
 chi-square tests for k groups and standard-normal tests for k = 2.
+
+U, V and the variance are all sums over subjects of one bracket,
+sum_j W(t_j) Lambda(t_j) (q_{j+1} - q_j), closed by a terminal constant,
+where q is the ratio of a group (or observed) increment to the pooled one.
+One kernel evaluates the pooled and per-group increments once per call and
+feeds every statistic through that single bracket.
 """
 
 from __future__ import annotations
@@ -143,6 +149,7 @@ def _eps_den(pooled: StepEstimate) -> float:
 def _increment_ratios(num, den, eps_den, counts=None):
     """Ratios num/den over subject intervals with the denominator floor.
 
+    ``num`` is one row of increments or a stack of them, one per group.
     Denominators beneath ``eps_den`` paired with events (``counts`` > 0) or a
     numerator above ``eps_den`` are an error; when both sides are beneath the
     floor the increments agree at zero and the ratio is taken as 1.
@@ -159,21 +166,18 @@ def _increment_ratios(num, den, eps_den, counts=None):
             )
     ratio = np.ones_like(num, dtype=float)
     ok = ~floored
-    ratio[ok] = num[ok] / den[ok]
+    ratio[..., ok] = num[..., ok] / den[ok]
     return ratio
 
 
-def _subject_brackets(flat: FlatObservations, a, q, terminal_const):
-    """Per-subject sums  sum_{j<K} a_j (q_{j+1} - q_j) + a_K (b - q_K)."""
-    q_next = np.empty_like(q)
-    q_next[:-1] = q[1:]
-    q_next[-1] = 0.0
-    inner = a * (q_next - q)
-    not_last = ~flat.is_last
-    out = np.bincount(flat.subj[not_last], weights=inner[not_last], minlength=flat.n_subjects)
-    term = a[flat.is_last] * (terminal_const - q[flat.is_last])
-    out += np.bincount(flat.subj[flat.is_last], weights=term, minlength=flat.n_subjects)
-    return out
+def _brackets(flat: FlatObservations, a, q, terminal):
+    """Per-subject sums  sum_{j<K} a_j (q_{j+1} - q_j) + a_K (terminal - q_K).
+
+    ``a`` and ``q`` are (rows,) or stacked (statistics x rows) arrays over the
+    subject-major rows of ``flat``; the result has one column per subject.
+    """
+    q_next = np.where(flat.is_last, terminal, np.roll(q, -1, axis=-1))
+    return np.add.reduceat(a * (q_next - q), np.flatnonzero(flat.is_first), axis=-1)
 
 
 def _step_increments(e: StepEstimate, flat: FlatObservations):
@@ -187,7 +191,7 @@ def sigma_hat_sq(d: PanelDataset, pooled: StepEstimate, w: WeightFn) -> float:
     flat = flatten_observations(d)
     pooled_at, den = _step_increments(pooled, flat)
     q = _increment_ratios(flat.dN, den, _eps_den(pooled), counts=flat.dN)
-    brackets = _subject_brackets(flat, w(flat.times) * pooled_at, q, 1.0)
+    brackets = _brackets(flat, w(flat.times) * pooled_at, q, 1.0)
     return float(np.mean(brackets**2))
 
 
@@ -201,17 +205,24 @@ def _weight_fns(d: PanelDataset, weights) -> list[WeightFn]:
     return [w if isinstance(w, WeightFn) else make_weight(d, w) for w in weights]
 
 
-def _group_ratios(fits: FitBundle):
-    """Increment ratios of each group estimate against the pooled one, plus
-    the pooled values at the observation times."""
+def _statistics(d: PanelDataset, weights, cfg: IcmConfig, fits: FitBundle | None):
+    """``(fns, fits, u, v, sigma2)``: U (k), V (k-1) and sigma^2 (k), each row
+    l taken under group l's weight, from one pass over the increments."""
+    fns = _weight_fns(d, weights)
+    if fits is None:
+        fits = fit_all(d, cfg)
     flat = fits.flat
     pooled_at, den = _step_increments(fits.pooled, flat)
     eps = _eps_den(fits.pooled)
-    ratios = []
-    for est in fits.groups:
-        _, num = _step_increments(est, flat)
-        ratios.append(_increment_ratios(num, den, eps))
-    return pooled_at, ratios
+    group_inc = np.stack([_step_increments(est, flat)[1] for est in fits.groups])
+    q = _increment_ratios(group_inc, den, eps)
+    q_obs = _increment_ratios(flat.dN, den, eps, counts=flat.dN)
+    a = np.stack([fn(flat.times) for fn in fns]) * pooled_at
+    scale = 1.0 / math.sqrt(flat.n_subjects)
+    u = scale * _brackets(flat, a, q, 1.0).sum(axis=-1)
+    v = scale * _brackets(flat, a[1:], q[:1] - q[1:], 0.0).sum(axis=-1)
+    sigma2 = np.mean(_brackets(flat, a, q_obs, 1.0) ** 2, axis=-1)
+    return fns, fits, u, v, sigma2
 
 
 def u_statistics(
@@ -221,17 +232,7 @@ def u_statistics(
     fits: FitBundle | None = None,
 ) -> np.ndarray:
     """U_n^(l) for l = 1..k: each group's rate of increase against the pooled one."""
-    fns = _weight_fns(d, weights)
-    if fits is None:
-        fits = fit_all(d, cfg)
-    flat = fits.flat
-    pooled_at, ratios = _group_ratios(fits)
-    scale = 1.0 / math.sqrt(flat.n_subjects)
-    out = []
-    for fn, q in zip(fns, ratios):
-        brackets = _subject_brackets(flat, fn(flat.times) * pooled_at, q, 1.0)
-        out.append(scale * float(np.sum(brackets)))
-    return np.array(out)
+    return _statistics(d, weights, cfg, fits)[2]
 
 
 def v_statistics(
@@ -243,19 +244,7 @@ def v_statistics(
     """V_n^(l) for l = 2..k: group 1 contrasted with group l."""
     if d.k < 2:
         raise ValueError("v_statistics requires k >= 2 groups")
-    fns = _weight_fns(d, weights)
-    if fits is None:
-        fits = fit_all(d, cfg)
-    flat = fits.flat
-    pooled_at, ratios = _group_ratios(fits)
-    scale = 1.0 / math.sqrt(flat.n_subjects)
-    out = []
-    for l in range(2, d.k + 1):
-        fn = fns[l - 1]
-        q = ratios[0] - ratios[l - 1]
-        brackets = _subject_brackets(flat, fn(flat.times) * pooled_at, q, 0.0)
-        out.append(scale * float(np.sum(brackets)))
-    return np.array(out)
+    return _statistics(d, weights, cfg, fits)[3]
 
 
 def covariance_u(group_sizes: Sequence[int], sigma2: Sequence[float]) -> np.ndarray:
@@ -304,22 +293,39 @@ def _solve_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _sigma_vector(fits: FitBundle, fns: list[WeightFn]) -> np.ndarray:
-    flat = fits.flat
-    pooled_at, den = _step_increments(fits.pooled, flat)
-    q = _increment_ratios(flat.dN, den, _eps_den(fits.pooled), counts=flat.dN)
-    out = []
-    for fn in fns:
-        brackets = _subject_brackets(flat, fn(flat.times) * pooled_at, q, 1.0)
-        out.append(float(np.mean(brackets**2)))
-    return np.array(out)
-
-
 def _bundle_diagnostics(fits: FitBundle) -> dict[str, Any]:
     return {
         "pooled": _diag_summary(fits.pooled_diag),
         "groups": [_diag_summary(dg) for dg in fits.group_diags],
     }
+
+
+def _chi2_test(d: PanelDataset, weights, cfg: IcmConfig, fits: FitBundle | None, method: str):
+    """Chi-square test of ``method`` "U-test" (the first k-1 components of U)
+    or "V-test" (the V vector)."""
+    if d.k < 2:
+        raise ValueError("chi-square tests require k >= 2 groups")
+    fns, fits, u, v, sigma2 = _statistics(d, weights, cfg, fits)
+    if method == "U-test":
+        cov = covariance_u(d.group_sizes, sigma2)
+        vec, mat = u[:-1], cov[:-1, :-1]
+    else:
+        cov = covariance_v(d.group_sizes, sigma2)
+        vec, mat = v, cov
+    chi2 = max(float(vec @ _solve_pivot(mat, vec)), 0.0)
+    df = d.k - 1
+    return TestReport(
+        method=method,
+        weights=tuple(fn.name for fn in fns),
+        statistics={"chi2": chi2},
+        p_values={"chi2": chisq_sf(chi2, df)},
+        variance={f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)},
+        covariance=tuple(tuple(float(x) for x in row) for row in cov),
+        df=df,
+        n=d.n,
+        group_sizes=d.group_sizes,
+        diagnostics=_bundle_diagnostics(fits),
+    )
 
 
 def chi2_u_test(
@@ -329,29 +335,7 @@ def chi2_u_test(
     fits: FitBundle | None = None,
 ) -> TestReport:
     """Chi-square test from the first k-1 components of the U vector."""
-    if d.k < 2:
-        raise ValueError("chi-square tests require k >= 2 groups")
-    fns = _weight_fns(d, weights)
-    if fits is None:
-        fits = fit_all(d, cfg)
-    u = u_statistics(d, fns, cfg, fits=fits)
-    sigma2 = _sigma_vector(fits, fns)
-    cov = covariance_u(d.group_sizes, sigma2)
-    u0 = u[:-1]
-    chi2 = max(float(u0 @ _solve_pivot(cov[:-1, :-1], u0)), 0.0)
-    df = d.k - 1
-    return TestReport(
-        method="U-test",
-        weights=tuple(fn.name for fn in fns),
-        statistics={"chi2": chi2},
-        p_values={"chi2": chisq_sf(chi2, df)},
-        variance={f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)},
-        covariance=tuple(tuple(float(x) for x in row) for row in cov),
-        df=df,
-        n=d.n,
-        group_sizes=d.group_sizes,
-        diagnostics=_bundle_diagnostics(fits),
-    )
+    return _chi2_test(d, weights, cfg, fits, "U-test")
 
 
 def chi2_v_test(
@@ -361,28 +345,7 @@ def chi2_v_test(
     fits: FitBundle | None = None,
 ) -> TestReport:
     """Chi-square test from the V vector of group-1 contrasts."""
-    if d.k < 2:
-        raise ValueError("chi-square tests require k >= 2 groups")
-    fns = _weight_fns(d, weights)
-    if fits is None:
-        fits = fit_all(d, cfg)
-    v = v_statistics(d, fns, cfg, fits=fits)
-    sigma2 = _sigma_vector(fits, fns)
-    cov = covariance_v(d.group_sizes, sigma2)
-    chi2 = max(float(v @ _solve_pivot(cov, v)), 0.0)
-    df = d.k - 1
-    return TestReport(
-        method="V-test",
-        weights=tuple(fn.name for fn in fns),
-        statistics={"chi2": chi2},
-        p_values={"chi2": chisq_sf(chi2, df)},
-        variance={f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)},
-        covariance=tuple(tuple(float(x) for x in row) for row in cov),
-        df=df,
-        n=d.n,
-        group_sizes=d.group_sizes,
-        diagnostics=_bundle_diagnostics(fits),
-    )
+    return _chi2_test(d, weights, cfg, fits, "V-test")
 
 
 def two_sample_tests(
@@ -394,12 +357,7 @@ def two_sample_tests(
     """Standard-normal two-sample tests T1 (U-based) and T2 (V-based)."""
     if d.k != 2:
         raise ValueError("two-sample tests require exactly k = 2 groups")
-    fns = _weight_fns(d, weight)
-    if fits is None:
-        fits = fit_all(d, cfg)
-    u = u_statistics(d, fns, cfg, fits=fits)
-    v = v_statistics(d, fns, cfg, fits=fits)
-    sigma2 = _sigma_vector(fits, fns)
+    fns, fits, u, v, sigma2 = _statistics(d, weight, cfg, fits)
     n1, n2 = d.group_sizes
     n = d.n
     var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * sigma2[0] + (n2 / n) * sigma2[1]

@@ -66,6 +66,12 @@ class TestValidateCommand:
         assert "subject a" in result.output
         assert "counts decreasing" in result.output
 
+    def test_nan_time_exit_1(self, runner, tmp_path):
+        f = write_csv(tmp_path, "nan.csv", ["a,1,1,0", "a,1,nan,3", "b,2,1,0"])
+        result = runner.invoke(main, ["validate", f])
+        assert result.exit_code == 1
+        assert "subject a: non-finite observation time" in result.output
+
     def test_missing_header_column(self, runner, tmp_path):
         f = write_csv(tmp_path, "noheader.csv", ["a,1,1"], header="subject,group,time")
         result = runner.invoke(main, ["validate", f])

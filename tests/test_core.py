@@ -48,6 +48,21 @@ class TestValidateDataset:
         d = PanelDataset.from_paths([path("a", 1, [0.0, 1.0], [0, 1])])
         assert any("must be positive" in e for e in validate_dataset(d).errors)
 
+    @pytest.mark.parametrize(
+        "times, counts, message",
+        [
+            ([1.0, np.nan], [0, 1], "non-finite observation time"),
+            ([1.0, np.inf], [0, 1], "non-finite observation time"),
+            ([1.0, 2.0], [0, np.nan], "non-finite count"),
+            ([1.0, 2.0], [0, np.inf], "non-finite count"),
+        ],
+    )
+    def test_non_finite_rejected(self, times, counts, message):
+        d = PanelDataset.from_paths([path("a", 1, times, counts)])
+        report = validate_dataset(d)
+        assert not report.ok
+        assert any(message in e for e in report.errors)
+
     def test_non_integer_counts(self):
         d = PanelDataset.from_paths([path("a", 1, [1.0], [0.5])])
         assert any("not integer-valued" in e for e in validate_dataset(d).errors)
@@ -129,6 +144,12 @@ class TestEvalStep:
             StepEstimate(support=[1.0, 2.0], values=[1.0, 0.5])
         with pytest.raises(ValueError):
             StepEstimate(support=[1.0], values=[-0.1])
+        with pytest.raises(ValueError):
+            StepEstimate(support=[1.0, np.nan], values=[0.0, 1.0])
+        with pytest.raises(ValueError):
+            StepEstimate(support=[1.0, 2.0], values=[0.0, np.nan])
+        with pytest.raises(ValueError):
+            StepEstimate(support=[1.0, 2.0], values=[0.0, np.inf])
 
 
 class TestRestrictToGroup:

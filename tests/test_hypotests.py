@@ -28,6 +28,7 @@ from conftest import TIGHT, path, random_dataset
 from _oracles import sigma_sq_direct, u_stat_direct, v_stat_direct
 
 CONST = WeightSpec(WeightKind.CONST)
+MIXED = [CONST, WeightSpec(WeightKind.POOLED_RISK), WeightSpec(WeightKind.COMPLEMENT)]
 
 
 def _pair(est):
@@ -91,15 +92,19 @@ class TestUStatistics:
         np.testing.assert_allclose(u, 0.0, atol=1e-7)
 
     def test_matches_direct_formula(self, rng):
-        d = random_dataset(rng, 14, k=2, rate=1.5)
-        fits = fit_all(d, TIGHT)
-        w = make_weight(d, WeightSpec(WeightKind.POOLED_RISK))
-        u = u_statistics(d, w, cfg=TIGHT, fits=fits)
-        for l in (1, 2):
-            direct = u_stat_direct(
-                d, _pair(fits.pooled), _pair(fits.groups[l - 1]), lambda t: w(t)
-            )
-            assert math.isclose(u[l - 1], direct, rel_tol=1e-9, abs_tol=1e-10)
+        d2 = random_dataset(rng, 14, k=2, rate=1.5)
+        w = make_weight(d2, WeightSpec(WeightKind.POOLED_RISK))
+        d3 = random_dataset(rng, 18, k=3, rate=1.3)
+        mixed = [make_weight(d3, spec) for spec in MIXED]
+        # (dataset, weight argument, weight of each group's row)
+        for d, weights, fns in ((d2, w, [w, w]), (d3, mixed, mixed)):
+            fits = fit_all(d, TIGHT)
+            u = u_statistics(d, weights, cfg=TIGHT, fits=fits)
+            for l in range(1, d.k + 1):
+                direct = u_stat_direct(
+                    d, _pair(fits.pooled), _pair(fits.groups[l - 1]), fns[l - 1]
+                )
+                assert math.isclose(u[l - 1], direct, rel_tol=1e-9, abs_tol=1e-10)
 
 
 class TestVStatistics:
@@ -130,16 +135,19 @@ class TestVStatistics:
         d = random_dataset(rng, 15, k=3, rate=1.3)
         fits = fit_all(d, TIGHT)
         w = make_weight(d, CONST)
-        v = v_statistics(d, w, cfg=TIGHT, fits=fits)
-        for l in (2, 3):
-            direct = v_stat_direct(
-                d,
-                _pair(fits.pooled),
-                _pair(fits.groups[0]),
-                _pair(fits.groups[l - 1]),
-                lambda t: w(t),
-            )
-            assert math.isclose(v[l - 2], direct, rel_tol=1e-9, abs_tol=1e-10)
+        mixed = [make_weight(d, spec) for spec in MIXED]
+        # (weight argument, weight of each group's row)
+        for weights, fns in ((w, [w, w, w]), (mixed, mixed)):
+            v = v_statistics(d, weights, cfg=TIGHT, fits=fits)
+            for l in (2, 3):
+                direct = v_stat_direct(
+                    d,
+                    _pair(fits.pooled),
+                    _pair(fits.groups[0]),
+                    _pair(fits.groups[l - 1]),
+                    fns[l - 1],
+                )
+                assert math.isclose(v[l - 2], direct, rel_tol=1e-9, abs_tol=1e-10)
 
     def test_requires_two_groups(self, rng):
         with pytest.raises(ValueError):

@@ -74,11 +74,11 @@ def read_dataset_csv(path: str) -> PanelDataset:
                 group_raw = float(row["group"])
                 time = float(row["time"])
                 count = float(row["count"])
-            except (TypeError, ValueError, AttributeError) as exc:
+                group = int(group_raw)
+            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise DatasetFormatError(f"line {lineno}: unparseable row") from exc
-            if group_raw != int(group_raw):
+            if group_raw != group:
                 raise DatasetFormatError(f"line {lineno}: group must be an integer")
-            group = int(group_raw)
             entry = by_subject.setdefault(subject, {"group": group, "rows": []})
             if entry["group"] != group:
                 raise DatasetFormatError(
@@ -386,16 +386,19 @@ def qq(n, reps, seed, stat, out):
     """Null quantile pairs of a two-sample statistic vs the standard normal."""
     if n < 2:
         _fail("error: --n must be at least 2", 2)
-    cfg = SimConfig(
-        case=1,
-        beta=0.0,
-        group_sizes=(n // 2, n - n // 2),
-        nu_mode="fixed",
-        replications=reps,
-        base_seed=seed,
-        weight_specs=(WeightSpec(WeightKind.CONST),),
-        statistics=(stat,),
-    )
+    try:
+        cfg = SimConfig(
+            case=1,
+            beta=0.0,
+            group_sizes=(n // 2, n - n // 2),
+            nu_mode="fixed",
+            replications=reps,
+            base_seed=seed,
+            weight_specs=(WeightSpec(WeightKind.CONST),),
+            statistics=(stat,),
+        )
+    except ValueError as exc:
+        _fail(f"error: {exc}", 2)
     table = qq_study(cfg, statistic=stat)
     _write_csv(
         out,

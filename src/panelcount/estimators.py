@@ -8,7 +8,10 @@ nondecreasing step functions on the pooled observation grid:
   cumulative counts, and
 * the full Poisson-likelihood maximizer (``npmle``), computed by a modified
   iterative convex minorant: diagonal-Newton working response, isotonic
-  projection, and a backtracking line search that enforces monotone ascent.
+  projection, and a backtracking line search that enforces monotone ascent,
+  then a Newton step on the tie-block values.  Both steps read one pass over
+  the observation rows (score and per-row curvature weights), and the Newton
+  system is summed at block level: its size is blocks x blocks, not m x m.
 
 Stationarity of the constrained maximizer is certified through the
 cumulative-gradient (Fenchel) conditions; ``weighted_score_residual`` exposes the
@@ -110,7 +113,7 @@ def isotonic_regression(y, w):
 
 def _increments(flat: FlatObservations, u: np.ndarray) -> np.ndarray:
     """Increments of grid values ``u`` over each row's interval (u = 0 at the origin)."""
-    return u[flat.rank] - np.where(flat.prev_rank >= 0, u[np.clip(flat.prev_rank, 0, None)], 0.0)
+    return u[flat.rank] - np.concatenate([[0.0], u])[flat.prev_rank + 1]
 
 
 def _loglik_flat(flat: FlatObservations, u: np.ndarray) -> float:
@@ -140,47 +143,37 @@ def _loglik_diff(flat: FlatObservations, u_new: np.ndarray, u_old: np.ndarray) -
     return diff
 
 
-def _grad_curv_flat(flat: FlatObservations, u: np.ndarray, floor_ratio: float):
+def _score_and_weights(flat: FlatObservations, u: np.ndarray):
+    """One pass over the rows at ``u``: the score g = d phi / d u and the
+    per-row curvature weights w = dN / du**2.  Row i adds
+    -w_i (e_rank - e_prev)(e_rank - e_prev)^T to the Hessian of phi, with
+    e_prev = 0 at the origin (prev_rank = -1, slot 0 of the padded bincounts).
+    """
     du = _increments(flat, u)
     pos = flat.dN > 0
     if np.any(pos & (du <= 0)):
         raise ValueError("u infeasible: zero increment over an interval with events")
     ratio = np.zeros_like(du)
     ratio[pos] = flat.dN[pos] / du[pos]
-    m = flat.m
-    g = np.bincount(flat.rank, weights=ratio, minlength=m)
-    interior = flat.prev_rank >= 0
-    g -= np.bincount(flat.prev_rank[interior], weights=ratio[interior], minlength=m)
-    g -= np.bincount(flat.rank[flat.is_last], minlength=m).astype(float)
-    curv_term = np.zeros_like(du)
-    curv_term[pos] = flat.dN[pos] / du[pos] ** 2
-    c = np.bincount(flat.rank, weights=curv_term, minlength=m)
-    c += np.bincount(flat.prev_rank[interior], weights=curv_term[interior], minlength=m)
+    g = np.bincount(flat.rank, weights=ratio, minlength=flat.m)
+    g -= np.bincount(flat.prev_rank + 1, weights=ratio, minlength=flat.m + 1)[1:]
+    g -= np.bincount(flat.rank[flat.is_last], minlength=flat.m).astype(float)
+    w = np.zeros_like(du)
+    w[pos] = flat.dN[pos] / du[pos] ** 2
+    return g, w
+
+
+def _grad_curv_flat(flat: FlatObservations, u: np.ndarray, floor_ratio: float):
+    """Score and floored negative Hessian diagonal of phi at ``u``."""
+    g, w = _score_and_weights(flat, u)
+    c = np.bincount(flat.rank, weights=w, minlength=flat.m)
+    c += np.bincount(flat.prev_rank + 1, weights=w, minlength=flat.m + 1)[1:]
     cmax = c.max()
     if cmax <= 0:
-        c = np.ones(m)
+        c = np.ones(flat.m)
     else:
         c = np.maximum(c, floor_ratio * cmax)
     return g, c
-
-
-def _hessian_flat(flat: FlatObservations, u: np.ndarray) -> np.ndarray:
-    """Dense Hessian of phi in the grid coordinates (exposure terms are linear)."""
-    du = _increments(flat, u)
-    pos = flat.dN > 0
-    w = np.zeros_like(du)
-    w[pos] = flat.dN[pos] / du[pos] ** 2
-    m = flat.m
-    h = np.zeros((m, m))
-    r = flat.rank
-    p = flat.prev_rank
-    np.add.at(h, (r, r), -w)
-    interior = p >= 0
-    ri, pi, wi = r[interior], p[interior], w[interior]
-    np.add.at(h, (pi, pi), -wi)
-    np.add.at(h, (ri, pi), wi)
-    np.add.at(h, (pi, ri), wi)
-    return h
 
 
 def _newton_polish(flat: FlatObservations, u: np.ndarray, ll: float, max_halvings: int):
@@ -188,18 +181,24 @@ def _newton_polish(flat: FlatObservations, u: np.ndarray, ll: float, max_halving
 
     The diagonal-ICM step alone contracts slowly once the active set has
     stabilized; solving the reduced (block-level) Newton system drives the
-    stationarity residual to machine precision in a few steps.  Feasibility,
-    ordering, and monotone ascent are enforced by backtracking; on any
-    failure the iterate is returned unchanged.
+    stationarity residual to machine precision in a few steps.  The
+    (blocks x blocks) system is summed directly from the per-row weights,
+    each row landing on the blocks of its two ends; no grid-level Hessian
+    is formed.  Feasibility, ordering, and monotone ascent are enforced by
+    backtracking; on any failure the iterate is returned unchanged.
     """
     block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
     n_blocks = int(block_id[-1]) + 1
-    g, _ = _grad_curv_flat(flat, u, 1.0)  # floor irrelevant: only g is used
+    g, w = _score_and_weights(flat, u)
     g_red = np.bincount(block_id, weights=g, minlength=n_blocks)
-    member = block_id[None, :] == np.arange(n_blocks)[:, None]
-    h_red = member @ _hessian_flat(flat, u) @ member.T
+    # slot 0 stands for the origin, where u = 0 is not a free value
+    size = n_blocks + 1
+    slot = np.concatenate([[0], block_id + 1])
+    a, b = slot[flat.rank + 1], slot[flat.prev_rank + 1]
+    pairs = np.concatenate([a * size + a, b * size + b, a * size + b, b * size + a])
+    neg_h = np.bincount(pairs, weights=np.concatenate([w, w, -w, -w]), minlength=size * size)
     try:
-        dv = np.linalg.solve(-h_red, g_red)
+        dv = np.linalg.solve(neg_h.reshape(size, size)[1:, 1:], g_red)
     except np.linalg.LinAlgError:
         return u, ll, False
     v = u[np.flatnonzero(np.diff(block_id, prepend=-1))]
@@ -316,7 +315,7 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
             break
         rel_change = (ll - ll_start) / (1.0 + abs(ll_start))
     else:
-        g, _ = _grad_curv_flat(flat, u, cfg.curvature_floor_ratio)
+        g, _ = _score_and_weights(flat, u)
         _, residual = _certificates(g, u, n, cfg.fenchel_tol)
     estimate = StepEstimate(support=grid.points, values=np.maximum.accumulate(np.maximum(u, 0.0)))
     diag = SolveDiagnostics(

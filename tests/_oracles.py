@@ -185,3 +185,33 @@ def v_stat_direct(d, pooled, group1_est, groupl_est, weight_at):
         a = weight_at(t_last) * step_at(support, values, t_last)
         total += a * ((1.0 - qs[-1][0]) - (1.0 - qs[-1][1]))
     return total / np.sqrt(d.n)
+
+
+def loglik_hessian_direct(d, u):
+    """Dense Hessian of the Poisson panel log-likelihood in the values ``u``
+    at the pooled grid points, by per-subject loops.
+
+    An interval (s, t] with dn > 0 events adds dn * log(u(t) - u(s)), so it
+    contributes -dn / du^2 to the (t, t) and (s, s) entries and +dn / du^2
+    to (s, t) and (t, s); u(0) = 0 is fixed and has no row.  The exposure
+    term -u(t_last) is linear and adds nothing.
+    """
+    grid = np.unique(np.concatenate([p.times for p in d.paths]))
+    rank = {t: i for i, t in enumerate(grid)}
+    h = np.zeros((grid.size, grid.size))
+    for p in d.paths:
+        prev = None
+        prev_c = 0.0
+        for t, c in zip(p.times, p.counts):
+            dn = c - prev_c
+            i = rank[t]
+            du = u[i] - (u[prev] if prev is not None else 0.0)
+            if dn > 0:
+                w = dn / du**2
+                h[i, i] -= w
+                if prev is not None:
+                    h[prev, prev] -= w
+                    h[i, prev] += w
+                    h[prev, i] += w
+            prev, prev_c = i, c
+    return h

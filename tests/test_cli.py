@@ -243,6 +243,11 @@ class TestQqCommand:
         assert runner.invoke(main, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_zero_reps_exit_2(self, runner):
+        result = runner.invoke(main, ["qq", "--n", "20", "--reps", "0"])
+        assert result.exit_code == 2
+        assert "error: replications must be >= 1" in result.output
+
 
 class TestDatasetRoundTrip:
     def test_write_then_read_identity(self, tmp_path, rng):
@@ -262,9 +267,10 @@ class TestDatasetRoundTrip:
         assert d.paths[0].counts.tolist() == [1.0, 3.0]
 
     def test_unparseable_row(self, tmp_path):
-        f = write_csv(tmp_path, "badrow.csv", ["a,1,xyz,1"])
-        with pytest.raises(DatasetFormatError):
-            read_dataset_csv(f)
+        for row in ["a,1,xyz,1", "a,inf,1,1", "a,nan,1,1"]:
+            f = write_csv(tmp_path, "badrow.csv", [row])
+            with pytest.raises(DatasetFormatError):
+                read_dataset_csv(f)
 
 
 class TestParseWeightSpec:

@@ -243,7 +243,7 @@ def estimate(input_path, method, group, out):
         pm = npmple(d)
         click.echo(
             f"npmle: iterations={diag.iterations} fenchel_residual={diag.fenchel_residual:.3e} "
-            f"converged={diag.converged}",
+            f"converged={diag.converged} status={diag.status}",
             err=True,
         )
         click.echo(
@@ -252,7 +252,10 @@ def estimate(input_path, method, group, out):
             err=True,
         )
         if not diag.converged:
-            click.echo("warning: solver did not converge; writing best iterate", err=True)
+            click.echo(
+                f"warning: solver did not converge ({diag.status}); writing best iterate",
+                err=True,
+            )
             status = 3
     _write_csv(
         out,

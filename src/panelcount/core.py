@@ -203,10 +203,8 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         # Flat spots in the pooled increments undermine the bounded-below
         # increment assumption behind the variance estimates; flag them.
         grid = build_time_grid(d)
-        pooled_events = np.zeros(grid.m)
-        for p in d.paths:
-            idx = np.searchsorted(grid.points, p.times)
-            pooled_events[idx] += np.diff(p.counts, prepend=0.0)
+        flat = flatten_observations(d, grid)
+        pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
         for ell in np.flatnonzero(pooled_events == 0):
             t = grid.points[ell]
             warnings.append(

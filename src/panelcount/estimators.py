@@ -12,10 +12,16 @@ nondecreasing step functions on the pooled observation grid:
   then a Newton step on the tie-block values.  Both steps read one pass over
   the observation rows (score and per-row curvature weights), and the Newton
   system is summed at block level: its size is blocks x blocks, not m x m.
+  The Newton step moves only the free blocks; a first block held at the
+  origin and blocks of zero curvature keep their value.
 
 Stationarity of the constrained maximizer is certified through the
-cumulative-gradient (Fenchel) conditions; ``weighted_score_residual`` exposes the
-weighted-sum corollary used as an end-to-end correctness check.
+cumulative-gradient (Fenchel) conditions.  The solver stops as soon as the
+optimality conditions on the cone 0 <= u_1 <= ... <= u_m hold, and reports
+through ``SolveDiagnostics.status`` whether that point also meets the
+two-sided certificate at l = 1 (``"converged"``) or is the maximizer at the
+origin boundary (``"boundary-origin"``).  ``weighted_score_residual``
+exposes the weighted-sum corollary used as an end-to-end correctness check.
 """
 
 from __future__ import annotations
@@ -72,7 +78,20 @@ class SolveDiagnostics:
     """Outcome of one solver run.
 
     ``fenchel_residual`` is the largest certificate violation divided by the
-    number of subjects, so ``converged`` implies it is <= ``fenchel_tol``.
+    number of subjects, with the certificate at l = 1 always two-sided, so
+    ``converged`` implies it is <= ``fenchel_tol``.  ``status`` says why the
+    run ended:
+
+    * ``"converged"``: every certificate holds (``converged`` is True);
+    * ``"boundary-origin"``: the iterate sits at the origin boundary
+      (u_1 = 0 with S_1 < 0, S_1 the first cumulative gradient) and meets
+      the optimality conditions of the cone 0 <= u_1 <= ... <= u_m, where
+      l = 1 is one-sided.  It is the maximizer, but the two-sided
+      certificate at l = 1 fails, so ``converged`` is False;
+    * ``"max-iterations"``: the iteration limit was reached first;
+    * ``"stalled"``: a numeric fixed point that meets neither the
+      certificates nor the cone's conditions.
+
     ``loglik_trace`` records the (nondecreasing) objective across iterations.
     """
 
@@ -81,6 +100,7 @@ class SolveDiagnostics:
     fenchel_residual: float
     converged: bool
     loglik_trace: tuple[float, ...]
+    status: str
 
 
 def isotonic_regression(y, w):
@@ -184,8 +204,13 @@ def _newton_polish(flat: FlatObservations, u: np.ndarray, ll: float, max_halving
     stationarity residual to machine precision in a few steps.  The
     (blocks x blocks) system is summed directly from the per-row weights,
     each row landing on the blocks of its two ends; no grid-level Hessian
-    is formed.  Feasibility, ordering, and monotone ascent are enforced by
-    backtracking; on any failure the iterate is returned unchanged.
+    is formed.  Only the free blocks move: a first block held at the origin
+    (value 0, on the boundary of the cone) and any block that no row with
+    events touches (zero curvature, phi linear in its value) keep their
+    value, and the system is solved over the rest.  When every block is
+    free this is the full system.  Feasibility, ordering, and monotone
+    ascent are enforced by backtracking; on any failure the iterate is
+    returned unchanged.
     """
     block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
     n_blocks = int(block_id[-1]) + 1
@@ -197,11 +222,15 @@ def _newton_polish(flat: FlatObservations, u: np.ndarray, ll: float, max_halving
     a, b = slot[flat.rank + 1], slot[flat.prev_rank + 1]
     pairs = np.concatenate([a * size + a, b * size + b, a * size + b, b * size + a])
     neg_h = np.bincount(pairs, weights=np.concatenate([w, w, -w, -w]), minlength=size * size)
+    neg_h = neg_h.reshape(size, size)[1:, 1:]
+    v = u[np.flatnonzero(np.diff(block_id, prepend=-1))]
+    free = np.diagonal(neg_h) > 0
+    free[0] &= v[0] > 0
+    dv = np.zeros(n_blocks)
     try:
-        dv = np.linalg.solve(neg_h.reshape(size, size)[1:, 1:], g_red)
+        dv[free] = np.linalg.solve(neg_h[free][:, free], g_red[free])
     except np.linalg.LinAlgError:
         return u, ll, False
-    v = u[np.flatnonzero(np.diff(block_id, prepend=-1))]
     step = 1.0
     for _ in range(max_halvings + 1):
         v_cand = v + step * dv
@@ -215,15 +244,23 @@ def _newton_polish(flat: FlatObservations, u: np.ndarray, ll: float, max_halving
 
 
 def _certificates(g: np.ndarray, u: np.ndarray, n: int, tol: float):
-    """Cumulative-gradient stationarity: S_l <= tol*n for all l and
-    |S_l| <= tol*n at every jump of u and at l = 1."""
+    """Cumulative-gradient stationarity, with S_l = sum_{j >= l} g_j.
+
+    Returns ``(certified, residual, kkt)``.  ``residual`` is the largest
+    violation of S_l <= 0 for all l and S_l = 0 at every jump of u and at
+    l = 1, divided by n; ``certified`` is ``residual <= tol``.  ``kkt`` is
+    the same test with l = 1 two-sided only when u_1 jumps above 0: the
+    optimality conditions on the cone 0 <= u_1 <= ... <= u_m, which a
+    maximizer at the origin boundary (u_1 = 0, S_1 < 0) meets while
+    failing ``certified``.
+    """
     S = np.cumsum(g[::-1])[::-1]
     alpha = np.diff(u, prepend=0.0)
     eps_jump = 1e-10 * max(1.0, float(u[-1]))
     two_sided = alpha > eps_jump
-    two_sided[0] = True
-    residual = max(float(S.max()), float(np.abs(S[two_sided]).max())) / n
-    return residual <= tol, residual
+    kkt_residual = max(float(S.max()), float(np.max(-S[two_sided], initial=-np.inf))) / n
+    residual = max(kkt_residual, float(-S[0]) / n)
+    return residual <= tol, residual, kkt_residual <= tol
 
 
 def npmple(d: PanelDataset) -> StepEstimate:
@@ -270,10 +307,14 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
     """Maximum-likelihood mean function via the modified ICM.
 
     Returns ``(StepEstimate, SolveDiagnostics)``.  On non-convergence the
-    best iterate is returned with ``converged=False``; no exception.
+    best iterate is returned with ``converged=False`` and a ``status`` that
+    says why; no exception.
     """
     grid = build_time_grid(d)
-    flat = flatten_observations(d, grid)
+    return _npmle_flat(grid, flatten_observations(d, grid), cfg)
+
+
+def _npmle_flat(grid: TimeGrid, flat: FlatObservations, cfg: IcmConfig):
     pm = _npmple_flat(grid, flat)
     m = grid.m
     n = flat.n_subjects
@@ -281,14 +322,14 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
     ll = _loglik_flat(flat, u)
     trace = [ll]
     rel_change = float("inf")
-    converged = False
+    status = "max-iterations"
     residual = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         g, c = _grad_curv_flat(flat, u, cfg.curvature_floor_ratio)
-        certs_ok, residual = _certificates(g, u, n, cfg.fenchel_tol)
-        if certs_ok and rel_change < cfg.rel_tol:
-            converged = True
+        certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
+        if kkt_ok and rel_change < cfg.rel_tol:
+            status = "converged" if certs_ok else "boundary-origin"
             break
         ll_start = ll
         x = np.maximum(isotonic_regression(u + g / c, c), 0.0)
@@ -311,18 +352,19 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
         if not moved:
             # numeric fixed point: nothing can improve, certificates decide
-            converged = certs_ok
+            status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
             break
         rel_change = (ll - ll_start) / (1.0 + abs(ll_start))
     else:
         g, _ = _score_and_weights(flat, u)
-        _, residual = _certificates(g, u, n, cfg.fenchel_tol)
+        _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol)
     estimate = StepEstimate(support=grid.points, values=np.maximum.accumulate(np.maximum(u, 0.0)))
     diag = SolveDiagnostics(
         iterations=iterations,
         loglik=ll,
         fenchel_residual=residual,
-        converged=converged,
+        converged=status == "converged",
+        status=status,
         loglik_trace=tuple(trace),
     )
     return estimate, diag

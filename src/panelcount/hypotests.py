@@ -34,7 +34,7 @@ from .core import (
     flatten_observations,
     restrict_to_group,
 )
-from .estimators import IcmConfig, SolveDiagnostics, npmle
+from .estimators import IcmConfig, SolveDiagnostics, _npmle_flat, npmle
 from .weights import WeightFn, WeightSpec, make_weight
 
 __all__ = [
@@ -113,6 +113,7 @@ def _diag_summary(diag: SolveDiagnostics) -> dict[str, Any]:
         "loglik": diag.loglik,
         "fenchel_residual": diag.fenchel_residual,
         "converged": diag.converged,
+        "status": diag.status,
     }
 
 
@@ -120,15 +121,17 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
     """Solve the pooled NPMLE and one NPMLE per group; error on non-convergence."""
     grid = build_time_grid(d)
     flat = flatten_observations(d, grid)
-    pooled, pooled_diag = npmle(d, cfg)
+    pooled, pooled_diag = _npmle_flat(grid, flat, cfg)
     if not pooled_diag.converged:
-        raise SolverConvergenceError("pooled NPMLE did not converge", pooled_diag)
+        raise SolverConvergenceError(
+            f"pooled NPMLE did not converge ({pooled_diag.status})", pooled_diag
+        )
     groups = []
     group_diags = []
     for l in range(1, d.k + 1):
         est, diag = npmle(restrict_to_group(d, l), cfg)
         if not diag.converged:
-            raise SolverConvergenceError(f"group {l} NPMLE did not converge", diag)
+            raise SolverConvergenceError(f"group {l} NPMLE did not converge ({diag.status})", diag)
         groups.append(est)
         group_diags.append(diag)
     return FitBundle(

@@ -17,8 +17,10 @@ def random_dataset(rng, n_subjects, k=1, max_time=10, rate=1.0):
 
     The first subject of each group is anchored with a visit at time 1
     carrying at least one event, which keeps the fitted mean positive at the
-    first grid point (the stationarity certificate at l=1 is one-sided
-    otherwise and such draws legitimately report non-convergence).
+    first grid point.  Otherwise the maximizer can sit at 0 there, where the
+    optimality condition at l=1 is one-sided (S_1 <= 0) while the solver's
+    certificate is two-sided; such draws legitimately end with status
+    "boundary-origin" and converged=False.
     """
     paths = []
     for i in range(n_subjects):

@@ -134,6 +134,13 @@ class TestEstimateCommand:
         values = [float(l.split(",")[1]) for l in out.read_text().strip().splitlines()[1:]]
         np.testing.assert_allclose(values, [0.0, 2.0], atol=1e-6)
 
+    def test_nonconvergence_names_status(self, runner, tmp_path):
+        f = write_csv(tmp_path, "boundary.csv", ["a,1,1,0", "a,1,2,2"])
+        result = runner.invoke(main, ["estimate", "--input", f, "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 3
+        assert "converged=False status=boundary-origin" in result.stderr
+        assert "did not converge (boundary-origin)" in result.stderr
+
 
 class TestTestCommand:
     def test_duplicated_groups_p_value_one(self, runner, duplicated_group_file):
@@ -168,6 +175,21 @@ class TestTestCommand:
         assert isinstance(report, Report)
         assert report_to_dict(report, payload["config"]) == payload
         assert 0.0 <= report.p_values["T1"] <= 1.0
+
+    def test_report_carries_solver_status(self, runner, two_group_file, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["test", "--input", two_group_file, "--out", str(out)])
+        assert result.exit_code == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        solves = [diagnostics["pooled"], *diagnostics["groups"]]
+        assert [s["status"] for s in solves] == ["converged"] * 3
+
+    def test_boundary_origin_exit_3_names_status(self, runner, tmp_path):
+        rows = ["a,1,1,0", "a,1,2,2", "b,2,1,0", "b,2,3,1"]
+        f = write_csv(tmp_path, "boundary2.csv", rows)
+        result = runner.invoke(main, ["test", "--input", f])
+        assert result.exit_code == 3
+        assert "pooled NPMLE did not converge (boundary-origin)" in result.output
 
     def test_t12_requires_two_groups(self, runner, tmp_path):
         rows = ["a,1,1,1", "b,2,1,0", "c,3,1,2"]

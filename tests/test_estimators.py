@@ -18,6 +18,7 @@ from panelcount import (
     npmle,
     npmple,
 )
+from panelcount import estimators
 from conftest import TIGHT, path, random_dataset
 from _oracles import brute_force_npmle, isotonic_brute_force, loglik_direct
 
@@ -237,6 +238,56 @@ class TestNpmle:
         est, diag = npmle(d, TIGHT)
         assert not diag.converged
         np.testing.assert_allclose(est.values, [0.0, 2.0], atol=1e-9)
+        assert diag.iterations < 50
+
+
+class TestSolveStatus:
+    """Each way a solve can end, and ``converged`` exactly when it converged."""
+
+    def assert_status(self, diag, status):
+        assert diag.status == status
+        assert diag.converged == (status == "converged")
+
+    def test_converged(self, rng):
+        _, diag = npmle(random_dataset(rng, 20), TIGHT)
+        self.assert_status(diag, "converged")
+        assert diag.fenchel_residual <= TIGHT.fenchel_tol
+
+    def test_boundary_origin_meets_cone_conditions(self):
+        d = PanelDataset.from_paths(
+            [path("a", 1, [1.0, 2.0], [0, 2]), path("b", 1, [1.0, 3.0], [0, 1])]
+        )
+        est, diag = npmle(d, TIGHT)
+        self.assert_status(diag, "boundary-origin")
+        assert est.values[0] == 0.0
+        # S_l <= 0 everywhere, = 0 at every jump after the first point, S_1 < 0
+        grid = build_time_grid(d)
+        g, _ = gradient_and_curvature(d, grid, est.values)
+        S = np.cumsum(g[::-1])[::-1]
+        assert S[0] < -TIGHT.fenchel_tol * d.n
+        assert np.all(S <= TIGHT.fenchel_tol * d.n)
+        jumps = np.flatnonzero(np.diff(est.values) > 0) + 1
+        assert np.all(np.abs(S[jumps]) <= TIGHT.fenchel_tol * d.n)
+        assert diag.fenchel_residual == pytest.approx(-S[0] / d.n)
+
+    def test_l1_one_sided_only_at_origin(self):
+        # S = (-1, 0): optimal on the cone when u_1 = 0, not when u_1 jumps
+        g = np.array([-1.0, 0.0])
+        at_origin = estimators._certificates(g, np.array([0.0, 2.0]), 1, 1e-6)
+        lifted = estimators._certificates(g, np.array([1.0, 2.0]), 1, 1e-6)
+        assert at_origin == (False, 1.0, True)
+        assert lifted == (False, 1.0, False)
+
+    def test_max_iterations(self, rng):
+        _, diag = npmle(random_dataset(rng, 20), IcmConfig(max_iterations=1))
+        self.assert_status(diag, "max-iterations")
+        assert diag.iterations == 1
+
+    def test_stalled_at_unreachable_tolerance(self, rng):
+        # certificates at 1e-300 are below float resolution: the iterate
+        # stops moving before they can hold
+        _, diag = npmle(random_dataset(rng, 20), IcmConfig(fenchel_tol=1e-300))
+        self.assert_status(diag, "stalled")
         assert diag.iterations < 50
 
 

@@ -70,8 +70,11 @@ def run_pipeline(path):
         return "format"
     if not validate_dataset(d).ok:
         return "invalid"
-    for est in (npmple(d), npmle(d)[0]):
+    mle, diag = npmle(d)
+    for est in (npmple(d), mle):
         assert np.all(np.isfinite(est.values))
+    assert diag.status in ("converged", "boundary-origin", "max-iterations", "stalled")
+    assert diag.converged == (diag.status == "converged")
     if d.k < 2:
         return "finite"
     try:

@@ -41,9 +41,14 @@ def polish_matrix(monkeypatch, d, u):
 
 
 def dense_block_reduction(d, u):
+    """The negative Hessian reduced to the free blocks of ``u``: a first
+    block held at the origin and blocks with zero curvature are dropped."""
     block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
     member = (block_id[None, :] == np.arange(block_id[-1] + 1)[:, None]).astype(float)
-    return -(member @ loglik_hessian_direct(d, u) @ member.T)
+    reduced = -(member @ loglik_hessian_direct(d, u) @ member.T)
+    free = np.diagonal(reduced) > 0
+    free[0] &= u[0] > 0
+    return reduced[np.ix_(free, free)]
 
 
 class TestBlockNewtonSystem:
@@ -76,6 +81,54 @@ class TestBlockNewtonSystem:
         u = est.values
         assert 1 + np.count_nonzero(np.diff(u)) < u.size
         self.assert_matches_oracle(monkeypatch, d, u)
+
+    def test_every_block_free_gives_full_system(self, monkeypatch, rng):
+        # u_1 > 0 and rows with events reach every block, so no block is
+        # held and the solve sees the whole tied system
+        d = random_dataset(rng, 8)
+        flat = flatten_observations(d)
+        spans = set(zip(flat.prev_rank[flat.dN > 0], flat.rank[flat.dN > 0]))
+        steps = rng.uniform(0.2, 2.0, size=flat.m)
+        for l in range(0, flat.m - 1, 2):
+            if (l, l + 1) not in spans:
+                steps[l + 1] = 0.0
+        u = np.cumsum(steps)
+        n_blocks = 1 + np.count_nonzero(steps[1:])
+        assert n_blocks < flat.m
+        assert polish_matrix(monkeypatch, d, u).shape == (n_blocks, n_blocks)
+        self.assert_matches_oracle(monkeypatch, d, u)
+
+
+def test_polish_moves_free_blocks_at_origin_boundary():
+    # an ICM iterate with u_1 = 0 and a block that no row with events
+    # touches: the full Newton system is singular, and a step on the first
+    # block would push it below 0; holding both still gives an ascent step
+    d = continuous_dataset(3, 40)
+    est, _ = npmle(d, IcmConfig(max_iterations=5))
+    u = est.values
+    assert u[0] == 0.0
+    block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
+    member = (block_id[None, :] == np.arange(block_id[-1] + 1)[:, None]).astype(float)
+    curvature = np.diagonal(-(member @ loglik_hessian_direct(d, u) @ member.T))
+    assert np.any(curvature[1:] == 0.0)
+    flat = flatten_observations(d)
+    ll = estimators._loglik_flat(flat, u)
+    cand, ll_new, polished = estimators._newton_polish(flat, u, ll, 30)
+    assert polished
+    assert ll_new > ll
+    assert cand[0] == 0.0
+    assert np.all(np.diff(cand) >= 0)
+
+
+def test_continuous_npmle_stops_at_origin_boundary():
+    d = continuous_dataset(20090415, 200)
+    _, diag = npmle(d)
+    assert diag.status == "boundary-origin"
+    assert not diag.converged
+    assert diag.iterations < 60
+    # the log-likelihood after 500 iterations without the prompt stop
+    ll_500 = -317.15797215851575
+    assert diag.loglik >= ll_500 - 1e-9 * abs(ll_500)
 
 
 def test_npmle_memory_stays_below_grid_squared():

@@ -80,7 +80,7 @@ class SolveDiagnostics:
     ``fenchel_residual`` is the largest certificate violation divided by the
     number of subjects, with the certificate at l = 1 always two-sided, so
     ``converged`` implies it is <= ``fenchel_tol``.  ``status`` says why the
-    run ended:
+    run ended, and ``converged`` is ``status == "converged"``:
 
     * ``"converged"``: every certificate holds (``converged`` is True);
     * ``"boundary-origin"``: the iterate sits at the origin boundary
@@ -98,9 +98,12 @@ class SolveDiagnostics:
     iterations: int
     loglik: float
     fenchel_residual: float
-    converged: bool
     loglik_trace: tuple[float, ...]
     status: str
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def isotonic_regression(y, w):
@@ -311,10 +314,7 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
     says why; no exception.
     """
     grid = build_time_grid(d)
-    return _npmle_flat(grid, flatten_observations(d, grid), cfg)
-
-
-def _npmle_flat(grid: TimeGrid, flat: FlatObservations, cfg: IcmConfig):
+    flat = flatten_observations(d, grid)
     pm = _npmple_flat(grid, flat)
     m = grid.m
     n = flat.n_subjects
@@ -363,7 +363,6 @@ def _npmle_flat(grid: TimeGrid, flat: FlatObservations, cfg: IcmConfig):
         iterations=iterations,
         loglik=ll,
         fenchel_residual=residual,
-        converged=status == "converged",
         status=status,
         loglik_trace=tuple(trace),
     )

@@ -34,7 +34,7 @@ from .core import (
     flatten_observations,
     restrict_to_group,
 )
-from .estimators import IcmConfig, SolveDiagnostics, _npmle_flat, npmle
+from .estimators import IcmConfig, SolveDiagnostics, npmle
 from .weights import WeightFn, WeightSpec, make_weight
 
 __all__ = [
@@ -121,7 +121,7 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
     """Solve the pooled NPMLE and one NPMLE per group; error on non-convergence."""
     grid = build_time_grid(d)
     flat = flatten_observations(d, grid)
-    pooled, pooled_diag = _npmle_flat(grid, flat, cfg)
+    pooled, pooled_diag = npmle(d, cfg)
     if not pooled_diag.converged:
         raise SolverConvergenceError(
             f"pooled NPMLE did not converge ({pooled_diag.status})", pooled_diag

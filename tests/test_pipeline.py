@@ -74,7 +74,6 @@ def run_pipeline(path):
     for est in (npmple(d), mle):
         assert np.all(np.isfinite(est.values))
     assert diag.status in ("converged", "boundary-origin", "max-iterations", "stalled")
-    assert diag.converged == (diag.status == "converged")
     if d.k < 2:
         return "finite"
     try:

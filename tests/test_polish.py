@@ -41,20 +41,17 @@ def polish_matrix(monkeypatch, d, u):
 
 
 def dense_block_reduction(d, u):
-    """The negative Hessian reduced to the free blocks of ``u``: a first
-    block held at the origin and blocks with zero curvature are dropped."""
     block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
     member = (block_id[None, :] == np.arange(block_id[-1] + 1)[:, None]).astype(float)
-    reduced = -(member @ loglik_hessian_direct(d, u) @ member.T)
-    free = np.diagonal(reduced) > 0
-    free[0] &= u[0] > 0
-    return reduced[np.ix_(free, free)]
+    return -(member @ loglik_hessian_direct(d, u) @ member.T)
 
 
 class TestBlockNewtonSystem:
-    def assert_matches_oracle(self, monkeypatch, d, u):
+    def assert_matches_oracle(self, monkeypatch, d, u, held=()):
+        """The solve sees the oracle's block system less the ``held`` blocks."""
         got = polish_matrix(monkeypatch, d, u)
-        want = dense_block_reduction(d, u)
+        full = dense_block_reduction(d, u)
+        want = np.delete(np.delete(full, held, axis=0), held, axis=1)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -62,6 +59,15 @@ class TestBlockNewtonSystem:
         d = random_dataset(rng, 25)
         m = flatten_observations(d).m
         u = np.cumsum(rng.uniform(0.2, 2.0, size=m))
+        self.assert_matches_oracle(monkeypatch, d, u)
+
+    def test_small_curvature_blocks_stay_free(self, monkeypatch, rng):
+        # a large u makes every block's curvature tiny but positive: only a
+        # zero diagonal holds a block, so the solve still sees every block
+        d = random_dataset(rng, 25)
+        m = flatten_observations(d).m
+        u = 1e6 * np.cumsum(rng.uniform(0.2, 2.0, size=m))
+        assert np.diagonal(dense_block_reduction(d, u)).max() < 1e-9
         self.assert_matches_oracle(monkeypatch, d, u)
 
     def test_tied_values_reduce_to_blocks(self, monkeypatch, rng):
@@ -80,23 +86,11 @@ class TestBlockNewtonSystem:
         est, _ = npmle(d, IcmConfig(max_iterations=5))
         u = est.values
         assert 1 + np.count_nonzero(np.diff(u)) < u.size
-        self.assert_matches_oracle(monkeypatch, d, u)
-
-    def test_every_block_free_gives_full_system(self, monkeypatch, rng):
-        # u_1 > 0 and rows with events reach every block, so no block is
-        # held and the solve sees the whole tied system
-        d = random_dataset(rng, 8)
-        flat = flatten_observations(d)
-        spans = set(zip(flat.prev_rank[flat.dN > 0], flat.rank[flat.dN > 0]))
-        steps = rng.uniform(0.2, 2.0, size=flat.m)
-        for l in range(0, flat.m - 1, 2):
-            if (l, l + 1) not in spans:
-                steps[l + 1] = 0.0
-        u = np.cumsum(steps)
-        n_blocks = 1 + np.count_nonzero(steps[1:])
-        assert n_blocks < flat.m
-        assert polish_matrix(monkeypatch, d, u).shape == (n_blocks, n_blocks)
-        self.assert_matches_oracle(monkeypatch, d, u)
+        # the first block sits at 0 and no row with events touches block 4:
+        # the solve holds exactly those two
+        assert u[0] == 0.0
+        assert np.flatnonzero(np.diagonal(dense_block_reduction(d, u)) == 0).tolist() == [4]
+        self.assert_matches_oracle(monkeypatch, d, u, held=[0, 4])
 
 
 def test_polish_moves_free_blocks_at_origin_boundary():
@@ -107,16 +101,16 @@ def test_polish_moves_free_blocks_at_origin_boundary():
     est, _ = npmle(d, IcmConfig(max_iterations=5))
     u = est.values
     assert u[0] == 0.0
-    block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
-    member = (block_id[None, :] == np.arange(block_id[-1] + 1)[:, None]).astype(float)
-    curvature = np.diagonal(-(member @ loglik_hessian_direct(d, u) @ member.T))
-    assert np.any(curvature[1:] == 0.0)
+    assert np.flatnonzero(np.diagonal(dense_block_reduction(d, u)) == 0).tolist() == [4]
     flat = flatten_observations(d)
     ll = estimators._loglik_flat(flat, u)
     cand, ll_new, polished = estimators._newton_polish(flat, u, ll, 30)
     assert polished
     assert ll_new > ll
-    assert cand[0] == 0.0
+    block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
+    held = np.isin(block_id, [0, 4])
+    np.testing.assert_array_equal(cand[held], u[held])
+    assert np.any(cand[~held] != u[~held])
     assert np.all(np.diff(cand) >= 0)
 
 

@@ -32,7 +32,7 @@ from .hypotests import (
     chi2_v_test,
     two_sample_tests,
 )
-from .simulation import SimConfig, qq_study, run_power_study
+from .simulation import FAILURE_CAUSES, SimConfig, ThreadCountError, qq_study, run_power_study
 from .weights import WeightKind, WeightSpec
 
 __all__ = [
@@ -339,7 +339,10 @@ def simulate(case, beta, n1, n2, nu, reps, seed, weights, stats, alpha, out):
         )
     except (ValueError, DatasetFormatError) as exc:
         _fail(f"error: {exc}", 2)
-    rows = run_power_study([cfg])
+    try:
+        rows = run_power_study([cfg])
+    except ThreadCountError as exc:
+        _fail(f"error: {exc}", 2)
     _write_csv(
         out,
         [
@@ -356,6 +359,7 @@ def simulate(case, beta, n1, n2, nu, reps, seed, weights, stats, alpha, out):
             "failures",
             "reject_rate",
             "suspect",
+            *FAILURE_CAUSES.values(),
         ],
         (
             [
@@ -372,6 +376,7 @@ def simulate(case, beta, n1, n2, nu, reps, seed, weights, stats, alpha, out):
                 row.failures,
                 repr(row.reject_rate),
                 int(row.suspect),
+                *(getattr(row, cause) for cause in FAILURE_CAUSES.values()),
             ]
             for row in rows
         ),
@@ -402,7 +407,10 @@ def qq(n, reps, seed, stat, out):
         )
     except ValueError as exc:
         _fail(f"error: {exc}", 2)
-    table = qq_study(cfg, statistic=stat)
+    try:
+        table = qq_study(cfg, statistic=stat)
+    except ThreadCountError as exc:
+        _fail(f"error: {exc}", 2)
     _write_csv(
         out,
         ["theoretical", "empirical"],

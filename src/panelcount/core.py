@@ -9,6 +9,7 @@ step functions used by every estimator, and structural validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -96,11 +97,15 @@ class TimeGrid:
     """Pooled distinct observation times t_1 < ... < t_m with their rank map."""
 
     points: np.ndarray
-    rank: dict[float, int]  # observed time -> 1-based index
 
     @property
     def m(self) -> int:
         return self.points.size
+
+    @cached_property
+    def rank(self) -> dict[float, int]:
+        """Observed time -> 1-based index, built on first read."""
+        return {float(t): s for s, t in enumerate(self.points, start=1)}
 
 
 @dataclass(frozen=True)
@@ -217,9 +222,7 @@ def build_time_grid(d: PanelDataset) -> TimeGrid:
     """Pool all observation times into the sorted distinct grid t_1 < ... < t_m."""
     if d.n == 0:
         raise ValueError("cannot build a time grid from an empty dataset")
-    points = np.unique(np.concatenate([p.times for p in d.paths]))
-    rank = {float(t): s for s, t in enumerate(points, start=1)}
-    return TimeGrid(points=points, rank=rank)
+    return TimeGrid(points=np.unique(np.concatenate([p.times for p in d.paths])))
 
 
 def restrict_to_group(d: PanelDataset, l: int) -> PanelDataset:

@@ -9,9 +9,11 @@ nondecreasing step functions on the pooled observation grid:
 * the full Poisson-likelihood maximizer (``npmle``), computed by a modified
   iterative convex minorant: diagonal-Newton working response, isotonic
   projection, and a backtracking line search that enforces monotone ascent,
-  then a Newton step on the tie-block values.  Both steps read one pass over
-  the observation rows (score and per-row curvature weights), and the Newton
-  system is summed at block level: its size is blocks x blocks, not m x m.
+  then a Newton step on the tie-block values.  Each solve gathers the rows
+  with events and the last-visit counts once; both steps read only those
+  (score and per-row curvature weights), and the increments of each
+  accepted iterate carry forward to the next score.  The Newton system is
+  summed at block level: its size is blocks x blocks, not m x m.
   The Newton step moves only the free blocks; a first block held at the
   origin and blocks of zero curvature keep their value.
 
@@ -134,72 +136,96 @@ def isotonic_regression(y, w):
     return np.repeat(means, sizes)
 
 
-def _increments(flat: FlatObservations, u: np.ndarray) -> np.ndarray:
-    """Increments of grid values ``u`` over each row's interval (u = 0 at the origin)."""
-    return u[flat.rank] - np.concatenate([[0.0], u])[flat.prev_rank + 1]
+@dataclass(frozen=True)
+class _EventRows:
+    """What the likelihood reads of a dataset, built once per solve.
+
+    The observation rows with events, in subject-major order: the grid index
+    of each row's end (``rank``), the padded slot of its start
+    (``prev_slot`` = prev_rank + 1, with slot 0 the origin) and its count
+    increment ``dN``.  Rows without events add nothing to phi, its score or
+    its curvature.  ``last_rank`` holds each subject's last visit and
+    ``last_count`` the number of last visits at each grid point.
+    """
+
+    rank: np.ndarray
+    prev_slot: np.ndarray
+    dN: np.ndarray
+    last_rank: np.ndarray
+    last_count: np.ndarray
+    m: int
 
 
-def _loglik_flat(flat: FlatObservations, u: np.ndarray) -> float:
-    """phi(u | X) with the 0*log(0) = 0 convention; -inf when infeasible."""
-    du = _increments(flat, u)
-    pos = flat.dN > 0
-    if np.any(pos & (du <= 0)):
+def _event_rows(flat: FlatObservations) -> _EventRows:
+    ev = flat.dN > 0
+    last_rank = flat.rank[flat.is_last]
+    return _EventRows(
+        rank=flat.rank[ev],
+        prev_slot=flat.prev_rank[ev] + 1,
+        dN=flat.dN[ev],
+        last_rank=last_rank,
+        last_count=np.bincount(last_rank, minlength=flat.m).astype(float),
+        m=flat.m,
+    )
+
+
+def _increments(rows: _EventRows, u: np.ndarray) -> np.ndarray:
+    """Increments of grid values ``u`` over each event row (u = 0 at the origin)."""
+    return u[rows.rank] - np.concatenate([[0.0], u])[rows.prev_slot]
+
+
+def _loglik(rows: _EventRows, u: np.ndarray, du: np.ndarray | None = None) -> float:
+    """phi(u | X) with the 0*log(0) = 0 convention; -inf when infeasible.
+    ``du`` is ``_increments(rows, u)`` when the caller already has it."""
+    if du is None:
+        du = _increments(rows, u)
+    if (du <= 0).any():
         return float("-inf")
-    ll = float(np.sum(flat.dN[pos] * np.log(du[pos])))
-    ll -= float(np.sum(u[flat.rank[flat.is_last]]))
+    ll = float((rows.dN * np.log(du)).sum())
+    ll -= float(u[rows.last_rank].sum())
     return ll
 
 
-def _loglik_diff(flat: FlatObservations, u_new: np.ndarray, u_old: np.ndarray) -> float:
+def _loglik_diff(rows: _EventRows, u_new, du_new, u_old, du_old) -> float:
     """phi(u_new) - phi(u_old) for feasible ``u_old``, computed from increment
     ratios.  Resolves gains far below the float granularity of the absolute
     log-likelihood, which the line searches need near the optimum.  Returns
     -inf when ``u_new`` is infeasible."""
-    du_new = _increments(flat, u_new)
-    du_old = _increments(flat, u_old)
-    pos = flat.dN > 0
-    if np.any(pos & (du_new <= 0)):
+    if (du_new <= 0).any():
         return float("-inf")
-    diff = float(np.sum(flat.dN[pos] * np.log(du_new[pos] / du_old[pos])))
-    last = flat.is_last
-    diff -= float(np.sum(u_new[flat.rank[last]] - u_old[flat.rank[last]]))
+    diff = float((rows.dN * np.log(du_new / du_old)).sum())
+    diff -= float((u_new[rows.last_rank] - u_old[rows.last_rank]).sum())
     return diff
 
 
-def _score_and_weights(flat: FlatObservations, u: np.ndarray):
-    """One pass over the rows at ``u``: the score g = d phi / d u and the
-    per-row curvature weights w = dN / du**2.  Row i adds
-    -w_i (e_rank - e_prev)(e_rank - e_prev)^T to the Hessian of phi, with
-    e_prev = 0 at the origin (prev_rank = -1, slot 0 of the padded bincounts).
+def _score_and_weights(rows: _EventRows, du: np.ndarray):
+    """One pass over the event rows at increments ``du``: the score
+    g = d phi / d u and the per-row curvature weights w = dN / du**2.  Row i
+    adds -w_i (e_rank - e_prev)(e_rank - e_prev)^T to the Hessian of phi,
+    with e_prev = 0 at the origin (slot 0 of the padded bincounts).
     """
-    du = _increments(flat, u)
-    pos = flat.dN > 0
-    if np.any(pos & (du <= 0)):
+    if (du <= 0).any():
         raise ValueError("u infeasible: zero increment over an interval with events")
-    ratio = np.zeros_like(du)
-    ratio[pos] = flat.dN[pos] / du[pos]
-    g = np.bincount(flat.rank, weights=ratio, minlength=flat.m)
-    g -= np.bincount(flat.prev_rank + 1, weights=ratio, minlength=flat.m + 1)[1:]
-    g -= np.bincount(flat.rank[flat.is_last], minlength=flat.m).astype(float)
-    w = np.zeros_like(du)
-    w[pos] = flat.dN[pos] / du[pos] ** 2
-    return g, w
+    ratio = rows.dN / du
+    g = np.bincount(rows.rank, weights=ratio, minlength=rows.m)
+    g = g - np.bincount(rows.prev_slot, weights=ratio, minlength=rows.m + 1)[1:] - rows.last_count
+    return g, rows.dN / du**2
 
 
-def _grad_curv_flat(flat: FlatObservations, u: np.ndarray, floor_ratio: float):
-    """Score and floored negative Hessian diagonal of phi at ``u``."""
-    g, w = _score_and_weights(flat, u)
-    c = np.bincount(flat.rank, weights=w, minlength=flat.m)
-    c += np.bincount(flat.prev_rank + 1, weights=w, minlength=flat.m + 1)[1:]
+def _grad_curv(rows: _EventRows, du: np.ndarray, floor_ratio: float):
+    """Score and floored negative Hessian diagonal of phi at increments ``du``."""
+    g, w = _score_and_weights(rows, du)
+    c = np.bincount(rows.rank, weights=w, minlength=rows.m)
+    c += np.bincount(rows.prev_slot, weights=w, minlength=rows.m + 1)[1:]
     cmax = c.max()
     if cmax <= 0:
-        c = np.ones(flat.m)
+        c = np.ones(rows.m)
     else:
         c = np.maximum(c, floor_ratio * cmax)
     return g, c
 
 
-def _newton_polish(flat: FlatObservations, u: np.ndarray, ll: float, max_halvings: int):
+def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll: float, max_halvings: int):
     """One Newton step on the values of the current tie blocks of ``u``.
 
     The diagonal-ICM step alone contracts slowly once the active set has
@@ -212,38 +238,40 @@ def _newton_polish(flat: FlatObservations, u: np.ndarray, ll: float, max_halving
     events touches (zero curvature, phi linear in its value) keep their
     value, and the system is solved over the rest.  When every block is
     free this is the full system.  Feasibility, ordering, and monotone
-    ascent are enforced by backtracking; on any failure the iterate is
-    returned unchanged.
+    ascent are enforced by backtracking.  Returns ``(u, du, ll, polished)``;
+    on any failure the iterate comes back unchanged.
     """
-    block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])
+    jumps = u[1:] != u[:-1]
+    block_id = np.concatenate([[0], np.cumsum(jumps)])
     n_blocks = int(block_id[-1]) + 1
-    g, w = _score_and_weights(flat, u)
+    g, w = _score_and_weights(rows, du)
     g_red = np.bincount(block_id, weights=g, minlength=n_blocks)
     # slot 0 stands for the origin, where u = 0 is not a free value
     size = n_blocks + 1
     slot = np.concatenate([[0], block_id + 1])
-    a, b = slot[flat.rank + 1], slot[flat.prev_rank + 1]
+    a, b = slot[rows.rank + 1], slot[rows.prev_slot]
     pairs = np.concatenate([a * size + a, b * size + b, a * size + b, b * size + a])
     neg_h = np.bincount(pairs, weights=np.concatenate([w, w, -w, -w]), minlength=size * size)
     neg_h = neg_h.reshape(size, size)[1:, 1:]
-    v = u[np.flatnonzero(np.diff(block_id, prepend=-1))]
+    v = u[np.concatenate([[0], np.flatnonzero(jumps) + 1])]
     free = np.diagonal(neg_h) > 0
     free[0] &= v[0] > 0
     dv = np.zeros(n_blocks)
     try:
         dv[free] = np.linalg.solve(neg_h[free][:, free], g_red[free])
     except np.linalg.LinAlgError:
-        return u, ll, False
+        return u, du, ll, False
     step = 1.0
     for _ in range(max_halvings + 1):
         v_cand = v + step * dv
-        if v_cand[0] >= 0 and np.all(np.diff(v_cand) >= 0):
+        if v_cand[0] >= 0 and (v_cand[1:] >= v_cand[:-1]).all():
             cand = v_cand[block_id]
-            gain = _loglik_diff(flat, cand, u)
+            du_cand = _increments(rows, cand)
+            gain = _loglik_diff(rows, cand, du_cand, u, du)
             if gain > 0:
-                return cand, ll + gain, True
+                return cand, du_cand, ll + gain, True
         step /= 2.0
-    return u, ll, False
+    return u, du, ll, False
 
 
 def _certificates(g: np.ndarray, u: np.ndarray, n: int, tol: float):
@@ -258,7 +286,7 @@ def _certificates(g: np.ndarray, u: np.ndarray, n: int, tol: float):
     failing ``certified``.
     """
     S = np.cumsum(g[::-1])[::-1]
-    alpha = np.diff(u, prepend=0.0)
+    alpha = u - np.concatenate([[0.0], u[:-1]])
     eps_jump = 1e-10 * max(1.0, float(u[-1]))
     two_sided = alpha > eps_jump
     kkt_residual = max(float(S.max()), float(np.max(-S[two_sided], initial=-np.inf))) / n
@@ -289,7 +317,8 @@ def log_likelihood(d: PanelDataset, e: StepEstimate) -> float:
     increase over it (infeasible point, distinct from a numeric error).
     """
     grid = build_time_grid(d)
-    return _loglik_flat(flatten_observations(d, grid), eval_step(e, grid.points))
+    rows = _event_rows(flatten_observations(d, grid))
+    return _loglik(rows, eval_step(e, grid.points))
 
 
 def gradient_and_curvature(
@@ -302,8 +331,8 @@ def gradient_and_curvature(
     u = np.asarray(u, dtype=float)
     if u.size != grid.m:
         raise ValueError("u must have one entry per grid point")
-    flat = flatten_observations(d, grid)
-    return _grad_curv_flat(flat, u, curvature_floor_ratio)
+    rows = _event_rows(flatten_observations(d, grid))
+    return _grad_curv(rows, _increments(rows, u), curvature_floor_ratio)
 
 
 def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
@@ -318,15 +347,17 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
     pm = _npmple_flat(grid, flat)
     m = grid.m
     n = flat.n_subjects
+    rows = _event_rows(flat)
     u = pm.values + cfg.init_slope_epsilon * np.arange(1, m + 1)
-    ll = _loglik_flat(flat, u)
+    du = _increments(rows, u)
+    ll = _loglik(rows, u, du)
     trace = [ll]
     rel_change = float("inf")
     status = "max-iterations"
     residual = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        g, c = _grad_curv_flat(flat, u, cfg.curvature_floor_ratio)
+        g, c = _grad_curv(rows, du, cfg.curvature_floor_ratio)
         certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
         if kkt_ok and rel_change < cfg.rel_tol:
             status = "converged" if certs_ok else "boundary-origin"
@@ -337,16 +368,17 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
         accepted = False
         for _ in range(cfg.max_halvings + 1):
             cand = u + step * (x - u)
-            gain = _loglik_diff(flat, cand, u)
+            du_cand = _increments(rows, cand)
+            gain = _loglik_diff(rows, cand, du_cand, u, du)
             if gain >= 0:
                 accepted = True
                 break
             step /= 2.0
         u_start = u
         if accepted:
-            u, ll = cand, ll + gain
+            u, du, ll = cand, du_cand, ll + gain
             trace.append(ll)
-        u, ll, polished = _newton_polish(flat, u, ll, cfg.max_halvings)
+        u, du, ll, polished = _newton_polish(rows, u, du, ll, cfg.max_halvings)
         if polished:
             trace.append(ll)
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
@@ -356,7 +388,7 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
             break
         rel_change = (ll - ll_start) / (1.0 + abs(ll_start))
     else:
-        g, _ = _score_and_weights(flat, u)
+        g, _ = _score_and_weights(rows, du)
         _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol)
     estimate = StepEstimate(support=grid.points, values=np.maximum.accumulate(np.maximum(u, 0.0)))
     diag = SolveDiagnostics(

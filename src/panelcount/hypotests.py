@@ -11,8 +11,12 @@ chi-square tests for k groups and standard-normal tests for k = 2.
 U, V and the variance are all sums over subjects of one bracket,
 sum_j W(t_j) Lambda(t_j) (q_{j+1} - q_j), closed by a terminal constant,
 where q is the ratio of a group (or observed) increment to the pooled one.
-One kernel evaluates the pooled and per-group increments once per call and
-feeds every statistic through that single bracket.
+One kernel takes any number W of weight sets, evaluates the pooled and
+per-group increments once and each distinct weight once, and returns U, V
+and sigma^2 for all W sets through that single bracket.  The public tests
+call it with one weight set and format its rows with small helpers
+(``_two_sample``, ``_chi2``); a Monte Carlo replication calls it once for
+all of its weights and reads p-values through the same helpers.
 """
 
 from __future__ import annotations
@@ -198,20 +202,35 @@ def sigma_hat_sq(d: PanelDataset, pooled: StepEstimate, w: WeightFn) -> float:
     return float(np.mean(brackets**2))
 
 
-def _weight_fns(d: PanelDataset, weights) -> list[WeightFn]:
-    """Normalize a per-group weight argument to a list of k evaluable weights."""
-    if isinstance(weights, (WeightSpec, WeightFn)):
-        weights = [weights] * d.k
-    weights = list(weights)
-    if len(weights) != d.k:
-        raise ValueError(f"expected one weight per group ({d.k}), got {len(weights)}")
-    return [w if isinstance(w, WeightFn) else make_weight(d, w) for w in weights]
+def _weight_sets(d: PanelDataset, weight_sets) -> list[list[WeightFn]]:
+    """Normalize W per-group weight arguments to W lists of k evaluable
+    weights, building each distinct ``WeightSpec`` once."""
+    built: dict[WeightSpec, WeightFn] = {}
+
+    def evaluable(w):
+        if isinstance(w, WeightFn):
+            return w
+        if w not in built:
+            built[w] = make_weight(d, w)
+        return built[w]
+
+    out = []
+    for weights in weight_sets:
+        if isinstance(weights, (WeightSpec, WeightFn)):
+            weights = [weights] * d.k
+        weights = list(weights)
+        if len(weights) != d.k:
+            raise ValueError(f"expected one weight per group ({d.k}), got {len(weights)}")
+        out.append([evaluable(w) for w in weights])
+    return out
 
 
-def _statistics(d: PanelDataset, weights, cfg: IcmConfig, fits: FitBundle | None):
-    """``(fns, fits, u, v, sigma2)``: U (k), V (k-1) and sigma^2 (k), each row
-    l taken under group l's weight, from one pass over the increments."""
-    fns = _weight_fns(d, weights)
+def _statistics(d: PanelDataset, weight_sets, cfg: IcmConfig, fits: FitBundle | None):
+    """``(fns, fits, u, v, sigma2)`` for W weight sets: U (W x k), V (W x (k-1))
+    and sigma^2 (W x k), entry (w, l) taken under set w's weight for group l,
+    from one evaluation of the pooled and group increments.  Each distinct
+    weight is evaluated once."""
+    fns = _weight_sets(d, weight_sets)
     if fits is None:
         fits = fit_all(d, cfg)
     flat = fits.flat
@@ -220,10 +239,12 @@ def _statistics(d: PanelDataset, weights, cfg: IcmConfig, fits: FitBundle | None
     group_inc = np.stack([_step_increments(est, flat)[1] for est in fits.groups])
     q = _increment_ratios(group_inc, den, eps)
     q_obs = _increment_ratios(flat.dN, den, eps, counts=flat.dN)
-    a = np.stack([fn(flat.times) for fn in fns]) * pooled_at
+    distinct = {id(fn): fn for row in fns for fn in row}
+    at_times = {key: fn(flat.times) for key, fn in distinct.items()}
+    a = np.array([[at_times[id(fn)] for fn in row] for row in fns]) * pooled_at
     scale = 1.0 / math.sqrt(flat.n_subjects)
     u = scale * _brackets(flat, a, q, 1.0).sum(axis=-1)
-    v = scale * _brackets(flat, a[1:], q[:1] - q[1:], 0.0).sum(axis=-1)
+    v = scale * _brackets(flat, a[:, 1:], q[:1] - q[1:], 0.0).sum(axis=-1)
     sigma2 = np.mean(_brackets(flat, a, q_obs, 1.0) ** 2, axis=-1)
     return fns, fits, u, v, sigma2
 
@@ -235,7 +256,7 @@ def u_statistics(
     fits: FitBundle | None = None,
 ) -> np.ndarray:
     """U_n^(l) for l = 1..k: each group's rate of increase against the pooled one."""
-    return _statistics(d, weights, cfg, fits)[2]
+    return _statistics(d, [weights], cfg, fits)[2][0]
 
 
 def v_statistics(
@@ -247,7 +268,7 @@ def v_statistics(
     """V_n^(l) for l = 2..k: group 1 contrasted with group l."""
     if d.k < 2:
         raise ValueError("v_statistics requires k >= 2 groups")
-    return _statistics(d, weights, cfg, fits)[3]
+    return _statistics(d, [weights], cfg, fits)[3][0]
 
 
 def covariance_u(group_sizes: Sequence[int], sigma2: Sequence[float]) -> np.ndarray:
@@ -303,28 +324,53 @@ def _bundle_diagnostics(fits: FitBundle) -> dict[str, Any]:
     }
 
 
-def _chi2_test(d: PanelDataset, weights, cfg: IcmConfig, fits: FitBundle | None, method: str):
-    """Chi-square test of ``method`` "U-test" (the first k-1 components of U)
-    or "V-test" (the V vector)."""
-    if d.k < 2:
-        raise ValueError("chi-square tests require k >= 2 groups")
-    fns, fits, u, v, sigma2 = _statistics(d, weights, cfg, fits)
+def _chi2(method: str, u, v, sigma2, group_sizes):
+    """``(chi2, p_value, covariance)`` of the "U-test" (the first k-1
+    components of U) or the "V-test" (the V vector) under one weight set."""
     if method == "U-test":
-        cov = covariance_u(d.group_sizes, sigma2)
+        cov = covariance_u(group_sizes, sigma2)
         vec, mat = u[:-1], cov[:-1, :-1]
     else:
-        cov = covariance_v(d.group_sizes, sigma2)
+        cov = covariance_v(group_sizes, sigma2)
         vec, mat = v, cov
     chi2 = max(float(vec @ _solve_pivot(mat, vec)), 0.0)
-    df = d.k - 1
+    return chi2, chisq_sf(chi2, len(group_sizes) - 1), cov
+
+
+def _two_sample(u, v, sigma2, group_sizes, n: int):
+    """``(statistics, p_values, variance)`` of T1 (U-based) and T2 (V-based)
+    under one weight set, k = 2."""
+    n1, n2 = group_sizes
+    var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * sigma2[0] + (n2 / n) * sigma2[1]
+    var_v = (n / n1) * sigma2[0] + (n / n2) * sigma2[1]
+    if var_u <= 0 or var_v <= 0:
+        raise DegenerateVarianceError("degenerate variance")
+    t1 = float(u[0]) / math.sqrt(var_u)
+    t2 = float(v[0]) / math.sqrt(var_v)
+    statistics = {"T1": t1, "T2": t2}
+    p_values = {name: 2.0 * normal_sf(abs(t)) for name, t in statistics.items()}
+    variance = {
+        "sigma_U": math.sqrt(var_u),
+        "sigma_V": math.sqrt(var_v),
+        "sigma1_sq": float(sigma2[0]),
+        "sigma2_sq": float(sigma2[1]),
+    }
+    return statistics, p_values, variance
+
+
+def _chi2_test(d: PanelDataset, weights, cfg: IcmConfig, fits: FitBundle | None, method: str):
+    if d.k < 2:
+        raise ValueError("chi-square tests require k >= 2 groups")
+    fns, fits, u, v, sigma2 = _statistics(d, [weights], cfg, fits)
+    chi2, p_value, cov = _chi2(method, u[0], v[0], sigma2[0], d.group_sizes)
     return TestReport(
         method=method,
-        weights=tuple(fn.name for fn in fns),
+        weights=tuple(fn.name for fn in fns[0]),
         statistics={"chi2": chi2},
-        p_values={"chi2": chisq_sf(chi2, df)},
-        variance={f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)},
+        p_values={"chi2": p_value},
+        variance={f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2[0], start=1)},
         covariance=tuple(tuple(float(x) for x in row) for row in cov),
-        df=df,
+        df=d.k - 1,
         n=d.n,
         group_sizes=d.group_sizes,
         diagnostics=_bundle_diagnostics(fits),
@@ -360,29 +406,17 @@ def two_sample_tests(
     """Standard-normal two-sample tests T1 (U-based) and T2 (V-based)."""
     if d.k != 2:
         raise ValueError("two-sample tests require exactly k = 2 groups")
-    fns, fits, u, v, sigma2 = _statistics(d, weight, cfg, fits)
-    n1, n2 = d.group_sizes
-    n = d.n
-    var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * sigma2[0] + (n2 / n) * sigma2[1]
-    var_v = (n / n1) * sigma2[0] + (n / n2) * sigma2[1]
-    if var_u <= 0 or var_v <= 0:
-        raise DegenerateVarianceError("degenerate variance")
-    t1 = float(u[0]) / math.sqrt(var_u)
-    t2 = float(v[0]) / math.sqrt(var_v)
+    fns, fits, u, v, sigma2 = _statistics(d, [weight], cfg, fits)
+    statistics, p_values, variance = _two_sample(u[0], v[0], sigma2[0], d.group_sizes, d.n)
     return TestReport(
         method="two-sample-T12",
-        weights=tuple(fn.name for fn in fns),
-        statistics={"T1": t1, "T2": t2},
-        p_values={"T1": 2.0 * normal_sf(abs(t1)), "T2": 2.0 * normal_sf(abs(t2))},
-        variance={
-            "sigma_U": math.sqrt(var_u),
-            "sigma_V": math.sqrt(var_v),
-            "sigma1_sq": float(sigma2[0]),
-            "sigma2_sq": float(sigma2[1]),
-        },
+        weights=tuple(fn.name for fn in fns[0]),
+        statistics=statistics,
+        p_values=p_values,
+        variance=variance,
         covariance=None,
         df=None,
-        n=n,
+        n=d.n,
         group_sizes=d.group_sizes,
         diagnostics=_bundle_diagnostics(fits),
     )

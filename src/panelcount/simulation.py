@@ -6,6 +6,12 @@ from a (mixed) Poisson process whose mean function is either proportional
 between groups (case 1) or crossing (case 2).  Replications draw from
 independent streams derived from (base seed, replication index), so serial
 and parallel runs produce identical results.
+
+A replication fits its NPMLEs once and gets U, V and sigma^2 for every
+weight from one call of the statistic kernel in ``hypotests``; its p-values
+equal those of the public tests run one weight at a time.  A replication
+that fails is excluded from the rejection fractions and counted by cause
+(``FAILURE_CAUSES``).
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ from .hypotests import (
     DegenerateVarianceError,
     IncrementMismatchError,
     SolverConvergenceError,
+    _chi2,
+    _statistics,
+    _two_sample,
     chi2_u_test,
     chi2_v_test,
     fit_all,
@@ -36,6 +45,8 @@ __all__ = [
     "TrueMean",
     "SimConfig",
     "PowerRow",
+    "FAILURE_CAUSES",
+    "ThreadCountError",
     "mean_for_group",
     "sample_subject",
     "generate_dataset",
@@ -46,13 +57,21 @@ __all__ = [
 OBSERVATION_TIMES = np.arange(1, 11)
 
 _TWO_SAMPLE_STATS = ("t1", "t2")
-_CHI2_STATS = ("chi2-u", "chi2-v")
-_FAILURE_ERRORS = (
-    SolverConvergenceError,
-    IncrementMismatchError,
-    DegenerateCovarianceError,
-    DegenerateVarianceError,
-)
+_CHI2_METHODS = {"chi2-u": "U-test", "chi2-v": "V-test"}
+
+# Why a replication fails, by the error its solves or statistics raise; the
+# cause names are PowerRow fields and ``simulate`` CSV columns.
+FAILURE_CAUSES = {
+    SolverConvergenceError: "solver_convergence",
+    IncrementMismatchError: "increment_mismatch",
+    DegenerateCovarianceError: "degenerate_covariance",
+    DegenerateVarianceError: "degenerate_variance",
+}
+_STATISTIC_ERRORS = (IncrementMismatchError, DegenerateCovarianceError, DegenerateVarianceError)
+
+
+class ThreadCountError(ValueError):
+    """``PCT_THREADS`` is set to something other than an integer."""
 
 
 @dataclass(frozen=True)
@@ -124,13 +143,19 @@ class SimConfig:
         for stat in self.statistics:
             if stat in _TWO_SAMPLE_STATS and k != 2:
                 raise ValueError(f"statistic {stat} requires exactly 2 groups")
-            if stat not in _TWO_SAMPLE_STATS + _CHI2_STATS:
+            if stat in _CHI2_METHODS and k < 2:
+                raise ValueError(f"statistic {stat} requires at least 2 groups")
+            if stat not in _TWO_SAMPLE_STATS and stat not in _CHI2_METHODS:
                 raise ValueError(f"unknown statistic {stat!r}")
 
 
 @dataclass(frozen=True)
 class PowerRow:
-    """Monte Carlo rejection fraction for one (statistic, weight) pair."""
+    """Monte Carlo rejection fraction for one (statistic, weight) pair.
+
+    ``failures`` counts the replications excluded from the fraction; the
+    last four fields split it by cause (see ``FAILURE_CAUSES``).
+    """
 
     case: int
     beta: float
@@ -145,6 +170,10 @@ class PowerRow:
     failures: int
     reject_rate: float
     suspect: bool
+    solver_convergence: int
+    increment_mismatch: int
+    degenerate_covariance: int
+    degenerate_variance: int
 
 
 def _replication_rng(base_seed: int, replication_index: int) -> np.random.Generator:
@@ -163,10 +192,14 @@ def sample_subject(
     and cumulative counts from independent Poisson increments with means
     nu * (Lambda(t_j) - Lambda(t_{j-1}))."""
     k_i = int(rng.integers(1, 11))
-    times = np.sort(rng.choice(OBSERVATION_TIMES, size=k_i, replace=False)).astype(float)
+    times = rng.choice(OBSERVATION_TIMES, size=k_i, replace=False)
+    times.sort()
+    times = times.astype(float)
     nu = 1.0 if nu_mode == "fixed" else float(rng.gamma(shape=2.0, scale=0.5))
-    increments = rng.poisson(nu * np.diff(tm(times), prepend=0.0))
-    counts = np.cumsum(increments).astype(float)
+    # tm may return ``times`` itself, so it is differenced into a new array
+    cum = tm(times)
+    increments = rng.poisson(nu * (cum - np.concatenate(([0.0], cum[:-1]))))
+    counts = np.cumsum(increments, dtype=float)
     return ObservationPath(subject_id=subject_id, group=tm.group, times=times, counts=counts)
 
 
@@ -183,35 +216,65 @@ def generate_dataset(cfg: SimConfig, replication_index: int) -> PanelDataset:
 
 
 def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:
-    """p-value matrix of one replication, shape (statistics, weights)."""
+    """p-value matrix of one replication, shape (statistics, weights).
+
+    One statistic-kernel call gives U, V and sigma^2 for every weight; each
+    p-value is read from its weight's row in weight-major order, so a
+    failing replication raises the error the public tests raise first.
+    """
     d = generate_dataset(cfg, replication_index)
     fits = fit_all(d, cfg.icm)
-    out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
-    for w_idx, spec in enumerate(cfg.weight_specs):
-        two_sample = None
-        for s_idx, stat in enumerate(cfg.statistics):
-            if stat in _TWO_SAMPLE_STATS:
-                if two_sample is None:
-                    two_sample = two_sample_tests(d, spec, cfg.icm, fits=fits)
-                out[s_idx, w_idx] = two_sample.p_values[stat.upper()]
-            elif stat == "chi2-u":
-                out[s_idx, w_idx] = chi2_u_test(d, spec, cfg.icm, fits=fits).p_values["chi2"]
-            else:
-                out[s_idx, w_idx] = chi2_v_test(d, spec, cfg.icm, fits=fits).p_values["chi2"]
+    try:
+        _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, cfg.icm, fits)
+        out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
+        for w_idx in range(len(cfg.weight_specs)):
+            row = (u[w_idx], v[w_idx], sigma2[w_idx])
+            two_sample = None
+            for s_idx, stat in enumerate(cfg.statistics):
+                if stat in _TWO_SAMPLE_STATS:
+                    if two_sample is None:
+                        two_sample = _two_sample(*row, d.group_sizes, d.n)[1]
+                    out[s_idx, w_idx] = two_sample[stat.upper()]
+                else:
+                    out[s_idx, w_idx] = _chi2(_CHI2_METHODS[stat], *row, d.group_sizes)[1]
+    except _STATISTIC_ERRORS:
+        # Rare: replay the replication through the public tests, one weight
+        # at a time.  They raise the same error, and raise it where callers
+        # of those tests, the benchmark's tracer among them, see it.
+        for spec in cfg.weight_specs:
+            for stat in cfg.statistics:
+                _public_test(stat)(d, spec, cfg.icm, fits=fits)
+        raise
     return out
 
 
+def _public_test(stat: str):
+    """The public test function of a statistic name, looked up at call time."""
+    if stat in _TWO_SAMPLE_STATS:
+        return two_sample_tests
+    return chi2_u_test if stat == "chi2-u" else chi2_v_test
+
+
 def _replication_worker(args):
+    """A replication's p-value matrix, or the cause name of its failure."""
     cfg, rep = args
     try:
         return _replication_pvalues(cfg, rep)
-    except _FAILURE_ERRORS:
-        return None
+    except tuple(FAILURE_CAUSES) as exc:
+        return FAILURE_CAUSES[type(exc)]
+
+
+def _thread_count() -> int:
+    raw = os.environ.get("PCT_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ThreadCountError(f"PCT_THREADS must be an integer, got {raw!r}") from None
 
 
 def _map_replications(cfg: SimConfig, worker):
     jobs = [(cfg, rep) for rep in range(cfg.replications)]
-    threads = int(os.environ.get("PCT_THREADS", "1"))
+    threads = _thread_count()
     if threads > 1 and cfg.replications > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, cfg.replications // (8 * threads))
@@ -230,8 +293,10 @@ def run_power_study(cfgs) -> list[PowerRow]:
         if not cfg.statistics:
             raise ValueError("run_power_study needs at least one statistic")
         results = _map_replications(cfg, _replication_worker)
-        failures = sum(1 for r in results if r is None)
-        valid = [r for r in results if r is not None]
+        failed = [r for r in results if isinstance(r, str)]
+        causes = {cause: failed.count(cause) for cause in FAILURE_CAUSES.values()}
+        valid = [r for r in results if not isinstance(r, str)]
+        failures = len(failed)
         rejections = np.zeros((len(cfg.statistics), len(cfg.weight_specs)), dtype=int)
         if valid:
             rejections = np.sum([r < cfg.alpha for r in valid], axis=0)
@@ -255,6 +320,7 @@ def run_power_study(cfgs) -> list[PowerRow]:
                         failures=failures,
                         reject_rate=rej / n_valid if n_valid else float("nan"),
                         suspect=suspect,
+                        **causes,
                     )
                 )
     return rows

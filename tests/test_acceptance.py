@@ -114,6 +114,7 @@ def qq_table():
     return qq_study(cfg, "t2")
 
 
+@pytest.mark.slow
 def test_criterion_01_table1_null_size(table1_cells):
     targets = {"const": 0.060, "pooled-risk": 0.058, "risk-product:2": 0.058, "complement": 0.056}
     got = table1_cells["null"]
@@ -123,6 +124,7 @@ def test_criterion_01_table1_null_size(table1_cells):
     report(1, "Table 1 null size, T2 w1-w4", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_02_table1_power(table1_cells):
     power = table1_cells["power"]
     curve = [power[b] for b in (0.0, 0.1, 0.2, 0.3)]
@@ -132,6 +134,7 @@ def test_criterion_02_table1_power(table1_cells):
     report(2, "Table 1 power and monotonicity in beta", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_03_table3_crossing_means(table3_cell):
     rates, suspect = table3_cell
     ok = (
@@ -147,6 +150,7 @@ def test_criterion_03_table3_crossing_means(table3_cell):
     report(3, "Table 3 weight-sensitivity pattern", ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_04_table2_mixed_poisson(table2_cell):
     ok = abs(table2_cell.reject_rate - 0.708) <= 0.06 and not table2_cell.suspect
     report(
@@ -157,6 +161,7 @@ def test_criterion_04_table2_mixed_poisson(table2_cell):
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_qq_normality(qq_table):
     theo, emp = qq_table[:, 0], qq_table[:, 1]
     slope = float(np.polyfit(theo, emp, 1)[0])
@@ -165,6 +170,7 @@ def test_criterion_05_qq_normality(qq_table):
     report(5, "QQ normality of null T2 (n=200)", ok, f"slope={slope:.3f}, KS={ks:.3f}")
 
 
+@pytest.mark.slow
 def test_qq_null_median_near_zero(qq_table):
     assert abs(float(np.median(qq_table[:, 1]))) <= 0.1
 
@@ -235,6 +241,7 @@ def test_criterion_07_certificate_suite():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_k3_chi2_calibration():
     cfg = SimConfig(
         case=1, beta=0.0, group_sizes=(50, 50, 50), nu_mode="fixed",
@@ -253,6 +260,7 @@ def test_criterion_08_k3_chi2_calibration():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_d1_consistency_trend():
     medians = {}
     for n, seed_off in ((100, 100), (400, 101)):

@@ -244,6 +244,26 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--stat", "bogus", "--reps", "1"])
         assert result.exit_code == 2
 
+    def test_failures_by_cause_columns(self, runner, tmp_path):
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "--n1", "4", "--n2", "4", "--reps", "12", "--seed", "99"]
+        assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+        header, row = [line.split(",") for line in out.read_text().strip().splitlines()]
+        assert header[-4:] == [
+            "solver_convergence",
+            "increment_mismatch",
+            "degenerate_covariance",
+            "degenerate_variance",
+        ]
+        assert row[header.index("failures")] == "5"
+        assert row[-4:] == ["4", "1", "0", "0"]
+
+    def test_bad_thread_count_exit_2(self, runner, monkeypatch):
+        monkeypatch.setenv("PCT_THREADS", "two")
+        result = runner.invoke(main, ["simulate", "--n1", "5", "--n2", "5", "--reps", "2"])
+        assert result.exit_code == 2
+        assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
+
 
 class TestQqCommand:
     def test_rows_and_sorted(self, runner, tmp_path):
@@ -269,6 +289,12 @@ class TestQqCommand:
         result = runner.invoke(main, ["qq", "--n", "20", "--reps", "0"])
         assert result.exit_code == 2
         assert "error: replications must be >= 1" in result.output
+
+    def test_bad_thread_count_exit_2(self, runner, monkeypatch):
+        monkeypatch.setenv("PCT_THREADS", "two")
+        result = runner.invoke(main, ["qq", "--n", "10", "--reps", "2"])
+        assert result.exit_code == 2
+        assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
 
 
 class TestDatasetRoundTrip:

@@ -33,8 +33,9 @@ def polish_matrix(monkeypatch, d, u):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    flat = flatten_observations(d)
-    estimators._newton_polish(flat, u, estimators._loglik_flat(flat, u), 30)
+    rows = estimators._event_rows(flatten_observations(d))
+    du = estimators._increments(rows, u)
+    estimators._newton_polish(rows, u, du, estimators._loglik(rows, u), 30)
     monkeypatch.undo()
     assert len(seen) == 1
     return seen[0]
@@ -102,9 +103,11 @@ def test_polish_moves_free_blocks_at_origin_boundary():
     u = est.values
     assert u[0] == 0.0
     assert np.flatnonzero(np.diagonal(dense_block_reduction(d, u)) == 0).tolist() == [4]
-    flat = flatten_observations(d)
-    ll = estimators._loglik_flat(flat, u)
-    cand, ll_new, polished = estimators._newton_polish(flat, u, ll, 30)
+    rows = estimators._event_rows(flatten_observations(d))
+    ll = estimators._loglik(rows, u)
+    cand, _, ll_new, polished = estimators._newton_polish(
+        rows, u, estimators._increments(rows, u), ll, 30
+    )
     assert polished
     assert ll_new > ll
     block_id = np.concatenate([[0], np.cumsum(np.diff(u) != 0)])

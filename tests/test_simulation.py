@@ -5,6 +5,7 @@ import pytest
 
 from panelcount import (
     SimConfig,
+    ThreadCountError,
     TrueMean,
     WeightKind,
     WeightSpec,
@@ -17,6 +18,15 @@ from panelcount import (
 )
 
 CONST = WeightSpec(WeightKind.CONST)
+
+
+def failure_causes(row):
+    return (
+        row.solver_convergence,
+        row.increment_mismatch,
+        row.degenerate_covariance,
+        row.degenerate_variance,
+    )
 
 
 def small_cfg(**kw):
@@ -186,11 +196,42 @@ class TestRunPowerStudy:
             small_cfg(group_sizes=(5, 5, 5), statistics=("t2",))
 
     def test_parallel_matches_serial(self, monkeypatch):
-        cfg = small_cfg(replications=6, group_sizes=(15, 15))
-        serial = run_power_study([cfg])
+        # the second cell's tiny groups make some replications fail
+        cfgs = [
+            small_cfg(replications=6, group_sizes=(15, 15)),
+            small_cfg(replications=12, group_sizes=(4, 4)),
+        ]
+        serial = run_power_study(cfgs)
         monkeypatch.setenv("PCT_THREADS", "2")
-        parallel = run_power_study([cfg])
+        parallel = run_power_study(cfgs)
         assert serial == parallel
+        assert [failure_causes(r) for r in parallel] == [failure_causes(r) for r in serial]
+        assert failure_causes(serial[1]) == (4, 1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "statistics, causes",
+        [(("chi2-v", "t2"), (29, 13, 1, 0)), (("t2",), (29, 13, 0, 1))],
+    )
+    def test_failures_by_cause(self, statistics, causes):
+        # 2+2 subjects: most replications fail, one of them on a zero weight
+        cfg = small_cfg(
+            group_sizes=(2, 2),
+            nu_mode="gamma",
+            replications=63,
+            base_seed=3,
+            weight_specs=(CONST, WeightSpec(WeightKind.COMPLEMENT), WeightSpec(WeightKind.GROUP_RISK, 2)),
+            statistics=statistics,
+        )
+        rows = run_power_study([cfg])
+        for r in rows:
+            assert failure_causes(r) == causes
+            assert r.failures == sum(causes)
+            assert r.suspect
+
+    def test_bad_thread_count_is_named(self, monkeypatch):
+        monkeypatch.setenv("PCT_THREADS", "two")
+        with pytest.raises(ThreadCountError, match="PCT_THREADS must be an integer, got 'two'"):
+            run_power_study([small_cfg(replications=2)])
 
 
 class TestQqStudy:

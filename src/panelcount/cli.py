@@ -60,45 +60,47 @@ class DatasetFormatError(Exception):
 
 
 def read_dataset_csv(path: str) -> PanelDataset:
-    """Parse a DatasetFile; structural validity is checked separately."""
+    """Parse a DatasetFile; structural validity is checked separately.
+
+    Columns are found by header name, in any order; other columns are
+    ignored, and a repeated name reads its last column.  Blank lines are
+    skipped and do not count in the line numbers of error messages.  Each
+    subject's rows are sorted by (time, count).
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
         if missing:
             raise DatasetFormatError(f"missing header column(s): {', '.join(missing)}")
-        by_subject: dict[str, dict] = {}
-        for lineno, row in enumerate(reader, start=2):
+        column = {name: i for i, name in enumerate(header)}
+        i_subject, i_group, i_time, i_count = (column[c] for c in _REQUIRED_COLUMNS)
+        by_subject: dict[str, tuple[int, list]] = {}
+        for lineno, row in enumerate(filter(None, reader), start=2):
             try:
-                subject = row["subject"].strip()
-                group_raw = float(row["group"])
-                time = float(row["time"])
-                count = float(row["count"])
+                subject = row[i_subject].strip()
+                group_raw = float(row[i_group])
+                time = float(row[i_time])
+                count = float(row[i_count])
                 group = int(group_raw)
-            except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            except (IndexError, ValueError, OverflowError) as exc:
                 raise DatasetFormatError(f"line {lineno}: unparseable row") from exc
             if group_raw != group:
                 raise DatasetFormatError(f"line {lineno}: group must be an integer")
-            entry = by_subject.setdefault(subject, {"group": group, "rows": []})
-            if entry["group"] != group:
+            first_group, rows = by_subject.setdefault(subject, (group, []))
+            if first_group != group:
                 raise DatasetFormatError(
                     f"line {lineno}: subject {subject} appears in groups "
-                    f"{entry['group']} and {group}"
+                    f"{first_group} and {group}"
                 )
-            entry["rows"].append((time, count))
+            rows.append((time, count))
     if not by_subject:
         raise DatasetFormatError("file contains no data rows")
     paths = []
-    for subject, entry in by_subject.items():
-        rows = sorted(entry["rows"])
-        paths.append(
-            ObservationPath(
-                subject_id=subject,
-                group=entry["group"],
-                times=[t for t, _ in rows],
-                counts=[c for _, c in rows],
-            )
-        )
+    for subject, (group, rows) in by_subject.items():
+        rows.sort()
+        times, counts = zip(*rows)
+        paths.append(ObservationPath(subject_id=subject, group=group, times=times, counts=counts))
     return PanelDataset.from_paths(paths)
 
 

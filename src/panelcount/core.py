@@ -190,16 +190,48 @@ def _path_errors(p: ObservationPath, k: int) -> list[str]:
     return errs
 
 
+def _suspect_paths(d: PanelDataset) -> np.ndarray:
+    """Indices, in path order, of the paths that may break an invariant of
+    ``_path_errors``: a superset of the paths it reports, found in one pass
+    over the concatenated rows of the paths whose lengths agree."""
+    n_times = np.array([p.times.size for p in d.paths], dtype=int)
+    n_counts = np.array([p.counts.size for p in d.paths], dtype=int)
+    suspect = np.array([not 1 <= p.group <= d.k for p in d.paths], dtype=bool)
+    suspect |= (n_times != n_counts) | (n_times == 0)
+    shaped = np.flatnonzero(n_times == n_counts)
+    if shaped.size == 0:
+        return np.flatnonzero(suspect)
+    times = np.concatenate([d.paths[i].times for i in shaped])
+    counts = np.concatenate([d.paths[i].counts for i in shaped])
+    subj = np.repeat(shaped, n_times[shaped])
+    # Each row against the row before it in its path, the origin (0, 0)
+    # before the first: this checks the first time > 0 and count >= 0 too.
+    is_first = np.ones(times.size, dtype=bool)
+    is_first[1:] = subj[1:] != subj[:-1]
+    prev_times = np.where(is_first, 0.0, np.roll(times, 1))
+    prev_counts = np.where(is_first, 0.0, np.roll(counts, 1))
+    bad = ~(np.isfinite(times) & np.isfinite(counts))
+    bad |= (times <= prev_times) | (counts < prev_counts) | (counts != np.round(counts))
+    suspect[subj[bad]] = True
+    return np.flatnonzero(suspect)
+
+
 def validate_dataset(d: PanelDataset) -> ValidationReport:
-    """Check every structural invariant; violations are reported, not raised."""
+    """Check every structural invariant; violations are reported, not raised.
+
+    One vectorized pass over all rows finds the paths that may break an
+    invariant; ``_path_errors`` then words the errors of those paths alone,
+    in path order, so each message and its place in ``errors`` are those of
+    checking every path in turn.
+    """
     errors: list[str] = []
     warnings: list[str] = []
     if d.n == 0:
         errors.append("dataset has no paths")
     if d.k < 1:
         errors.append("dataset must have k >= 1 groups")
-    for p in d.paths:
-        errors.extend(_path_errors(p, d.k))
+    for i in _suspect_paths(d):
+        errors.extend(_path_errors(d.paths[i], d.k))
     if not errors:
         for l, n_l in enumerate(d.group_sizes, start=1):
             if n_l == 0:
@@ -210,8 +242,7 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         grid = build_time_grid(d)
         flat = flatten_observations(d, grid)
         pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
-        for ell in np.flatnonzero(pooled_events == 0):
-            t = grid.points[ell]
+        for t in grid.points[pooled_events == 0].tolist():
             warnings.append(
                 f"no pooled events on the inter-observation gap ending at t={t:g}"
             )

@@ -113,6 +113,23 @@ def isotonic_brute_force(y, w):
     return best
 
 
+def isotonic_sequential(y, w):
+    """Isotonic fit by the classic one-pass PAVA: each element joins a stack
+    of blocks and pools with the top block while the top's mean is larger."""
+    means, weights, sizes = [], [], []
+    for yi, wi in zip(np.asarray(y, dtype=float), np.asarray(w, dtype=float)):
+        mean, weight, size = float(yi), float(wi), 1
+        while means and means[-1] > mean:
+            pm, pw = means.pop(), weights.pop()
+            mean = (pm * pw + mean * weight) / (pw + weight)
+            weight += pw
+            size += sizes.pop()
+        means.append(mean)
+        weights.append(weight)
+        sizes.append(size)
+    return np.repeat(means, sizes)
+
+
 def _ratio(num, den, eps_den, dn=None):
     if den < eps_den:
         assert num <= eps_den and not (dn is not None and dn > 0), "floored denominator"

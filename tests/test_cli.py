@@ -321,6 +321,54 @@ class TestDatasetRoundTrip:
                 read_dataset_csv(f)
 
 
+class TestReadDatasetErrors:
+    """Each DatasetFormatError text, line number included.  Blank lines are
+    skipped and do not advance the line count."""
+
+    @pytest.mark.parametrize(
+        "header, rows, message",
+        [
+            ("subject,group,time", ["a,1,1"], "missing header column(s): count"),
+            ("subject,time", ["a,1"], "missing header column(s): group, count"),
+            ("", [], "missing header column(s): subject, group, time, count"),
+            (None, ["a,1,xyz,1"], "line 2: unparseable row"),
+            (None, ["a,1,1,0", "a,1,2,abc"], "line 3: unparseable row"),
+            (None, ["a,1,1,0", "a,1,2"], "line 3: unparseable row"),
+            (None, ["a,inf,1,1"], "line 2: unparseable row"),
+            (None, ["a,nan,1,1"], "line 2: unparseable row"),
+            (None, ["a,1,1,0", "b,1.5,1,0"], "line 3: group must be an integer"),
+            (None, ["a,1,1,0", "b,2,1,0", "a,2,2,1"], "line 4: subject a appears in groups 1 and 2"),
+            (None, [], "file contains no data rows"),
+            (None, ["", ""], "file contains no data rows"),
+            (None, ["a,1,1,0", "", "", "a,1,xyz,1"], "line 3: unparseable row"),
+            (None, ["", "a,1,1,0", "", "b,1,2"], "line 3: unparseable row"),
+        ],
+    )
+    def test_message(self, tmp_path, header, rows, message):
+        header = "subject,group,time,count" if header is None else header
+        f = write_csv(tmp_path, "bad.csv", rows, header=header)
+        with pytest.raises(DatasetFormatError) as exc:
+            read_dataset_csv(f)
+        assert str(exc.value) == message
+
+    def test_extra_columns_ignored_and_rows_sorted(self, tmp_path):
+        f = write_csv(
+            tmp_path,
+            "extra.csv",
+            ["a,1,2,3,x,y", "", "a,1,1,1,z", " b ,2,1,0,w"],
+            header="subject,group,time,count,note",
+        )
+        d = read_dataset_csv(f)
+        assert [(p.subject_id, p.group) for p in d.paths] == [("a", 1), ("b", 2)]
+        assert d.paths[0].times.tolist() == [1.0, 2.0]
+        assert d.paths[0].counts.tolist() == [1.0, 3.0]
+
+    def test_columns_in_any_order(self, tmp_path):
+        f = write_csv(tmp_path, "order.csv", ["2,1,a,1", "1,0,a,1"], header="time,count,subject,group")
+        (p,) = read_dataset_csv(f).paths
+        assert (p.subject_id, p.group, p.times.tolist(), p.counts.tolist()) == ("a", 1, [1.0, 2.0], [0.0, 1.0])
+
+
 class TestParseWeightSpec:
     def test_aliases(self):
         assert parse_weight_spec("w1", 2).kind is WeightKind.CONST

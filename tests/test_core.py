@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from panelcount import (
     PanelDataset,
@@ -10,7 +10,69 @@ from panelcount import (
     restrict_to_group,
     validate_dataset,
 )
+from panelcount.core import _path_errors, flatten_observations
 from conftest import path, random_dataset
+
+
+def validate_path_by_path(d):
+    """``validate_dataset`` defined path by path: ``_path_errors`` over every
+    path in order, then the empty-group checks, then the pooled-gap warnings."""
+    errors = []
+    warnings = []
+    if d.n == 0:
+        errors.append("dataset has no paths")
+    if d.k < 1:
+        errors.append("dataset must have k >= 1 groups")
+    for p in d.paths:
+        errors.extend(_path_errors(p, d.k))
+    if not errors:
+        for l, n_l in enumerate(d.group_sizes, start=1):
+            if n_l == 0:
+                errors.append(f"group {l} has no paths")
+    if not errors:
+        grid = build_time_grid(d)
+        flat = flatten_observations(d, grid)
+        pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
+        for ell in np.flatnonzero(pooled_events == 0):
+            warnings.append(
+                f"no pooled events on the inter-observation gap ending at t={grid.points[ell]:g}"
+            )
+    return tuple(errors), tuple(warnings)
+
+
+_BAD_TIMES = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -1.0, 0.5, 1.0, 1.5, 1.25])
+_BAD_COUNTS = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.5, 0.0, 1.0, 3.0])
+
+
+def _rarely(draw, one_in=8):
+    return draw(st.integers(0, one_in - 1)) == 0
+
+
+@st.composite
+def malformed_datasets(draw):
+    """Datasets of well-formed paths with a few entries replaced: non-finite,
+    non-positive, tied or decreasing times; negative, decreasing, fractional
+    or non-finite counts; groups outside 1..k; length mismatches; empty
+    paths; and k or n of 0.  About a fifth of the datasets are valid."""
+    k = 0 if _rarely(draw, 16) else draw(st.integers(1, 3))
+    paths = []
+    for i in range(draw(st.integers(0, 6))):
+        size = 0 if _rarely(draw, 16) else draw(st.integers(1, 4))
+        times = np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=size, max_size=size)))
+        counts = np.cumsum(draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))).astype(float)
+        while size and _rarely(draw, 6):
+            j = draw(st.integers(0, size - 1))
+            if draw(st.booleans()):
+                times[j] = draw(_BAD_TIMES)
+            else:
+                counts[j] = draw(_BAD_COUNTS)
+        if _rarely(draw, 24):
+            counts = counts[:-1] if size else np.zeros(1)
+        group = 1 + i % max(k, 1)
+        if _rarely(draw, 24):
+            group = draw(st.sampled_from([-1, 0, k + 1, 10**30]))
+        paths.append(path(f"s{i}", group, times, counts))
+    return PanelDataset.from_paths(paths, k=k)
 
 
 class TestValidateDataset:
@@ -74,6 +136,12 @@ class TestValidateDataset:
         report = validate_dataset(d)
         assert report.ok
         assert any("t=2" in w for w in report.warnings)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=malformed_datasets())
+    def test_same_report_as_path_by_path(self, d):
+        report = validate_dataset(d)
+        assert (report.errors, report.warnings) == validate_path_by_path(d)
 
 
 class TestBuildTimeGrid:

@@ -20,7 +20,7 @@ from panelcount import (
 )
 from panelcount import estimators
 from conftest import TIGHT, path, random_dataset
-from _oracles import brute_force_npmle, isotonic_brute_force, loglik_direct
+from _oracles import brute_force_npmle, isotonic_brute_force, isotonic_sequential, loglik_direct
 
 
 class TestIsotonicRegression:
@@ -65,6 +65,92 @@ class TestIsotonicRegression:
         w = rng.uniform(0.5, 2.0, size=8)
         fit = isotonic_regression(y, w)
         np.testing.assert_allclose(isotonic_regression(fit, w), fit, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "y, w",
+        [
+            ([np.nan, 1.0], [1.0, 1.0]),
+            ([1.0, 0.0], [np.nan, 1.0]),
+            ([np.inf, 0.0], [1.0, 1.0]),
+            ([1.0, -np.inf], [1.0, 1.0]),
+            ([1.0, 2.0], [1.0, np.inf]),
+            (np.r_[np.arange(100.0), np.nan], np.ones(101)),
+        ],
+    )
+    def test_rejects_non_finite(self, y, w):
+        with pytest.raises(ValueError, match="finite"):
+            isotonic_regression(y, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        yw=st.lists(
+            st.tuples(
+                st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+                st.floats(-4, 4).map(lambda e: 10.0**e),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_matches_brute_force(self, yw):
+        y = np.array([a for a, _ in yw])
+        w = np.array([b for _, b in yw])
+        scale = max(1.0, float(np.abs(y).max()))
+        np.testing.assert_allclose(
+            isotonic_regression(y, w), isotonic_brute_force(y, w), rtol=1e-9, atol=1e-9 * scale
+        )
+
+    @staticmethod
+    def _shape(name, m, rng):
+        if name == "spike-zeros":
+            return np.r_[float(m), np.zeros(m - 1)]
+        if name == "spike-ramp":
+            return np.r_[float(m), np.linspace(0.0, 1.0, m - 1)]
+        if name == "decreasing":
+            return np.arange(m, 0, -1.0)
+        if name == "sorted":
+            return np.arange(m, dtype=float)
+        if name == "ties":
+            return rng.integers(0, 4, m).astype(float)
+        if name == "walk":
+            return np.cumsum(rng.normal(size=m))
+        return np.linspace(0.0, 10.0, m) + rng.normal(scale=2.0, size=m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3000),
+        shape=st.sampled_from(
+            ["spike-zeros", "spike-ramp", "decreasing", "sorted", "ties", "walk", "trend"]
+        ),
+        decades=st.integers(0, 8),
+    )
+    def test_matches_sequential(self, seed, m, shape, decades):
+        rng = np.random.default_rng(seed)
+        y = self._shape(shape, m, rng)
+        w = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=m)
+        fit = isotonic_regression(y, w)
+        expected = isotonic_sequential(y, w)
+        scale = float(np.abs(y).max()) or 1.0
+        np.testing.assert_allclose(fit, expected, rtol=1e-12, atol=1e-12 * scale)
+        assert not np.shares_memory(fit, y)
+
+    @pytest.mark.parametrize("m", [1, 5, 64, 65, 2000])
+    def test_sorted_input_returned_as_a_copy(self, m):
+        y = np.arange(m, dtype=float)
+        fit = isotonic_regression(y, np.ones(m))
+        np.testing.assert_array_equal(fit, y)
+        fit[:] = -1.0
+        np.testing.assert_array_equal(y, np.arange(m, dtype=float))
+
+    def test_spike_then_zeros_worst_case(self):
+        # one pool per parallel round: m rounds if the rounds did not stop
+        m = 20_000
+        y = np.r_[float(m), np.zeros(m - 1)]
+        w = np.ones(m)
+        fit = isotonic_regression(y, w)
+        np.testing.assert_allclose(fit, isotonic_sequential(y, w), rtol=1e-12)
+        np.testing.assert_allclose(fit, 1.0, rtol=1e-12)
 
 
 class TestIcmConfig:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import click
+import numpy as np
 
 from .core import (
-    ObservationPath,
     PanelDataset,
     restrict_to_group,
     validate_dataset,
@@ -96,12 +97,16 @@ def read_dataset_csv(path: str) -> PanelDataset:
             rows.append((time, count))
     if not by_subject:
         raise DatasetFormatError("file contains no data rows")
-    paths = []
-    for subject, (group, rows) in by_subject.items():
+    groups, sizes, visits = [], [], []
+    for group, rows in by_subject.values():
         rows.sort()
-        times, counts = zip(*rows)
-        paths.append(ObservationPath(subject_id=subject, group=group, times=times, counts=counts))
-    return PanelDataset.from_paths(paths)
+        groups.append(group)
+        sizes.append(len(rows))
+        visits.extend(rows)
+    times, counts = np.array(visits, dtype=float).T
+    return PanelDataset.from_columns(
+        times=times, counts=counts, sizes=sizes, groups=groups, subject_ids=list(by_subject)
+    )
 
 
 def write_dataset_csv(d: PanelDataset, path: str) -> None:
@@ -187,16 +192,26 @@ def _load_valid_dataset(path: str) -> PanelDataset:
     return d
 
 
+@contextmanager
+def _output(out: str):
+    """The file ``out`` opened for writing ('-' for stdout).  An IO error in
+    opening or writing it ends the command with ``error: <reason>``, exit 2."""
+    if out == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        _fail(f"error: {exc}", 2)
+
+
 def _write_csv(out: str, header, rows) -> None:
     """Write a header and rows as CSV to ``out`` ('-' for stdout)."""
-    fh = sys.stdout if out == "-" else open(out, "w", newline="", encoding="utf-8")
-    try:
+    with _output(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
 
 
 @click.group()
@@ -306,7 +321,7 @@ def test_command(input_path, weight, stat, alpha, out):
             report,
             config_echo={"input": input_path, "weight": weight, "stat": stat, "alpha": alpha},
         )
-        with open(out, "w", encoding="utf-8") as fh:
+        with _output(out) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     sys.exit(0)

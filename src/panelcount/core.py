@@ -4,12 +4,21 @@ A subject's counting process is observed only at discrete visit times, as
 cumulative event counts.  This module holds the observation-path and dataset
 containers, the pooled time grid with its rank function, the nondecreasing
 step functions used by every estimator, and structural validation.
+
+A dataset is an immutable value stored as subject-major columns (every
+subject's visit times and counts in turn, with per-subject sizes, groups and
+ids).  Its ``paths`` are a view built from the columns on first read; a
+dataset built from paths keeps them and derives the columns once, when first
+needed.  The pooled grid and flat rows of a dataset are computed once and
+kept, so every estimator and statistic of one dataset shares them, and a
+group is taken by a row mask over the columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -62,15 +71,24 @@ class ObservationPath:
         return self.times.size
 
 
-@dataclass(frozen=True)
 class PanelDataset:
-    """A labeled sample of observation paths across ``k`` groups (labels 1..k)."""
+    """A labeled sample of observation paths across ``k`` groups (labels 1..k).
 
-    paths: tuple[ObservationPath, ...]
-    k: int
+    Stored as subject-major columns: ``times`` and ``counts`` hold every
+    subject's visits in turn, ``sizes`` the number of visits of each subject,
+    ``groups`` and ``subject_ids`` their labels.  The column arrays are
+    read-only.  ``paths`` is built from the columns on first read and kept.
+    ``PanelDataset(paths, k)`` and ``from_paths`` keep the given paths and
+    derive the columns on first use; paths whose times and counts differ in
+    length have no columns, and of such a dataset only ``paths``, ``n``,
+    ``k``, ``==`` and ``validate_dataset`` are defined.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
+    __hash__ = None
+
+    def __init__(self, paths, k: int):
+        paths = tuple(paths)
+        self.__dict__.update(paths=paths, k=k, n=len(paths))
 
     @classmethod
     def from_paths(cls, paths, k: int | None = None) -> "PanelDataset":
@@ -79,17 +97,131 @@ class PanelDataset:
             k = max((p.group for p in paths), default=0)
         return cls(paths=paths, k=k)
 
-    @property
-    def n(self) -> int:
-        return len(self.paths)
+    @classmethod
+    def from_columns(
+        cls, times, counts, sizes, groups, subject_ids, k: int | None = None
+    ) -> "PanelDataset":
+        """The dataset whose subject ``i`` has the next ``sizes[i]`` rows of
+        ``times`` and ``counts``, group ``groups[i]`` and id ``subject_ids[i]``.
+        The arrays are copied; ``k`` defaults to the largest group label."""
+        subject_ids = tuple(subject_ids)
+        groups = _labels(groups)
+        sizes = _readonly(np.array(sizes, dtype=int))
+        times = _readonly(np.array(times, dtype=float))
+        counts = _readonly(np.array(counts, dtype=float))
+        if not (groups.shape == sizes.shape == (len(subject_ids),)):
+            raise ValueError("sizes, groups and subject_ids must have one entry per subject")
+        if np.any(sizes < 0) or not (times.shape == counts.shape == (int(sizes.sum()),)):
+            raise ValueError("sizes must be nonnegative and sum to the rows of times and counts")
+        if k is None:
+            k = max(groups.tolist(), default=0)
+        d = cls.__new__(cls)
+        d.__dict__.update(
+            k=k,
+            n=len(subject_ids),
+            _columns=_Columns(times, counts, sizes, groups, subject_ids),
+        )
+        return d
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.paths, self.k) == (other.paths, other.k)
+
+    def __repr__(self):
+        return f"PanelDataset(paths={self.paths!r}, k={self.k!r})"
+
+    @cached_property
+    def paths(self) -> tuple[ObservationPath, ...]:
+        bounds = np.cumsum(self.sizes)[:-1]
+        return tuple(
+            ObservationPath(subject_id=sid, group=g, times=t, counts=c)
+            for sid, g, t, c in zip(
+                self.subject_ids,
+                self.groups.tolist(),
+                np.split(self.times, bounds),
+                np.split(self.counts, bounds),
+            )
+        )
+
+    @cached_property
+    def _columns(self) -> "_Columns":
+        paths = self.paths
+        for p in paths:
+            if p.times.size != p.counts.size:
+                raise ValueError(f"subject {p.subject_id}: times and counts have different lengths")
+        return _Columns(
+            times=_readonly(np.concatenate([p.times for p in paths] or [np.zeros(0)])),
+            counts=_readonly(np.concatenate([p.counts for p in paths] or [np.zeros(0)])),
+            sizes=_readonly(np.array([p.times.size for p in paths], dtype=int)),
+            groups=_labels([p.group for p in paths]),
+            subject_ids=tuple(p.subject_id for p in paths),
+        )
 
     @property
+    def times(self) -> np.ndarray:
+        """Visit times of every subject in turn."""
+        return self._columns.times
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Cumulative counts, row for row with ``times``."""
+        return self._columns.counts
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Number of visits of each subject."""
+        return self._columns.sizes
+
+    @property
+    def groups(self) -> np.ndarray:
+        """Group label of each subject."""
+        return self._columns.groups
+
+    @property
+    def subject_ids(self) -> tuple[str, ...]:
+        return self._columns.subject_ids
+
+    @cached_property
     def group_sizes(self) -> tuple[int, ...]:
-        counts = [0] * self.k
-        for p in self.paths:
-            if 1 <= p.group <= self.k:
-                counts[p.group - 1] += 1
-        return tuple(counts)
+        g = self.groups
+        in_range = (g >= 1) & (g <= self.k)
+        return tuple(np.bincount(g[in_range].astype(int) - 1, minlength=max(self.k, 0)).tolist())
+
+    @cached_property
+    def _grid(self) -> "TimeGrid":
+        return TimeGrid(points=_readonly(np.unique(self.times)))
+
+    @cached_property
+    def _flat(self) -> "FlatObservations":
+        return _flatten(self, self._grid)
+
+
+@dataclass(frozen=True)
+class _Columns:
+    times: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+    groups: np.ndarray
+    subject_ids: tuple[str, ...]
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _labels(groups) -> np.ndarray:
+    """Group labels as a read-only array: integers, or objects for labels
+    beyond 64 bits, which ``validate_dataset`` must still be able to report."""
+    labels = np.array(groups)
+    return _readonly(labels if labels.size else labels.astype(int))
 
 
 @dataclass(frozen=True)
@@ -193,17 +325,10 @@ def _path_errors(p: ObservationPath, k: int) -> list[str]:
 def _suspect_paths(d: PanelDataset) -> np.ndarray:
     """Indices, in path order, of the paths that may break an invariant of
     ``_path_errors``: a superset of the paths it reports, found in one pass
-    over the concatenated rows of the paths whose lengths agree."""
-    n_times = np.array([p.times.size for p in d.paths], dtype=int)
-    n_counts = np.array([p.counts.size for p in d.paths], dtype=int)
-    suspect = np.array([not 1 <= p.group <= d.k for p in d.paths], dtype=bool)
-    suspect |= (n_times != n_counts) | (n_times == 0)
-    shaped = np.flatnonzero(n_times == n_counts)
-    if shaped.size == 0:
-        return np.flatnonzero(suspect)
-    times = np.concatenate([d.paths[i].times for i in shaped])
-    counts = np.concatenate([d.paths[i].counts for i in shaped])
-    subj = np.repeat(shaped, n_times[shaped])
+    over the dataset's rows."""
+    suspect = ~((d.groups >= 1) & (d.groups <= d.k)) | (d.sizes == 0)
+    times, counts = d.times, d.counts
+    subj = np.repeat(np.arange(d.n), d.sizes)
     # Each row against the row before it in its path, the origin (0, 0)
     # before the first: this checks the first time > 0 and count >= 0 too.
     is_first = np.ones(times.size, dtype=bool)
@@ -216,13 +341,24 @@ def _suspect_paths(d: PanelDataset) -> np.ndarray:
     return np.flatnonzero(suspect)
 
 
+def _has_columns(d: PanelDataset) -> bool:
+    """False for a dataset of paths whose times and counts differ in length."""
+    try:
+        d.times
+    except ValueError:
+        return False
+    return True
+
+
 def validate_dataset(d: PanelDataset) -> ValidationReport:
     """Check every structural invariant; violations are reported, not raised.
 
     One vectorized pass over all rows finds the paths that may break an
     invariant; ``_path_errors`` then words the errors of those paths alone,
     in path order, so each message and its place in ``errors`` are those of
-    checking every path in turn.
+    checking every path in turn.  Paths whose times and counts differ in
+    length have no rows to pass over, so such a dataset has every path
+    checked in turn.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -230,7 +366,8 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         errors.append("dataset has no paths")
     if d.k < 1:
         errors.append("dataset must have k >= 1 groups")
-    for i in _suspect_paths(d):
+    suspects = _suspect_paths(d) if _has_columns(d) else range(d.n)
+    for i in suspects:
         errors.extend(_path_errors(d.paths[i], d.k))
     if not errors:
         for l, n_l in enumerate(d.group_sizes, start=1):
@@ -250,20 +387,28 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
 
 
 def build_time_grid(d: PanelDataset) -> TimeGrid:
-    """Pool all observation times into the sorted distinct grid t_1 < ... < t_m."""
+    """Pool all observation times into the sorted distinct grid t_1 < ... < t_m.
+
+    Computed once per dataset; later calls return the same grid."""
     if d.n == 0:
         raise ValueError("cannot build a time grid from an empty dataset")
-    return TimeGrid(points=np.unique(np.concatenate([p.times for p in d.paths])))
+    return d._grid
 
 
 def restrict_to_group(d: PanelDataset, l: int) -> PanelDataset:
     """Single-group dataset holding the paths of group ``l`` (relabeled to 1)."""
     if not (1 <= l <= d.k):
         raise ValueError(f"group {l} outside 1..{d.k}")
-    kept = tuple(
-        p if p.group == 1 else replace(p, group=1) for p in d.paths if p.group == l
+    keep = d.groups == l
+    rows = np.repeat(keep, d.sizes)
+    return PanelDataset.from_columns(
+        times=d.times[rows],
+        counts=d.counts[rows],
+        sizes=d.sizes[keep],
+        groups=np.ones(np.count_nonzero(keep), dtype=int),
+        subject_ids=compress(d.subject_ids, keep),
+        k=1,
     )
-    return PanelDataset(paths=kept, k=1)
 
 
 @dataclass(frozen=True)
@@ -290,17 +435,24 @@ class FlatObservations:
 
 
 def flatten_observations(d: PanelDataset, grid: TimeGrid | None = None) -> FlatObservations:
-    if grid is None:
-        grid = build_time_grid(d)
-    times = np.concatenate([p.times for p in d.paths])
-    counts = np.concatenate([p.counts for p in d.paths])
-    sizes = np.array([p.n_visits for p in d.paths])
+    """The rows of ``d`` on ``grid`` (default: the dataset's own grid).
+
+    Computed once per dataset on its own grid; any other grid is computed
+    afresh."""
+    # A grid is the dataset's own only if it has been built from the dataset.
+    if grid is None or grid is vars(d).get("_grid"):
+        return d._flat
+    return _flatten(d, grid)
+
+
+def _flatten(d: PanelDataset, grid: TimeGrid) -> FlatObservations:
+    times, counts, sizes = d.times, d.counts, d.sizes
     subj = np.repeat(np.arange(d.n), sizes)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    ends = np.cumsum(sizes)
     is_first = np.zeros(times.size, dtype=bool)
-    is_first[starts] = True
+    is_first[ends - sizes] = True
     is_last = np.zeros(times.size, dtype=bool)
-    is_last[np.cumsum(sizes) - 1] = True
+    is_last[ends - 1] = True
     prev_times = np.empty_like(times)
     prev_times[1:] = times[:-1]
     prev_times[is_first] = 0.0
@@ -311,7 +463,7 @@ def flatten_observations(d: PanelDataset, grid: TimeGrid | None = None) -> FlatO
     prev_rank = np.empty_like(rank)
     prev_rank[1:] = rank[:-1]
     prev_rank[is_first] = -1
-    return FlatObservations(
+    arrays = dict(
         times=times,
         prev_times=prev_times,
         counts=counts,
@@ -321,6 +473,7 @@ def flatten_observations(d: PanelDataset, grid: TimeGrid | None = None) -> FlatO
         is_last=is_last,
         rank=rank,
         prev_rank=prev_rank,
-        n_subjects=d.n,
-        m=grid.m,
+    )
+    return FlatObservations(
+        **{name: _readonly(a) for name, a in arrays.items()}, n_subjects=d.n, m=grid.m
     )

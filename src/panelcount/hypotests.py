@@ -122,7 +122,11 @@ def _diag_summary(diag: SolveDiagnostics) -> dict[str, Any]:
 
 
 def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
-    """Solve the pooled NPMLE and one NPMLE per group; error on non-convergence."""
+    """Solve the pooled NPMLE and one NPMLE per group; error on non-convergence.
+
+    The bundle's grid and flat rows are the dataset's own, computed once and
+    shared with the pooled solve; each group is solved on its rows, taken
+    from the dataset's columns by ``restrict_to_group``."""
     grid = build_time_grid(d)
     flat = flatten_observations(d, grid)
     pooled, pooled_diag = npmle(d, cfg)

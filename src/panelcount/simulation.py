@@ -7,6 +7,12 @@ between groups (case 1) or crossing (case 2).  Replications draw from
 independent streams derived from (base seed, replication index), so serial
 and parallel runs produce identical results.
 
+``generate_dataset`` writes each subject's draws straight into the columns
+of an immutable ``PanelDataset``; no per-subject path object is built.  Its
+``paths`` are a view built on first read, equal to the paths
+``sample_subject`` draws from the same stream: both make their draws through
+one helper.
+
 A replication fits its NPMLEs once and gets U, V and sigma^2 for every
 weight from one call of the statistic kernel in ``hypotests``; its p-values
 equal those of the public tests run one weight at a time.  A replication
@@ -19,6 +25,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtri
@@ -55,6 +62,7 @@ __all__ = [
 ]
 
 OBSERVATION_TIMES = np.arange(1, 11)
+_OBSERVATION_TIMES_F = OBSERVATION_TIMES.astype(float)
 
 _TWO_SAMPLE_STATS = ("t1", "t2")
 _CHI2_METHODS = {"chi2-u": "U-test", "chi2-v": "V-test"}
@@ -182,6 +190,29 @@ def _replication_rng(base_seed: int, replication_index: int) -> np.random.Genera
     )
 
 
+def _visit_means(tm: TrueMean) -> np.ndarray:
+    """Lambda at every visit time, as ``tm`` gives it on ``OBSERVATION_TIMES``."""
+    return tm(OBSERVATION_TIMES.astype(float))
+
+
+def _draw_subject(means: np.ndarray, nu_mode: str, rng: np.random.Generator):
+    """One subject's visits, as sorted indices into ``OBSERVATION_TIMES``,
+    and its cumulative counts; ``means`` from ``_visit_means``.  A
+    replication's random stream is the sequence of these draws, subject by
+    subject."""
+    k_i = int(rng.integers(1, 11))
+    # Indices into OBSERVATION_TIMES take the variates a draw from the array
+    # itself takes.
+    visits = rng.choice(OBSERVATION_TIMES.size, size=k_i, replace=False)
+    visits.sort()
+    nu = 1.0 if nu_mode == "fixed" else float(rng.gamma(shape=2.0, scale=0.5))
+    cum = means[visits].tolist()
+    # One draw per visit in visit order: the variates, and the order, of one
+    # draw over the array of these Poisson means, at a fraction of its cost.
+    increments = [rng.poisson(nu * (c - p)) for c, p in zip(cum, [0.0, *cum[:-1]])]
+    return visits, list(accumulate(increments))
+
+
 def sample_subject(
     tm: TrueMean,
     nu_mode: str,
@@ -191,28 +222,38 @@ def sample_subject(
     """Draw one subject: visit count on U{1..10}, distinct integer visit times,
     and cumulative counts from independent Poisson increments with means
     nu * (Lambda(t_j) - Lambda(t_{j-1}))."""
-    k_i = int(rng.integers(1, 11))
-    times = rng.choice(OBSERVATION_TIMES, size=k_i, replace=False)
-    times.sort()
-    times = times.astype(float)
-    nu = 1.0 if nu_mode == "fixed" else float(rng.gamma(shape=2.0, scale=0.5))
-    # tm may return ``times`` itself, so it is differenced into a new array
-    cum = tm(times)
-    increments = rng.poisson(nu * (cum - np.concatenate(([0.0], cum[:-1]))))
-    counts = np.cumsum(increments, dtype=float)
-    return ObservationPath(subject_id=subject_id, group=tm.group, times=times, counts=counts)
+    visits, counts = _draw_subject(_visit_means(tm), nu_mode, rng)
+    return ObservationPath(
+        subject_id=subject_id,
+        group=tm.group,
+        times=_OBSERVATION_TIMES_F[visits],
+        counts=np.array(counts, dtype=float),
+    )
 
 
 def generate_dataset(cfg: SimConfig, replication_index: int) -> PanelDataset:
     """The dataset of replication ``replication_index``; fully determined by
-    (base seed, replication index)."""
+    (base seed, replication index).  Subject ``i`` of group ``l`` has the id
+    ``g{l}s{i}`` and the draws ``sample_subject`` makes, written into the
+    dataset's columns."""
     rng = _replication_rng(cfg.base_seed, replication_index)
-    paths = []
+    visits, counts, ids = [], [], []
     for group, size in enumerate(cfg.group_sizes, start=1):
-        tm = mean_for_group(cfg.case, cfg.beta, group)
+        means = _visit_means(mean_for_group(cfg.case, cfg.beta, group))
         for i in range(size):
-            paths.append(sample_subject(tm, cfg.nu_mode, rng, subject_id=f"g{group}s{i}"))
-    return PanelDataset(paths=tuple(paths), k=len(cfg.group_sizes))
+            subject_visits, subject_counts = _draw_subject(means, cfg.nu_mode, rng)
+            visits.append(subject_visits)
+            counts.extend(subject_counts)
+            ids.append(f"g{group}s{i}")
+    k = len(cfg.group_sizes)
+    return PanelDataset.from_columns(
+        times=_OBSERVATION_TIMES_F[np.concatenate(visits)],
+        counts=counts,
+        sizes=[v.size for v in visits],
+        groups=np.repeat(np.arange(1, k + 1), cfg.group_sizes),
+        subject_ids=ids,
+        k=k,
+    )
 
 
 def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:

@@ -74,13 +74,12 @@ class WeightFn:
 
 
 def _last_times(d: PanelDataset, group: int | None) -> np.ndarray:
-    if group is None:
-        lasts = [p.times[-1] for p in d.paths]
-    else:
+    lasts = d.times[np.cumsum(d.sizes) - 1]
+    if group is not None:
         if not (1 <= group <= d.k):
             raise ValueError(f"group {group} outside 1..{d.k}")
-        lasts = [p.times[-1] for p in d.paths if p.group == group]
-    return np.sort(np.asarray(lasts, dtype=float))
+        lasts = lasts[d.groups == group]
+    return np.sort(lasts)
 
 
 def _risk_curve(d: PanelDataset, group: int | None) -> Callable[[np.ndarray], np.ndarray]:

@@ -297,6 +297,27 @@ class TestQqCommand:
         assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "--input", "DATA"],
+            ["test", "--input", "DATA"],
+            ["simulate", "--n1", "5", "--n2", "5", "--reps", "1"],
+            ["qq", "--n", "10", "--reps", "1"],
+        ],
+        ids=["estimate", "test", "simulate", "qq"],
+    )
+    def test_io_error_exit_2_with_reason(self, runner, two_group_file, tmp_path, args):
+        out = tmp_path / "missing" / "out"
+        args = [two_group_file if a == "DATA" else a for a in args]
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: [Errno 2] No such file or directory: '{out}'" in result.output
+        assert "Traceback" not in result.output
+
+
 class TestDatasetRoundTrip:
     def test_write_then_read_identity(self, tmp_path, rng):
         d = random_dataset(rng, 9, k=2)

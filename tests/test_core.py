@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,12 +7,16 @@ from hypothesis import given, settings, strategies as st
 from panelcount import (
     PanelDataset,
     StepEstimate,
+    WeightKind,
+    WeightSpec,
     build_time_grid,
     eval_step,
+    make_weight,
     restrict_to_group,
     validate_dataset,
 )
-from panelcount.core import _path_errors, flatten_observations
+from panelcount.core import FlatObservations, _path_errors, flatten_observations
+from panelcount.weights import _GROUPED_KINDS
 from conftest import path, random_dataset
 
 
@@ -254,3 +260,114 @@ class TestRestrictToGroup:
     def test_validates_after_restriction(self):
         d = PanelDataset.from_paths([path("a", 1, [1.0], [1]), path("b", 2, [2.0], [2])])
         assert validate_dataset(restrict_to_group(d, 2)).ok
+
+
+@st.composite
+def well_formed_paths(draw):
+    """k and the paths of a valid dataset: 1-6 visits per subject on a
+    coarse time lattice (so subjects share times), every group nonempty."""
+    k = draw(st.integers(1, 3))
+    paths = []
+    for i in range(draw(st.integers(k, 8))):
+        times = np.cumsum(draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=1, max_size=6)))
+        steps = draw(st.lists(st.integers(0, 3), min_size=times.size, max_size=times.size))
+        group = 1 + i % k if i < k else draw(st.integers(1, k))
+        paths.append(path(f"s{i}", group, times, np.cumsum(steps)))
+    return k, paths
+
+
+def column_built(paths, k):
+    return PanelDataset.from_columns(
+        times=np.concatenate([p.times for p in paths]),
+        counts=np.concatenate([p.counts for p in paths]),
+        sizes=[p.n_visits for p in paths],
+        groups=[p.group for p in paths],
+        subject_ids=[p.subject_id for p in paths],
+        k=k,
+    )
+
+
+def assert_same_flat(a: FlatObservations, b: FlatObservations):
+    for f in fields(FlatObservations):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y, f.name
+
+
+class TestColumnStorage:
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=well_formed_paths())
+    def test_column_built_matches_path_built(self, drawn):
+        k, paths = drawn
+        by_paths = PanelDataset.from_paths(paths, k=k)
+        by_columns = column_built(paths, k)
+        assert by_columns.paths == by_paths.paths
+        assert by_columns == by_paths and by_paths == by_columns
+        assert (by_columns.n, by_columns.k) == (by_paths.n, by_paths.k)
+        assert by_columns.group_sizes == by_paths.group_sizes
+        assert validate_dataset(by_columns) == validate_dataset(by_paths)
+        grid = build_time_grid(by_columns)
+        np.testing.assert_array_equal(grid.points, build_time_grid(by_paths).points)
+        assert_same_flat(flatten_observations(by_columns), flatten_observations(by_paths))
+        for l in range(1, k + 1):
+            expected = PanelDataset.from_paths(
+                [replace(p, group=1) for p in paths if p.group == l], k=1
+            )
+            assert restrict_to_group(by_columns, l) == expected
+            assert restrict_to_group(by_paths, l) == expected
+        t = np.concatenate([grid.points, grid.points - 0.25, [0.0, 100.0]])
+        for kind in WeightKind:
+            for group in range(1, k + 1) if kind in _GROUPED_KINDS else [None]:
+                spec = WeightSpec(kind, group)
+                np.testing.assert_array_equal(
+                    make_weight(by_columns, spec)(t), make_weight(by_paths, spec)(t)
+                )
+
+    def test_grid_and_flat_computed_once(self, rng):
+        d = random_dataset(rng, 12, k=2)
+        grid = build_time_grid(d)
+        assert build_time_grid(d) is grid
+        assert flatten_observations(d) is flatten_observations(d, grid)
+        other = build_time_grid(restrict_to_group(d, 1))
+        fresh = flatten_observations(d, other)
+        assert fresh is not flatten_observations(d, other)
+        assert fresh.m == other.m
+        np.testing.assert_array_equal(fresh.rank, np.searchsorted(other.points, d.times))
+
+    def test_immutable(self, rng):
+        d = column_built(random_dataset(rng, 5).paths, k=1)
+        with pytest.raises(FrozenInstanceError):
+            d.k = 2
+        with pytest.raises(ValueError):
+            d.times[0] = 1.0
+        with pytest.raises(ValueError):
+            d.paths[0].counts[0] = 1.0
+        with pytest.raises(ValueError):
+            flatten_observations(d).dN[0] = 1.0
+
+    def test_paths_view_built_once_from_columns(self):
+        d = column_built([path("a", 2, [1.0, 2.0], [0, 3]), path("b", 1, [0.5], [1])], k=2)
+        assert d.paths is d.paths
+        assert [(p.subject_id, p.group, p.times.tolist(), p.counts.tolist()) for p in d.paths] == [
+            ("a", 2, [1.0, 2.0], [0.0, 3.0]),
+            ("b", 1, [0.5], [1.0]),
+        ]
+
+    def test_inconsistent_columns_rejected(self):
+        with pytest.raises(ValueError):
+            PanelDataset.from_columns([1.0, 2.0], [0.0], [2], [1], ["a"])
+        with pytest.raises(ValueError):
+            PanelDataset.from_columns([1.0, 2.0], [0.0, 1.0], [1], [1], ["a"])
+        with pytest.raises(ValueError):
+            PanelDataset.from_columns([1.0], [0.0], [1], [1, 2], ["a"])
+        with pytest.raises(ValueError):
+            PanelDataset.from_columns([1.0, 2.0], [0.0, 1.0], [3, -1], [1, 1], ["a", "b"])
+
+    def test_paths_of_unequal_lengths_have_no_columns(self):
+        d = PanelDataset.from_paths([path("a", 1, [1.0, 2.0], [1])])
+        assert d.n == 1
+        with pytest.raises(ValueError, match="subject a: times and counts have different lengths"):
+            d.times

@@ -2,12 +2,15 @@
 
 The simulated datasets are pinned by SHA-256 digests of their contents, so a
 change to the generator that alters the random stream fails here, not as a
-drift in the acceptance tables.  The p-value matrix of a replication must be
-exactly what the public test functions give one weight at a time, and a
-failing replication must raise the error those functions raise first.
+drift in the acceptance tables.  Another digest pins the p-values and every
+solve's diagnostics of the benchmark designs' replications.  The p-value
+matrix of a replication must be exactly what the public test functions give
+one weight at a time, and a failing replication must raise the error those
+functions raise first.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +19,14 @@ from panelcount import (
     DegenerateCovarianceError,
     DegenerateVarianceError,
     IncrementMismatchError,
+    PanelDataset,
     SimConfig,
     SolverConvergenceError,
     chi2_u_test,
     chi2_v_test,
     fit_all,
     generate_dataset,
+    npmle,
     two_sample_tests,
 )
 from panelcount import simulation
@@ -66,7 +71,7 @@ def test_generated_datasets_match_digest(case, nu_mode, k):
     assert dataset_digest(cfg, 20) == DATASET_DIGESTS[(case, nu_mode, k)]
 
 
-def mc_cfg(design, group_size=50, base_seed=20090415, **kw):
+def mc_cfg(design, group_size=50, base_seed=20090415, replications=20, **kw):
     """The two Monte Carlo designs of the benchmark: the Table 1 power cell
     and the k = 3 mixed-Poisson chi-square cell."""
     if design == "power_2s":
@@ -79,7 +84,7 @@ def mc_cfg(design, group_size=50, base_seed=20090415, **kw):
     weights = defaults.pop("weights", weights)
     return SimConfig(
         group_sizes=(group_size,) * k,
-        replications=20,
+        replications=replications,
         base_seed=base_seed,
         weight_specs=tuple(parse_weight_spec(w, k) for w in weights),
         **defaults,
@@ -102,6 +107,41 @@ def per_weight_pvalues(cfg, rep):
                 p = chi2_v_test(d, spec, cfg.icm, fits=fits).p_values["chi2"]
             out[s_idx, w_idx] = p
     return out
+
+
+# sha256 over replications 0-19 of each benchmark design: every solve's
+# SolveDiagnostics (iterations, status, log-likelihood, Fenchel residual and
+# trace, as float64 bytes) and the replication's p-value matrix
+REPLICATION_DIGESTS = {
+    "power_2s": "b63a50504fbd2a40ac6c0c0857ed219fe4b7226e413ffaaddd0068649aa90e33",
+    "chi2_k3": "4d7ae69e3ac3053456929cba776929adb3e8b7effb0e61e8cea6ad54616e1d62",
+}
+
+
+def replication_digest(cfg, replications):
+    h = hashlib.sha256()
+    for rep in range(replications):
+        try:
+            fits = fit_all(generate_dataset(cfg, rep), cfg.icm)
+            diags = (fits.pooled_diag, *fits.group_diags)
+        except SolverConvergenceError as exc:
+            diags = (exc.diagnostics,)
+        for diag in diags:
+            h.update(f"{diag.iterations}:{diag.status}".encode())
+            floats = [diag.loglik, diag.fenchel_residual, *diag.loglik_trace]
+            h.update(np.array(floats, dtype="<f8").tobytes())
+        result = simulation._replication_worker((cfg, rep))
+        if isinstance(result, str):
+            h.update(result.encode())
+        else:
+            h.update(np.ascontiguousarray(result, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("design", sorted(REPLICATION_DIGESTS))
+def test_replications_match_digest(design):
+    cfg = mc_cfg(design)
+    assert replication_digest(cfg, cfg.replications) == REPLICATION_DIGESTS[design]
 
 
 @pytest.mark.parametrize("design", ["power_2s", "chi2_k3"])
@@ -138,3 +178,54 @@ def test_failing_replication_raises_the_per_weight_error(statistics, rep, error)
         per_weight_pvalues(cfg, rep)
     with pytest.raises(error):
         simulation._replication_pvalues(cfg, rep)
+
+
+def fits_by_paths(d, cfg):
+    """``fit_all``'s solves on path-built datasets: the pooled NPMLE, then one
+    per group over that group's paths relabeled to 1, each checked in turn."""
+    pooled = npmle(PanelDataset.from_paths(d.paths, k=d.k), cfg)
+    if not pooled[1].converged:
+        raise SolverConvergenceError(f"pooled NPMLE did not converge ({pooled[1].status})", pooled[1])
+    groups = []
+    for l in range(1, d.k + 1):
+        kept = [replace(p, group=1) for p in d.paths if p.group == l]
+        est, diag = npmle(PanelDataset.from_paths(kept, k=1), cfg)
+        if not diag.converged:
+            raise SolverConvergenceError(f"group {l} NPMLE did not converge ({diag.status})", diag)
+        groups.append((est, diag))
+    return pooled, groups
+
+
+def assert_same_fit(a, b):
+    (est_a, diag_a), (est_b, diag_b) = a, b
+    np.testing.assert_array_equal(est_a.support, est_b.support)
+    np.testing.assert_array_equal(est_a.values, est_b.values)
+    assert diag_a == diag_b
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        mc_cfg("power_2s", group_size=2, base_seed=3, beta=0.0, nu_mode="gamma", replications=80),
+        mc_cfg("chi2_k3", group_size=5, replications=20),
+    ],
+    ids=["2+2", "5+5+5"],
+)
+def test_group_fits_are_npmle_of_restricted_groups(cfg):
+    raised = 0
+    for rep in range(cfg.replications):
+        d = generate_dataset(cfg, rep)
+        try:
+            expected = fits_by_paths(d, cfg.icm)
+        except SolverConvergenceError as exc:
+            raised += 1
+            with pytest.raises(SolverConvergenceError) as got:
+                fit_all(d, cfg.icm)
+            assert str(got.value) == str(exc)
+            assert got.value.diagnostics == exc.diagnostics
+            continue
+        fits = fit_all(d, cfg.icm)
+        assert_same_fit((fits.pooled, fits.pooled_diag), expected[0])
+        for l in range(d.k):
+            assert_same_fit((fits.groups[l], fits.group_diags[l]), expected[1][l])
+    assert cfg.group_sizes[0] > 2 or raised > 0

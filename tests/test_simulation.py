@@ -16,6 +16,7 @@ from panelcount import (
     sample_subject,
     validate_dataset,
 )
+from panelcount import simulation
 
 CONST = WeightSpec(WeightKind.CONST)
 
@@ -129,6 +130,25 @@ class TestSampleSubject:
 
 
 class TestGenerateDataset:
+    @pytest.mark.parametrize("nu_mode", ["fixed", "gamma"])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_draws_are_those_of_sample_subject(self, case, nu_mode):
+        beta = 0.2 if case == 1 else 5.0
+        cfg = small_cfg(
+            case=case, beta=beta, nu_mode=nu_mode, group_sizes=(7, 5, 6), statistics=("chi2-u",)
+        )
+        for rep in range(4):
+            rng = simulation._replication_rng(cfg.base_seed, rep)
+            replayed = tuple(
+                sample_subject(mean_for_group(case, beta, g), nu_mode, rng, subject_id=f"g{g}s{i}")
+                for g, size in enumerate(cfg.group_sizes, start=1)
+                for i in range(size)
+            )
+            paths = generate_dataset(cfg, rep).paths
+            assert paths == replayed
+            for p, q in zip(paths, replayed):
+                assert (p.group, p.times.dtype, p.counts.dtype) == (q.group, q.times.dtype, q.counts.dtype)
+
     def test_deterministic(self):
         cfg = small_cfg()
         d1 = generate_dataset(cfg, 3)

@@ -14,8 +14,16 @@ nondecreasing step functions on the pooled observation grid:
   (score and per-row curvature weights), and the increments of each
   accepted iterate carry forward to the next score.  The Newton system is
   summed at block level: its size is blocks x blocks, not m x m.
-  The Newton step moves only the free blocks; a first block held at the
-  origin and blocks of zero curvature keep their value.
+  The Newton step holds a first block at the origin.
+
+  The NPMLE solves on the likelihood's support: the grid points that start
+  or end a row with events (Wellner & Zhang 2000).  At any other point phi
+  is linear in the value, with slope minus its number of last visits, so
+  such a point takes the value of the support point at or left of it, or 0
+  before the first: the maximizer where the slope is negative, and the
+  right-continuous convention of ``eval_step`` where phi ignores the point.
+  Status and residual are certified on the full grid afterwards.  When every
+  grid point is in the support, the solve runs on the rows unchanged.
 
 Both estimators project onto the monotone cone with ``isotonic_regression``
 (PAVA).  It pools adjacent violators in vectorized rounds while each round
@@ -35,7 +43,8 @@ exposes the weighted-sum corollary used as an end-to-end correctness check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,7 +110,8 @@ class SolveDiagnostics:
     * ``"stalled"``: a numeric fixed point that meets neither the
       certificates nor the cone's conditions.
 
-    ``loglik_trace`` records the (nondecreasing) objective across iterations.
+    ``loglik_trace`` records the (nondecreasing) objective across iterations,
+    and ``seconds`` the solve's wall time, which ``==`` does not compare.
     """
 
     iterations: int
@@ -109,6 +119,7 @@ class SolveDiagnostics:
     fenchel_residual: float
     loglik_trace: tuple[float, ...]
     status: str
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -280,13 +291,14 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll: float, m
     stationarity residual to machine precision in a few steps.  The
     (blocks x blocks) system is summed directly from the per-row weights,
     each row landing on the blocks of its two ends; no grid-level Hessian
-    is formed.  Only the free blocks move: a first block held at the origin
-    (value 0, on the boundary of the cone) and any block that no row with
-    events touches (zero curvature, phi linear in its value) keep their
-    value, and the system is solved over the rest.  When every block is
-    free this is the full system.  Feasibility, ordering, and monotone
-    ascent are enforced by backtracking.  Returns ``(u, du, ll, polished)``;
-    on any failure the iterate comes back unchanged.
+    is formed.  A first block at the origin (value 0, on the boundary of
+    the cone) keeps its value, and the system is solved over the other
+    blocks; otherwise it is the full system.  On the likelihood's support
+    (``_support_rows``) every block of a feasible iterate ends a row with
+    events, so each diagonal entry is positive.  Feasibility, ordering, and
+    monotone ascent are enforced by backtracking.  Returns
+    ``(u, du, ll, polished)``; on any failure the iterate comes back
+    unchanged.
     """
     jumps = u[1:] != u[:-1]
     block_id = np.concatenate([[0], np.cumsum(jumps)])
@@ -301,11 +313,10 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll: float, m
     neg_h = np.bincount(pairs, weights=np.concatenate([w, w, -w, -w]), minlength=size * size)
     neg_h = neg_h.reshape(size, size)[1:, 1:]
     v = u[np.concatenate([[0], np.flatnonzero(jumps) + 1])]
-    free = np.diagonal(neg_h) > 0
-    free[0] &= v[0] > 0
+    first = 0 if v[0] > 0 else 1
     dv = np.zeros(n_blocks)
     try:
-        dv[free] = np.linalg.solve(neg_h[free][:, free], g_red[free])
+        dv[first:] = np.linalg.solve(neg_h[first:, first:], g_red[first:])
     except np.linalg.LinAlgError:
         return u, du, ll, False
     step = 1.0
@@ -382,20 +393,42 @@ def gradient_and_curvature(
     return _grad_curv(rows, _increments(rows, u), curvature_floor_ratio)
 
 
-def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
-    """Maximum-likelihood mean function via the modified ICM.
+def _support_rows(rows: _EventRows):
+    """The rows of the solve on the likelihood's support.
 
-    Returns ``(StepEstimate, SolveDiagnostics)``.  On non-convergence the
-    best iterate is returned with ``converged=False`` and a ``status`` that
-    says why; no exception.
+    The support is the set of grid points that start or end a row with
+    events; phi is linear in the value at any other point, with slope minus
+    its number of last visits.  Such a point takes the value of the support
+    point at or left of it, so its last visits fold into that point, or are
+    dropped before the first one, where the value is 0.  Returns
+    ``(rows, support)`` with ``support`` a mask over the grid, or the rows
+    unchanged and None when every grid point is in the support.
     """
-    grid = build_time_grid(d)
-    flat = flatten_observations(d, grid)
-    pm = _npmple_flat(grid, flat)
-    m = grid.m
-    n = flat.n_subjects
-    rows = _event_rows(flat)
-    u = pm.values + cfg.init_slope_epsilon * np.arange(1, m + 1)
+    support = np.zeros(rows.m + 1, dtype=bool)
+    support[rows.rank + 1] = True
+    support[rows.prev_slot] = True
+    support = support[1:]
+    if support.all():
+        return rows, None
+    # slot[j]: 1 + the support index of the support point at or left of
+    # grid point j, or 0 (the origin) when there is none
+    slot = np.cumsum(support)
+    m = int(slot[-1])
+    last_slot = slot[rows.last_rank]
+    reduced = _EventRows(
+        rank=slot[rows.rank] - 1,
+        prev_slot=np.concatenate([[0], slot])[rows.prev_slot],
+        dN=rows.dN,
+        last_rank=last_slot[last_slot > 0] - 1,
+        last_count=np.bincount(last_slot, minlength=m + 1)[1:].astype(float),
+        m=m,
+    )
+    return reduced, support
+
+
+def _icm(rows: _EventRows, u: np.ndarray, n: int, cfg: IcmConfig):
+    """The modified ICM from the feasible start ``u``, each step followed by
+    a Newton polish.  Returns ``(u, ll, trace, status, residual, iterations)``."""
     du = _increments(rows, u)
     ll = _loglik(rows, u, du)
     trace = [ll]
@@ -437,6 +470,40 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
     else:
         g, _ = _score_and_weights(rows, du)
         _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol)
+    return u, ll, trace, status, residual, iterations
+
+
+def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
+    """Maximum-likelihood mean function via the modified ICM.
+
+    The ICM runs on the likelihood's support (``_support_rows``); every
+    other grid point takes the value of the support point at or left of
+    it, or 0 before the first.  Status and residual are then certified on
+    the full grid.  Returns ``(StepEstimate, SolveDiagnostics)``.  On
+    non-convergence the best iterate is returned with ``converged=False``
+    and a ``status`` that says why; no exception.
+    """
+    start = time.perf_counter()
+    grid = build_time_grid(d)
+    flat = flatten_observations(d, grid)
+    pm = _npmple_flat(grid, flat)
+    n = flat.n_subjects
+    full = _event_rows(flat)
+    rows, support = _support_rows(full)
+    u0 = pm.values if support is None else pm.values[support]
+    if rows.m:
+        u0 = u0 + cfg.init_slope_epsilon * np.arange(1, rows.m + 1)
+        u, ll, trace, status, residual, iterations = _icm(rows, u0, n, cfg)
+    else:
+        # no events: phi = -(last visits) . u is largest at u = 0, and the
+        # certificates below give the status
+        u, ll, trace, status, iterations = u0, 0.0, [0.0], "converged", 0
+    if support is not None:
+        u = np.concatenate([[0.0], u])[np.cumsum(support)]
+        g, _ = _score_and_weights(full, _increments(full, u))
+        certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
+        if status != "max-iterations":
+            status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
     estimate = StepEstimate(support=grid.points, values=np.maximum.accumulate(np.maximum(u, 0.0)))
     diag = SolveDiagnostics(
         iterations=iterations,
@@ -444,6 +511,7 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
         fenchel_residual=residual,
         status=status,
         loglik_trace=tuple(trace),
+        seconds=time.perf_counter() - start,
     )
     return estimate, diag
 

@@ -118,6 +118,7 @@ def _diag_summary(diag: SolveDiagnostics) -> dict[str, Any]:
         "fenchel_residual": diag.fenchel_residual,
         "converged": diag.converged,
         "status": diag.status,
+        "seconds": diag.seconds,
     }
 
 

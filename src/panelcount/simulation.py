@@ -155,6 +155,17 @@ class SimConfig:
                 raise ValueError(f"statistic {stat} requires at least 2 groups")
             if stat not in _TWO_SAMPLE_STATS and stat not in _CHI2_METHODS:
                 raise ValueError(f"unknown statistic {stat!r}")
+        if not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        # Lambda(10), the mean of a draw over (0, 10], is a group's largest visit mean
+        largest = max(_visit_means(mean_for_group(self.case, self.beta, l))[-1] for l in range(1, k + 1))
+        try:
+            np.random.default_rng(0).poisson(largest)
+        except ValueError:
+            raise ValueError(
+                f"beta = {self.beta} gives a visit mean of {largest:.3g}, "
+                "more than numpy's Poisson sampler accepts"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,28 @@
 
 Everything here is written directly from the defining formulas with plain
 loops (or exhaustive search), deliberately avoiding the library's internal
-code paths.
+code paths.  ``npmle_full_grid`` is the exception: the earlier full-grid
+solver, kept as the reference for the solve on the likelihood's support and
+built on the library's per-row helpers.
 """
 
 from itertools import product
 
 import numpy as np
+
+from panelcount.core import StepEstimate, build_time_grid, flatten_observations
+from panelcount.estimators import (
+    SolveDiagnostics,
+    _certificates,
+    _event_rows,
+    _grad_curv,
+    _increments,
+    _loglik,
+    _loglik_diff,
+    _npmple_flat,
+    _score_and_weights,
+    isotonic_regression,
+)
 
 
 def step_at(support, values, t):
@@ -232,3 +248,100 @@ def loglik_hessian_direct(d, u):
                     h[prev, i] += w
             prev, prev_c = i, c
     return h
+
+
+def npmle_full_grid(d, cfg):
+    """The NPMLE solved over every grid point: the modified ICM loop and its
+    Newton polish as they were before the solve moved to the likelihood's
+    support, built on the library's per-row helpers.  The polish holds a
+    first block at the origin and every block of zero curvature.  Returns
+    ``(StepEstimate, SolveDiagnostics)``."""
+
+    def newton_polish(rows, u, du, ll, max_halvings):
+        jumps = u[1:] != u[:-1]
+        block_id = np.concatenate([[0], np.cumsum(jumps)])
+        n_blocks = int(block_id[-1]) + 1
+        g, w = _score_and_weights(rows, du)
+        g_red = np.bincount(block_id, weights=g, minlength=n_blocks)
+        size = n_blocks + 1
+        slot = np.concatenate([[0], block_id + 1])
+        a, b = slot[rows.rank + 1], slot[rows.prev_slot]
+        pairs = np.concatenate([a * size + a, b * size + b, a * size + b, b * size + a])
+        neg_h = np.bincount(pairs, weights=np.concatenate([w, w, -w, -w]), minlength=size * size)
+        neg_h = neg_h.reshape(size, size)[1:, 1:]
+        v = u[np.concatenate([[0], np.flatnonzero(jumps) + 1])]
+        free = np.diagonal(neg_h) > 0
+        free[0] &= v[0] > 0
+        dv = np.zeros(n_blocks)
+        try:
+            dv[free] = np.linalg.solve(neg_h[free][:, free], g_red[free])
+        except np.linalg.LinAlgError:
+            return u, du, ll, False
+        step = 1.0
+        for _ in range(max_halvings + 1):
+            v_cand = v + step * dv
+            if v_cand[0] >= 0 and (v_cand[1:] >= v_cand[:-1]).all():
+                cand = v_cand[block_id]
+                du_cand = _increments(rows, cand)
+                gain = _loglik_diff(rows, cand, du_cand, u, du)
+                if gain > 0:
+                    return cand, du_cand, ll + gain, True
+            step /= 2.0
+        return u, du, ll, False
+
+    grid = build_time_grid(d)
+    flat = flatten_observations(d, grid)
+    pm = _npmple_flat(grid, flat)
+    m = grid.m
+    n = flat.n_subjects
+    rows = _event_rows(flat)
+    u = pm.values + cfg.init_slope_epsilon * np.arange(1, m + 1)
+    du = _increments(rows, u)
+    ll = _loglik(rows, u, du)
+    trace = [ll]
+    rel_change = float("inf")
+    status = "max-iterations"
+    residual = float("inf")
+    iterations = 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        g, c = _grad_curv(rows, du, cfg.curvature_floor_ratio)
+        certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
+        if kkt_ok and rel_change < cfg.rel_tol:
+            status = "converged" if certs_ok else "boundary-origin"
+            break
+        ll_start = ll
+        x = np.maximum(isotonic_regression(u + g / c, c), 0.0)
+        step = 1.0
+        accepted = False
+        for _ in range(cfg.max_halvings + 1):
+            cand = u + step * (x - u)
+            du_cand = _increments(rows, cand)
+            gain = _loglik_diff(rows, cand, du_cand, u, du)
+            if gain >= 0:
+                accepted = True
+                break
+            step /= 2.0
+        u_start = u
+        if accepted:
+            u, du, ll = cand, du_cand, ll + gain
+            trace.append(ll)
+        u, du, ll, polished = newton_polish(rows, u, du, ll, cfg.max_halvings)
+        if polished:
+            trace.append(ll)
+        moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
+        if not moved:
+            status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
+            break
+        rel_change = (ll - ll_start) / (1.0 + abs(ll_start))
+    else:
+        g, _ = _score_and_weights(rows, du)
+        _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol)
+    estimate = StepEstimate(support=grid.points, values=np.maximum.accumulate(np.maximum(u, 0.0)))
+    diag = SolveDiagnostics(
+        iterations=iterations,
+        loglik=ll,
+        fenchel_residual=residual,
+        status=status,
+        loglik_trace=tuple(trace),
+    )
+    return estimate, diag

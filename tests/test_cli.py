@@ -184,6 +184,14 @@ class TestTestCommand:
         solves = [diagnostics["pooled"], *diagnostics["groups"]]
         assert [s["status"] for s in solves] == ["converged"] * 3
 
+    def test_report_carries_solve_time(self, runner, two_group_file, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["test", "--input", two_group_file, "--out", str(out)])
+        assert result.exit_code == 0
+        diagnostics = json.loads(out.read_text())["diagnostics"]
+        solves = [diagnostics["pooled"], *diagnostics["groups"]]
+        assert all(isinstance(s["seconds"], float) and s["seconds"] > 0 for s in solves)
+
     def test_boundary_origin_exit_3_names_status(self, runner, tmp_path):
         rows = ["a,1,1,0", "a,1,2,2", "b,2,1,0", "b,2,3,1"]
         f = write_csv(tmp_path, "boundary2.csv", rows)
@@ -263,6 +271,19 @@ class TestSimulateCommand:
         result = runner.invoke(main, ["simulate", "--n1", "5", "--n2", "5", "--reps", "2"])
         assert result.exit_code == 2
         assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
+
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--beta", "50"], "error: beta = 50.0 gives a visit mean of 5.18e+22, more than numpy's"),
+            (["--case", "2", "--beta", "nan"], "error: beta must be finite, got nan"),
+        ],
+    )
+    def test_bad_beta_exit_2(self, runner, args, message):
+        result = runner.invoke(main, ["simulate", "--reps", "1", "--n1", "3", "--n2", "3", *args])
+        assert result.exit_code == 2
+        assert message in result.output
 
 
 class TestQqCommand:

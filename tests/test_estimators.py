@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from panelcount import (
     IcmConfig,
@@ -19,8 +20,15 @@ from panelcount import (
     npmple,
 )
 from panelcount import estimators
+from panelcount.core import flatten_observations
 from conftest import TIGHT, path, random_dataset
-from _oracles import brute_force_npmle, isotonic_brute_force, isotonic_sequential, loglik_direct
+from _oracles import (
+    brute_force_npmle,
+    isotonic_brute_force,
+    isotonic_sequential,
+    loglik_direct,
+    npmle_full_grid,
+)
 
 
 class TestIsotonicRegression:
@@ -325,6 +333,73 @@ class TestNpmle:
         assert not diag.converged
         np.testing.assert_allclose(est.values, [0.0, 2.0], atol=1e-9)
         assert diag.iterations < 50
+
+
+@st.composite
+def sparse_event_datasets(draw):
+    """Up to 8 subjects on visit times from a set of 8, so times tie across
+    subjects.  Most increments are 0, so many grid points end only rows
+    without events (some of them last visits), and some start and end no
+    row with events at all."""
+    paths = []
+    for i in range(draw(st.integers(1, 8))):
+        times = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0]),
+                              min_size=1, max_size=6, unique=True))
+        increments = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]),
+                                   min_size=len(times), max_size=len(times)))
+        paths.append(path(f"s{i}", 1, sorted(times), np.cumsum(increments)))
+    return PanelDataset.from_paths(paths)
+
+
+class TestSupportSolve:
+    """The solve on the likelihood's support against the full-grid loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=sparse_event_datasets())
+    # no events at all: the support is empty and the estimate is 0
+    @example(d=PanelDataset.from_paths([path("a", 1, [1.0, 2.0], [0, 0]), path("b", 1, [2.0], [0])]))
+    # time 2 is only a last visit, time 3 starts and ends no row with events
+    @example(
+        d=PanelDataset.from_paths(
+            [
+                path("a", 1, [1.0, 2.0], [1, 1]),
+                path("b", 1, [1.0, 3.0, 4.0], [2, 2, 4]),
+                path("c", 1, [4.0], [3]),
+            ]
+        )
+    )
+    def test_matches_full_grid_solve(self, d):
+        # tight certificates run both solves to where the objective stops
+        # moving; at the default tolerance either may stop up to ~1e-11 short
+        cfg = TIGHT
+        est, diag = npmle(d, cfg)
+        want_est, want = npmle_full_grid(d, cfg)
+        rows = estimators._event_rows(flatten_observations(d))
+        u = est.values
+        # the support: grid points that start or end a row with events
+        support = np.zeros(rows.m, dtype=bool)
+        support[rows.rank] = True
+        support[rows.prev_slot[rows.prev_slot > 0] - 1] = True
+        left = np.maximum.accumulate(np.where(support, np.arange(rows.m), -1))
+        np.testing.assert_array_equal(u, np.where(left >= 0, u[np.maximum(left, 0)], 0.0))
+        g, _ = estimators._score_and_weights(rows, estimators._increments(rows, u))
+        certified, residual, kkt = estimators._certificates(g, u, d.n, cfg.fenchel_tol)
+        if support.all():
+            assert diag == want
+            np.testing.assert_array_equal(u, want_est.values)
+        else:
+            assert diag.fenchel_residual == residual
+            assert diag.status == ("converged" if certified else "boundary-origin" if kkt else "stalled")
+        assert abs(diag.loglik - want.loglik) <= 1e-12 * max(1.0, abs(want.loglik))
+
+
+def test_solve_time_is_reported_and_not_compared(rng):
+    d = random_dataset(rng, 20)
+    _, first = npmle(d)
+    _, again = npmle(d)
+    assert first.seconds > 0 and again.seconds > 0
+    assert first == again
+    assert replace(first, seconds=first.seconds + 1.0) == first
 
 
 class TestSolveStatus:

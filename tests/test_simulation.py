@@ -230,10 +230,13 @@ class TestRunPowerStudy:
 
     @pytest.mark.parametrize(
         "statistics, causes",
-        [(("chi2-v", "t2"), (29, 13, 1, 0)), (("t2",), (29, 13, 0, 1))],
+        [(("chi2-v", "t2"), (29, 12, 2, 0)), (("t2",), (29, 12, 0, 2))],
     )
     def test_failures_by_cause(self, statistics, causes):
-        # 2+2 subjects: most replications fail, one of them on a zero weight
+        # 2+2 subjects: most replications fail, one of them on a zero weight.
+        # Replication 50 fails on a degenerate (co)variance too: time 8
+        # starts and ends no row with events, so group 1's estimate takes its
+        # value at time 7 there and does not grow where the pooled one is flat.
         cfg = small_cfg(
             group_sizes=(2, 2),
             nu_mode="gamma",

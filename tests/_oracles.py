@@ -7,6 +7,7 @@ solver, kept as the reference for the solve on the likelihood's support and
 built on the library's per-row helpers.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -104,12 +105,16 @@ def _candidate_loglik(rows, cands):
 
 
 def isotonic_brute_force(y, w):
-    """Exact isotonic fit by enumerating all consecutive-block partitions."""
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    m = y.size
+    """Exact isotonic fit by enumerating all consecutive-block partitions.
+
+    Block means and squared errors are computed in exact rational arithmetic:
+    in floats, two partitions whose objectives differ by less than the
+    rounding of the sum tie, and the first one found would win."""
+    y = [Fraction(v) for v in np.asarray(y, dtype=float).tolist()]
+    w = [Fraction(v) for v in np.asarray(w, dtype=float).tolist()]
+    m = len(y)
     best = None
-    best_sse = float("inf")
+    best_sse = None
     for mask in range(2 ** (m - 1)):
         # bit j set: a block boundary between positions j and j+1
         blocks = []
@@ -119,14 +124,16 @@ def isotonic_brute_force(y, w):
                 blocks.append((start, j + 1))
                 start = j + 1
         blocks.append((start, m))
-        means = [np.dot(w[a:b], y[a:b]) / np.sum(w[a:b]) for a, b in blocks]
+        means = [
+            sum(wi * yi for wi, yi in zip(w[a:b], y[a:b])) / sum(w[a:b]) for a, b in blocks
+        ]
         if any(means[i] > means[i + 1] for i in range(len(means) - 1)):
             continue
-        fit = np.concatenate([np.full(b - a, mu) for (a, b), mu in zip(blocks, means)])
-        sse = float(np.dot(w, (fit - y) ** 2))
-        if sse < best_sse:
+        fit = [mu for (a, b), mu in zip(blocks, means) for _ in range(b - a)]
+        sse = sum(wi * (fi - yi) ** 2 for wi, fi, yi in zip(w, fit, y))
+        if best_sse is None or sse < best_sse:
             best_sse, best = sse, fit
-    return best
+    return np.array([float(v) for v in best])
 
 
 def isotonic_sequential(y, w):

@@ -100,6 +100,11 @@ class TestIsotonicRegression:
             max_size=8,
         )
     )
+    # the exact fit and a flattening of its last blocks have objectives that
+    # differ by less than the rounding of the float sums
+    @example(yw=[(0.0, 1.0), (-1.0, 1.0), (0.0, 0.1), (6.103515625e-05, 0.1), (0.0, 1000.0)])
+    @example(yw=[(1.0, 1e4), (0.0, 1.0), (1.0, 1.0), (360.0, 1e3), (0.0, 1e4)])
+    @example(yw=[(0.0, 1.0), (-2.0, 1.0), (0.0, 1.0), (1e-6, 1e-4)])
     def test_matches_brute_force(self, yw):
         y = np.array([a for a, _ in yw])
         w = np.array([b for _, b in yw])

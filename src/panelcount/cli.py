@@ -206,6 +206,18 @@ def _output(out: str):
         _fail(f"error: {exc}", 2)
 
 
+@contextmanager
+def _test_errors():
+    """A failed solve ends the command with ``error: <message>``, exit 3;
+    a degenerate statistic does so with exit 4."""
+    try:
+        yield
+    except SolverConvergenceError as exc:
+        _fail(f"error: {exc}", 3)
+    except (DegenerateCovarianceError, DegenerateVarianceError, IncrementMismatchError) as exc:
+        _fail(f"error: {exc}", 4)
+
+
 def _write_csv(out: str, header, rows) -> None:
     """Write a header and rows as CSV to ``out`` ('-' for stdout)."""
     with _output(out) as fh:
@@ -299,17 +311,13 @@ def test_command(input_path, weight, stat, alpha, out):
         spec = parse_weight_spec(weight, d.k)
     except DatasetFormatError as exc:
         _fail(f"error: {exc}", 2)
-    try:
+    with _test_errors():
         if stat == "t12":
             report = two_sample_tests(d, spec)
         elif stat == "u":
             report = chi2_u_test(d, spec)
         else:
             report = chi2_v_test(d, spec)
-    except SolverConvergenceError as exc:
-        _fail(f"error: {exc}", 3)
-    except (DegenerateCovarianceError, DegenerateVarianceError, IncrementMismatchError) as exc:
-        _fail(f"error: {exc}", 4)
     pieces = [
         f"{name} = {value:.6g} (p = {report.p_values[name]:.4g})"
         for name, value in report.statistics.items()
@@ -425,7 +433,8 @@ def qq(n, reps, seed, stat, out):
     except ValueError as exc:
         _fail(f"error: {exc}", 2)
     try:
-        table = qq_study(cfg, statistic=stat)
+        with _test_errors():
+            table = qq_study(cfg, statistic=stat)
     except ThreadCountError as exc:
         _fail(f"error: {exc}", 2)
     _write_csv(

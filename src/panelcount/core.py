@@ -377,7 +377,7 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         # Flat spots in the pooled increments undermine the bounded-below
         # increment assumption behind the variance estimates; flag them.
         grid = build_time_grid(d)
-        flat = flatten_observations(d, grid)
+        flat = flatten_observations(d)
         pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
         for t in grid.points[pooled_events == 0].tolist():
             warnings.append(
@@ -418,14 +418,13 @@ class FlatObservations:
     Solver and test-statistic plumbing: ``rank``/``prev_rank`` are 0-based
     grid indices (-1 marks the implicit origin time 0), ``dN`` the
     within-subject count increments, and ``is_last`` each subject's final
-    visit.  ``subj`` maps rows to 0-based subject indices.
+    visit.
     """
 
     times: np.ndarray
     prev_times: np.ndarray
     counts: np.ndarray
     dN: np.ndarray
-    subj: np.ndarray
     is_first: np.ndarray
     is_last: np.ndarray
     rank: np.ndarray
@@ -434,20 +433,13 @@ class FlatObservations:
     m: int
 
 
-def flatten_observations(d: PanelDataset, grid: TimeGrid | None = None) -> FlatObservations:
-    """The rows of ``d`` on ``grid`` (default: the dataset's own grid).
-
-    Computed once per dataset on its own grid; any other grid is computed
-    afresh."""
-    # A grid is the dataset's own only if it has been built from the dataset.
-    if grid is None or grid is vars(d).get("_grid"):
-        return d._flat
-    return _flatten(d, grid)
+def flatten_observations(d: PanelDataset) -> FlatObservations:
+    """The rows of ``d`` on its own grid, computed once per dataset."""
+    return d._flat
 
 
 def _flatten(d: PanelDataset, grid: TimeGrid) -> FlatObservations:
     times, counts, sizes = d.times, d.counts, d.sizes
-    subj = np.repeat(np.arange(d.n), sizes)
     ends = np.cumsum(sizes)
     is_first = np.zeros(times.size, dtype=bool)
     is_first[ends - sizes] = True
@@ -468,7 +460,6 @@ def _flatten(d: PanelDataset, grid: TimeGrid) -> FlatObservations:
         prev_times=prev_times,
         counts=counts,
         dN=dN,
-        subj=subj,
         is_first=is_first,
         is_last=is_last,
         rank=rank,

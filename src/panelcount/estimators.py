@@ -71,24 +71,31 @@ __all__ = [
 ]
 
 
+# The solver's fixed rules: it stops once the cone's optimality conditions
+# hold and one iteration gains less than _REL_TOL of the log-likelihood
+# (relative); a line search halves its step at most _MAX_HALVINGS times; the
+# start is the NPMPLE plus _INIT_SLOPE_EPSILON per grid index, which makes
+# it strictly increasing; and the diagonal curvature is floored at
+# _CURVATURE_FLOOR_RATIO times its largest entry.
+_REL_TOL = 1e-8
+_MAX_HALVINGS = 30
+_INIT_SLOPE_EPSILON = 1e-4
+_CURVATURE_FLOOR_RATIO = 1e-6
+
+
 @dataclass(frozen=True)
 class IcmConfig:
-    """Tolerances and limits for the iterative convex minorant solver."""
+    """Limit and tolerance of the iterative convex minorant solver: the
+    iteration limit and the certificate tolerance of ``SolveDiagnostics``."""
 
     max_iterations: int = 500
-    rel_tol: float = 1e-8
     fenchel_tol: float = 1e-6
-    max_halvings: int = 30
-    init_slope_epsilon: float = 1e-4
-    curvature_floor_ratio: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.max_halvings <= 0:
-            raise ValueError("iteration limits must be positive")
-        if not (0 < self.rel_tol < 1) or not (0 < self.fenchel_tol < 1):
-            raise ValueError("rel_tol and fenchel_tol must lie in (0, 1)")
-        if self.init_slope_epsilon <= 0 or self.curvature_floor_ratio <= 0:
-            raise ValueError("init_slope_epsilon and curvature_floor_ratio must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
+        if not (0 < self.fenchel_tol < 1):
+            raise ValueError("fenchel_tol must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -270,7 +277,7 @@ def _score_and_weights(rows: _EventRows, du: np.ndarray):
     return g, rows.dN / du**2
 
 
-def _grad_curv(rows: _EventRows, du: np.ndarray, floor_ratio: float):
+def _grad_curv(rows: _EventRows, du: np.ndarray):
     """Score and floored negative Hessian diagonal of phi at increments ``du``."""
     g, w = _score_and_weights(rows, du)
     c = np.bincount(rows.rank, weights=w, minlength=rows.m)
@@ -279,7 +286,7 @@ def _grad_curv(rows: _EventRows, du: np.ndarray, floor_ratio: float):
     if cmax <= 0:
         c = np.ones(rows.m)
     else:
-        c = np.maximum(c, floor_ratio * cmax)
+        c = np.maximum(c, _CURVATURE_FLOOR_RATIO * cmax)
     return g, c
 
 
@@ -356,7 +363,7 @@ def npmple(d: PanelDataset) -> StepEstimate:
     """Pseudo-likelihood maximizer: weighted isotonic regression of the
     per-grid-point mean cumulative counts, weighted by observation counts."""
     grid = build_time_grid(d)
-    flat = flatten_observations(d, grid)
+    flat = flatten_observations(d)
     return _npmple_flat(grid, flat)
 
 
@@ -375,22 +382,18 @@ def log_likelihood(d: PanelDataset, e: StepEstimate) -> float:
     increase over it (infeasible point, distinct from a numeric error).
     """
     grid = build_time_grid(d)
-    rows = _event_rows(flatten_observations(d, grid))
+    rows = _event_rows(flatten_observations(d))
     return _loglik(rows, eval_step(e, grid.points))
 
 
-def gradient_and_curvature(
-    d: PanelDataset,
-    grid: TimeGrid,
-    u,
-    curvature_floor_ratio: float = 1e-6,
-):
-    """Score vector and (floored) negative diagonal curvature of phi at ``u``."""
+def gradient_and_curvature(d: PanelDataset, u):
+    """Score vector and (floored) negative diagonal curvature of phi at ``u``,
+    the values at the points of the dataset's grid."""
     u = np.asarray(u, dtype=float)
-    if u.size != grid.m:
+    rows = _event_rows(flatten_observations(d))
+    if u.size != rows.m:
         raise ValueError("u must have one entry per grid point")
-    rows = _event_rows(flatten_observations(d, grid))
-    return _grad_curv(rows, _increments(rows, u), curvature_floor_ratio)
+    return _grad_curv(rows, _increments(rows, u))
 
 
 def _support_rows(rows: _EventRows):
@@ -437,16 +440,16 @@ def _icm(rows: _EventRows, u: np.ndarray, n: int, cfg: IcmConfig):
     residual = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        g, c = _grad_curv(rows, du, cfg.curvature_floor_ratio)
+        g, c = _grad_curv(rows, du)
         certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
-        if kkt_ok and rel_change < cfg.rel_tol:
+        if kkt_ok and rel_change < _REL_TOL:
             status = "converged" if certs_ok else "boundary-origin"
             break
         ll_start = ll
         x = np.maximum(isotonic_regression(u + g / c, c), 0.0)
         step = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = u + step * (x - u)
             du_cand = _increments(rows, cand)
             gain = _loglik_diff(rows, cand, du_cand, u, du)
@@ -458,7 +461,7 @@ def _icm(rows: _EventRows, u: np.ndarray, n: int, cfg: IcmConfig):
         if accepted:
             u, du, ll = cand, du_cand, ll + gain
             trace.append(ll)
-        u, du, ll, polished = _newton_polish(rows, u, du, ll, cfg.max_halvings)
+        u, du, ll, polished = _newton_polish(rows, u, du, ll, _MAX_HALVINGS)
         if polished:
             trace.append(ll)
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
@@ -485,14 +488,14 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig()):
     """
     start = time.perf_counter()
     grid = build_time_grid(d)
-    flat = flatten_observations(d, grid)
+    flat = flatten_observations(d)
     pm = _npmple_flat(grid, flat)
     n = flat.n_subjects
     full = _event_rows(flat)
     rows, support = _support_rows(full)
     u0 = pm.values if support is None else pm.values[support]
     if rows.m:
-        u0 = u0 + cfg.init_slope_epsilon * np.arange(1, rows.m + 1)
+        u0 = u0 + _INIT_SLOPE_EPSILON * np.arange(1, rows.m + 1)
         u, ll, trace, status, residual, iterations = _icm(rows, u0, n, cfg)
     else:
         # no events: phi = -(last visits) . u is largest at u = 0, and the
@@ -520,7 +523,7 @@ def weighted_score_residual(d: PanelDataset, e: StepEstimate, phi) -> float:
     """sum_l phi(u_l) * (d phi / d u_l) evaluated at ``e``; 0 at an exact NPMLE."""
     grid = build_time_grid(d)
     u = eval_step(e, grid.points)
-    g, _ = gradient_and_curvature(d, grid, u)
+    g, _ = gradient_and_curvature(d, u)
     phi_vals = np.array([phi(v) for v in u], dtype=float)
     return float(np.dot(phi_vals, g))
 

@@ -32,8 +32,6 @@ from .core import (
     FlatObservations,
     PanelDataset,
     StepEstimate,
-    TimeGrid,
-    build_time_grid,
     eval_step,
     flatten_observations,
     restrict_to_group,
@@ -69,6 +67,10 @@ class SolverConvergenceError(RuntimeError):
         super().__init__(message)
         self.diagnostics = diagnostics
 
+    def __reduce__(self):
+        # pickled with its diagnostics, as a worker process sends it back
+        return type(self), (str(self), self.diagnostics)
+
 
 class DegenerateCovarianceError(RuntimeError):
     """The estimated covariance is singular (e.g. zero weight or perfect fit)."""
@@ -103,8 +105,6 @@ class TestReport:
 class FitBundle:
     """Pooled and per-group NPMLEs of one dataset, reused across statistics."""
 
-    grid: TimeGrid
-    flat: FlatObservations
     pooled: StepEstimate
     pooled_diag: SolveDiagnostics
     groups: tuple[StepEstimate, ...]
@@ -125,11 +125,8 @@ def _diag_summary(diag: SolveDiagnostics) -> dict[str, Any]:
 def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
     """Solve the pooled NPMLE and one NPMLE per group; error on non-convergence.
 
-    The bundle's grid and flat rows are the dataset's own, computed once and
-    shared with the pooled solve; each group is solved on its rows, taken
-    from the dataset's columns by ``restrict_to_group``."""
-    grid = build_time_grid(d)
-    flat = flatten_observations(d, grid)
+    Each group is solved on its rows, taken from the dataset's columns by
+    ``restrict_to_group``."""
     pooled, pooled_diag = npmle(d, cfg)
     if not pooled_diag.converged:
         raise SolverConvergenceError(
@@ -144,8 +141,6 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
         groups.append(est)
         group_diags.append(diag)
     return FitBundle(
-        grid=grid,
-        flat=flat,
         pooled=pooled,
         pooled_diag=pooled_diag,
         groups=tuple(groups),
@@ -238,7 +233,7 @@ def _statistics(d: PanelDataset, weight_sets, cfg: IcmConfig, fits: FitBundle | 
     fns = _weight_sets(d, weight_sets)
     if fits is None:
         fits = fit_all(d, cfg)
-    flat = fits.flat
+    flat = flatten_observations(d)
     pooled_at, den = _step_increments(fits.pooled, flat)
     eps = _eps_den(fits.pooled)
     group_inc = np.stack([_step_increments(est, flat)[1] for est in fits.groups])

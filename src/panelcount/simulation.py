@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -133,7 +133,6 @@ class SimConfig:
     weight_specs: tuple[WeightSpec, ...] = (WeightSpec(WeightKind.CONST),)
     statistics: tuple[str, ...] = ("t2",)
     alpha: float = 0.05
-    icm: IcmConfig = field(default_factory=IcmConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "group_sizes", tuple(int(s) for s in self.group_sizes))
@@ -275,9 +274,9 @@ def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:
     failing replication raises the error the public tests raise first.
     """
     d = generate_dataset(cfg, replication_index)
-    fits = fit_all(d, cfg.icm)
+    fits = fit_all(d)
     try:
-        _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, cfg.icm, fits)
+        _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, IcmConfig(), fits)
         out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
         for w_idx in range(len(cfg.weight_specs)):
             row = (u[w_idx], v[w_idx], sigma2[w_idx])
@@ -295,7 +294,7 @@ def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:
         # of those tests, the benchmark's tracer among them, see it.
         for spec in cfg.weight_specs:
             for stat in cfg.statistics:
-                _public_test(stat)(d, spec, cfg.icm, fits=fits)
+                _public_test(stat)(d, spec, fits=fits)
         raise
     return out
 
@@ -381,7 +380,7 @@ def run_power_study(cfgs) -> list[PowerRow]:
 def _qq_worker(args):
     cfg, rep = args
     d = generate_dataset(cfg, rep)
-    report = two_sample_tests(d, cfg.weight_specs[0], cfg.icm)
+    report = two_sample_tests(d, cfg.weight_specs[0])
     return report.statistics[cfg.statistics[0].upper()]
 
 
@@ -392,18 +391,7 @@ def qq_study(cfg: SimConfig, statistic: str = "t2") -> np.ndarray:
         raise ValueError("qq_study requires the null design beta = 0")
     if statistic not in _TWO_SAMPLE_STATS:
         raise ValueError("qq_study supports the two-sample statistics t1 and t2")
-    cfg = SimConfig(
-        case=cfg.case,
-        beta=0.0,
-        group_sizes=cfg.group_sizes,
-        nu_mode=cfg.nu_mode,
-        replications=cfg.replications,
-        base_seed=cfg.base_seed,
-        weight_specs=cfg.weight_specs[:1],
-        statistics=(statistic,),
-        alpha=cfg.alpha,
-        icm=cfg.icm,
-    )
+    cfg = replace(cfg, weight_specs=cfg.weight_specs[:1], statistics=(statistic,))
     values = np.sort(np.asarray(_map_replications(cfg, _qq_worker), dtype=float))
     r = cfg.replications
     theoretical = ndtri((np.arange(1, r + 1) - 0.5) / r)

@@ -14,6 +14,9 @@ import numpy as np
 
 from panelcount.core import StepEstimate, build_time_grid, flatten_observations
 from panelcount.estimators import (
+    _INIT_SLOPE_EPSILON,
+    _MAX_HALVINGS,
+    _REL_TOL,
     SolveDiagnostics,
     _certificates,
     _event_rows,
@@ -297,12 +300,12 @@ def npmle_full_grid(d, cfg):
         return u, du, ll, False
 
     grid = build_time_grid(d)
-    flat = flatten_observations(d, grid)
+    flat = flatten_observations(d)
     pm = _npmple_flat(grid, flat)
     m = grid.m
     n = flat.n_subjects
     rows = _event_rows(flat)
-    u = pm.values + cfg.init_slope_epsilon * np.arange(1, m + 1)
+    u = pm.values + _INIT_SLOPE_EPSILON * np.arange(1, m + 1)
     du = _increments(rows, u)
     ll = _loglik(rows, u, du)
     trace = [ll]
@@ -311,16 +314,16 @@ def npmle_full_grid(d, cfg):
     residual = float("inf")
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        g, c = _grad_curv(rows, du, cfg.curvature_floor_ratio)
+        g, c = _grad_curv(rows, du)
         certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
-        if kkt_ok and rel_change < cfg.rel_tol:
+        if kkt_ok and rel_change < _REL_TOL:
             status = "converged" if certs_ok else "boundary-origin"
             break
         ll_start = ll
         x = np.maximum(isotonic_regression(u + g / c, c), 0.0)
         step = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             cand = u + step * (x - u)
             du_cand = _increments(rows, cand)
             gain = _loglik_diff(rows, cand, du_cand, u, du)
@@ -332,7 +335,7 @@ def npmle_full_grid(d, cfg):
         if accepted:
             u, du, ll = cand, du_cand, ll + gain
             trace.append(ll)
-        u, du, ll, polished = newton_polish(rows, u, du, ll, cfg.max_halvings)
+        u, du, ll, polished = newton_polish(rows, u, du, ll, _MAX_HALVINGS)
         if polished:
             trace.append(ll)
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))

@@ -317,6 +317,21 @@ class TestQqCommand:
         assert result.exit_code == 2
         assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_nonconvergence_exit_3(self, runner, monkeypatch, threads):
+        # 2+2 subjects: a group 2 solve ends at the origin boundary; with
+        # two workers the error comes back from a worker process
+        monkeypatch.setenv("PCT_THREADS", threads)
+        result = runner.invoke(main, ["qq", "--n", "4", "--reps", "40", "--seed", "0"])
+        assert result.exit_code == 3
+        assert "error: group 2 NPMLE did not converge (boundary-origin)" in result.output
+        assert "Traceback" not in result.output
+
+    def test_degenerate_statistic_exit_4(self, runner):
+        result = runner.invoke(main, ["qq", "--n", "8", "--reps", "60", "--seed", "1"])
+        assert result.exit_code == 4
+        assert "error: pooled increment beneath floor" in result.output
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize(

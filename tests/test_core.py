@@ -37,7 +37,7 @@ def validate_path_by_path(d):
                 errors.append(f"group {l} has no paths")
     if not errors:
         grid = build_time_grid(d)
-        flat = flatten_observations(d, grid)
+        flat = flatten_observations(d)
         pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
         for ell in np.flatnonzero(pooled_events == 0):
             warnings.append(
@@ -330,12 +330,7 @@ class TestColumnStorage:
         d = random_dataset(rng, 12, k=2)
         grid = build_time_grid(d)
         assert build_time_grid(d) is grid
-        assert flatten_observations(d) is flatten_observations(d, grid)
-        other = build_time_grid(restrict_to_group(d, 1))
-        fresh = flatten_observations(d, other)
-        assert fresh is not flatten_observations(d, other)
-        assert fresh.m == other.m
-        np.testing.assert_array_equal(fresh.rank, np.searchsorted(other.points, d.times))
+        assert flatten_observations(d) is flatten_observations(d)
 
     def test_immutable(self, rng):
         d = column_built(random_dataset(rng, 5).paths, k=1)

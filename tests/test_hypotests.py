@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from panelcount import (
     DegenerateCovarianceError,
     DegenerateVarianceError,
+    IcmConfig,
     PanelDataset,
+    SolverConvergenceError,
     WeightFn,
     WeightKind,
     WeightSpec,
@@ -350,3 +353,17 @@ class TestStatisticInvariants:
         r2 = two_sample_tests(shuffled, CONST, cfg=TIGHT)
         assert math.isclose(r1.statistics["T1"], r2.statistics["T1"], rel_tol=1e-6, abs_tol=1e-9)
         assert math.isclose(r1.statistics["T2"], r2.statistics["T2"], rel_tol=1e-6, abs_tol=1e-9)
+
+
+class TestSolverConvergenceError:
+    def test_pickle_round_trip_keeps_diagnostics(self, rng):
+        # a worker process sends the error back to its parent pickled
+        d = random_dataset(rng, 20, k=2)
+        with pytest.raises(SolverConvergenceError) as raised:
+            fit_all(d, IcmConfig(max_iterations=1))
+        exc = raised.value
+        assert exc.diagnostics.status == "max-iterations"
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is SolverConvergenceError
+        assert str(copy) == str(exc)
+        assert copy.diagnostics == exc.diagnostics

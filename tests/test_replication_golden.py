@@ -95,16 +95,16 @@ def per_weight_pvalues(cfg, rep):
     """The p-value matrix from the public tests, one weight and statistic at
     a time, in weight-major order."""
     d = generate_dataset(cfg, rep)
-    fits = fit_all(d, cfg.icm)
+    fits = fit_all(d)
     out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
     for w_idx, spec in enumerate(cfg.weight_specs):
         for s_idx, stat in enumerate(cfg.statistics):
             if stat in ("t1", "t2"):
-                p = two_sample_tests(d, spec, cfg.icm, fits=fits).p_values[stat.upper()]
+                p = two_sample_tests(d, spec, fits=fits).p_values[stat.upper()]
             elif stat == "chi2-u":
-                p = chi2_u_test(d, spec, cfg.icm, fits=fits).p_values["chi2"]
+                p = chi2_u_test(d, spec, fits=fits).p_values["chi2"]
             else:
-                p = chi2_v_test(d, spec, cfg.icm, fits=fits).p_values["chi2"]
+                p = chi2_v_test(d, spec, fits=fits).p_values["chi2"]
             out[s_idx, w_idx] = p
     return out
 
@@ -122,7 +122,7 @@ def replication_digest(cfg, replications):
     h = hashlib.sha256()
     for rep in range(replications):
         try:
-            fits = fit_all(generate_dataset(cfg, rep), cfg.icm)
+            fits = fit_all(generate_dataset(cfg, rep))
             diags = (fits.pooled_diag, *fits.group_diags)
         except SolverConvergenceError as exc:
             diags = (exc.diagnostics,)
@@ -180,16 +180,16 @@ def test_failing_replication_raises_the_per_weight_error(statistics, rep, error)
         simulation._replication_pvalues(cfg, rep)
 
 
-def fits_by_paths(d, cfg):
+def fits_by_paths(d):
     """``fit_all``'s solves on path-built datasets: the pooled NPMLE, then one
     per group over that group's paths relabeled to 1, each checked in turn."""
-    pooled = npmle(PanelDataset.from_paths(d.paths, k=d.k), cfg)
+    pooled = npmle(PanelDataset.from_paths(d.paths, k=d.k))
     if not pooled[1].converged:
         raise SolverConvergenceError(f"pooled NPMLE did not converge ({pooled[1].status})", pooled[1])
     groups = []
     for l in range(1, d.k + 1):
         kept = [replace(p, group=1) for p in d.paths if p.group == l]
-        est, diag = npmle(PanelDataset.from_paths(kept, k=1), cfg)
+        est, diag = npmle(PanelDataset.from_paths(kept, k=1))
         if not diag.converged:
             raise SolverConvergenceError(f"group {l} NPMLE did not converge ({diag.status})", diag)
         groups.append((est, diag))
@@ -216,15 +216,15 @@ def test_group_fits_are_npmle_of_restricted_groups(cfg):
     for rep in range(cfg.replications):
         d = generate_dataset(cfg, rep)
         try:
-            expected = fits_by_paths(d, cfg.icm)
+            expected = fits_by_paths(d)
         except SolverConvergenceError as exc:
             raised += 1
             with pytest.raises(SolverConvergenceError) as got:
-                fit_all(d, cfg.icm)
+                fit_all(d)
             assert str(got.value) == str(exc)
             assert got.value.diagnostics == exc.diagnostics
             continue
-        fits = fit_all(d, cfg.icm)
+        fits = fit_all(d)
         assert_same_fit((fits.pooled, fits.pooled_diag), expected[0])
         for l in range(d.k):
             assert_same_fit((fits.groups[l], fits.group_diags[l]), expected[1][l])

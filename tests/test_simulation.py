@@ -272,3 +272,9 @@ class TestQqStudy:
     def test_deterministic(self):
         cfg = small_cfg(replications=5, group_sizes=(15, 15))
         np.testing.assert_array_equal(qq_study(cfg, "t2"), qq_study(cfg, "t2"))
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        cfg = small_cfg(replications=6, group_sizes=(15, 15))
+        serial = qq_study(cfg, "t1")
+        monkeypatch.setenv("PCT_THREADS", "2")
+        np.testing.assert_array_equal(qq_study(cfg, "t1"), serial)

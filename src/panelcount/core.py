@@ -5,13 +5,13 @@ cumulative event counts.  This module holds the observation-path and dataset
 containers, the pooled time grid with its rank function, the nondecreasing
 step functions used by every estimator, and structural validation.
 
-A dataset is an immutable value stored as subject-major columns (every
-subject's visit times and counts in turn, with per-subject sizes, groups and
-ids).  Its ``paths`` are a view built from the columns on first read; a
-dataset built from paths keeps them and derives the columns once, when first
-needed.  The pooled grid and flat rows of a dataset are computed once and
-kept, so every estimator and statistic of one dataset shares them, and a
-group is taken by a row mask over the columns.
+A dataset is an immutable value, always stored as subject-major columns
+(every subject's visit times and counts in turn, with per-subject sizes,
+groups and ids); a dataset built from paths is built from their concatenated
+columns.  Its ``paths`` are a view built from the columns on first read.  The
+pooled grid and flat rows of a dataset are computed once and kept, so every
+estimator and statistic of one dataset shares them, and a group is taken by a
+row mask over the columns.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ class ObservationPath:
     ``times`` must be strictly increasing positive reals and ``counts`` the
     nondecreasing cumulative number of events seen up to each visit; both
     have the same length K >= 1.  The implicit origin is (0, 0).  Contents
-    are stored as-is so that :func:`validate_dataset` can report violations.
+    are stored as-is so that :func:`validate_dataset` can report violations,
+    except that ``PanelDataset.from_paths`` rejects a path whose times and
+    counts differ in length.
     """
 
     subject_id: str
@@ -77,25 +79,30 @@ class PanelDataset:
     Stored as subject-major columns: ``times`` and ``counts`` hold every
     subject's visits in turn, ``sizes`` the number of visits of each subject,
     ``groups`` and ``subject_ids`` their labels.  The column arrays are
-    read-only.  ``paths`` is built from the columns on first read and kept.
-    ``PanelDataset(paths, k)`` and ``from_paths`` keep the given paths and
-    derive the columns on first use; paths whose times and counts differ in
-    length have no columns, and of such a dataset only ``paths``, ``n``,
-    ``k``, ``==`` and ``validate_dataset`` are defined.
+    read-only.  Build one with ``from_columns``, or with ``from_paths``, which
+    concatenates the paths' columns.  ``paths`` is a view built from the
+    columns on first read and kept.
     """
 
     __hash__ = None
 
-    def __init__(self, paths, k: int):
-        paths = tuple(paths)
-        self.__dict__.update(paths=paths, k=k, n=len(paths))
-
     @classmethod
     def from_paths(cls, paths, k: int | None = None) -> "PanelDataset":
+        """The dataset of ``paths`` in order; ``k`` defaults to the largest
+        group label.  A path whose times and counts differ in length is
+        rejected."""
         paths = tuple(paths)
-        if k is None:
-            k = max((p.group for p in paths), default=0)
-        return cls(paths=paths, k=k)
+        for p in paths:
+            if p.times.size != p.counts.size:
+                raise ValueError(f"subject {p.subject_id}: times and counts have different lengths")
+        return cls.from_columns(
+            times=np.concatenate([p.times for p in paths] or [np.zeros(0)]),
+            counts=np.concatenate([p.counts for p in paths] or [np.zeros(0)]),
+            sizes=[p.times.size for p in paths],
+            groups=[p.group for p in paths],
+            subject_ids=[p.subject_id for p in paths],
+            k=k,
+        )
 
     @classmethod
     def from_columns(
@@ -117,9 +124,13 @@ class PanelDataset:
             k = max(groups.tolist(), default=0)
         d = cls.__new__(cls)
         d.__dict__.update(
+            times=times,
+            counts=counts,
+            sizes=sizes,
+            groups=groups,
+            subject_ids=subject_ids,
             k=k,
             n=len(subject_ids),
-            _columns=_Columns(times, counts, sizes, groups, subject_ids),
         )
         return d
 
@@ -151,44 +162,6 @@ class PanelDataset:
         )
 
     @cached_property
-    def _columns(self) -> "_Columns":
-        paths = self.paths
-        for p in paths:
-            if p.times.size != p.counts.size:
-                raise ValueError(f"subject {p.subject_id}: times and counts have different lengths")
-        return _Columns(
-            times=_readonly(np.concatenate([p.times for p in paths] or [np.zeros(0)])),
-            counts=_readonly(np.concatenate([p.counts for p in paths] or [np.zeros(0)])),
-            sizes=_readonly(np.array([p.times.size for p in paths], dtype=int)),
-            groups=_labels([p.group for p in paths]),
-            subject_ids=tuple(p.subject_id for p in paths),
-        )
-
-    @property
-    def times(self) -> np.ndarray:
-        """Visit times of every subject in turn."""
-        return self._columns.times
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Cumulative counts, row for row with ``times``."""
-        return self._columns.counts
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Number of visits of each subject."""
-        return self._columns.sizes
-
-    @property
-    def groups(self) -> np.ndarray:
-        """Group label of each subject."""
-        return self._columns.groups
-
-    @property
-    def subject_ids(self) -> tuple[str, ...]:
-        return self._columns.subject_ids
-
-    @cached_property
     def group_sizes(self) -> tuple[int, ...]:
         g = self.groups
         in_range = (g >= 1) & (g <= self.k)
@@ -201,15 +174,6 @@ class PanelDataset:
     @cached_property
     def _flat(self) -> "FlatObservations":
         return _flatten(self, self._grid)
-
-
-@dataclass(frozen=True)
-class _Columns:
-    times: np.ndarray
-    counts: np.ndarray
-    sizes: np.ndarray
-    groups: np.ndarray
-    subject_ids: tuple[str, ...]
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -294,9 +258,6 @@ class ValidationReport:
 def _path_errors(p: ObservationPath, k: int) -> list[str]:
     sid = p.subject_id
     errs = []
-    if p.times.size != p.counts.size:
-        errs.append(f"subject {sid}: times and counts have different lengths")
-        return errs
     if p.times.size < 1:
         errs.append(f"subject {sid}: no observations")
         return errs
@@ -341,24 +302,13 @@ def _suspect_paths(d: PanelDataset) -> np.ndarray:
     return np.flatnonzero(suspect)
 
 
-def _has_columns(d: PanelDataset) -> bool:
-    """False for a dataset of paths whose times and counts differ in length."""
-    try:
-        d.times
-    except ValueError:
-        return False
-    return True
-
-
 def validate_dataset(d: PanelDataset) -> ValidationReport:
     """Check every structural invariant; violations are reported, not raised.
 
     One vectorized pass over all rows finds the paths that may break an
     invariant; ``_path_errors`` then words the errors of those paths alone,
     in path order, so each message and its place in ``errors`` are those of
-    checking every path in turn.  Paths whose times and counts differ in
-    length have no rows to pass over, so such a dataset has every path
-    checked in turn.
+    checking every path in turn.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -366,8 +316,7 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         errors.append("dataset has no paths")
     if d.k < 1:
         errors.append("dataset must have k >= 1 groups")
-    suspects = _suspect_paths(d) if _has_columns(d) else range(d.n)
-    for i in suspects:
+    for i in _suspect_paths(d):
         errors.extend(_path_errors(d.paths[i], d.k))
     if not errors:
         for l, n_l in enumerate(d.group_sizes, start=1):

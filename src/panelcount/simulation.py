@@ -22,9 +22,11 @@ that fails is excluded from the rejection fractions and counted by cause
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -323,13 +325,41 @@ def _thread_count() -> int:
         raise ThreadCountError(f"PCT_THREADS must be an integer, got {raw!r}") from None
 
 
+# Set in each worker process of a parallel map; see ``_map_replications``.
+_stop_event = None
+
+
+def _init_worker(stop) -> None:
+    global _stop_event
+    _stop_event = stop
+
+
+def _unless_stopped(worker, job):
+    """``worker(job)``, or None once the parent has seen a replication fail."""
+    if _stop_event.is_set():
+        return None
+    return worker(job)
+
+
 def _map_replications(cfg: SimConfig, worker):
+    """``worker`` over every replication of ``cfg``, in order, on
+    ``PCT_THREADS`` processes but no more than there are replications.  A
+    failure raises as soon as every earlier replication has returned, as in
+    a serial run: ``Executor.map`` then drops the chunks no worker holds, and
+    the stop event makes the held chunks skip their remaining replications."""
     jobs = [(cfg, rep) for rep in range(cfg.replications)]
-    threads = _thread_count()
-    if threads > 1 and cfg.replications > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    threads = min(_thread_count(), cfg.replications)
+    if threads > 1:
+        stop = multiprocessing.Event()
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_init_worker, initargs=(stop,)
+        ) as pool:
             chunk = max(1, cfg.replications // (8 * threads))
-            return list(pool.map(worker, jobs, chunksize=chunk))
+            try:
+                return list(pool.map(partial(_unless_stopped, worker), jobs, chunksize=chunk))
+            except BaseException:
+                stop.set()
+                raise
     return [worker(job) for job in jobs]
 
 

@@ -58,8 +58,8 @@ def _rarely(draw, one_in=8):
 def malformed_datasets(draw):
     """Datasets of well-formed paths with a few entries replaced: non-finite,
     non-positive, tied or decreasing times; negative, decreasing, fractional
-    or non-finite counts; groups outside 1..k; length mismatches; empty
-    paths; and k or n of 0.  About a fifth of the datasets are valid."""
+    or non-finite counts; groups outside 1..k; empty paths; and k or n of 0.
+    About a fifth of the datasets are valid."""
     k = 0 if _rarely(draw, 16) else draw(st.integers(1, 3))
     paths = []
     for i in range(draw(st.integers(0, 6))):
@@ -72,8 +72,6 @@ def malformed_datasets(draw):
                 times[j] = draw(_BAD_TIMES)
             else:
                 counts[j] = draw(_BAD_COUNTS)
-        if _rarely(draw, 24):
-            counts = counts[:-1] if size else np.zeros(1)
         group = 1 + i % max(k, 1)
         if _rarely(draw, 24):
             group = draw(st.sampled_from([-1, 0, k + 1, 10**30]))
@@ -103,10 +101,6 @@ class TestValidateDataset:
     def test_empty_dataset(self):
         report = validate_dataset(PanelDataset.from_paths([]))
         assert not report.ok
-
-    def test_length_mismatch(self):
-        d = PanelDataset.from_paths([path("a", 1, [1.0, 2.0], [1])])
-        assert any("different lengths" in e for e in validate_dataset(d).errors)
 
     def test_missing_group_label(self):
         d = PanelDataset.from_paths([path("a", 1, [1.0], [1])], k=2)
@@ -361,8 +355,25 @@ class TestColumnStorage:
         with pytest.raises(ValueError):
             PanelDataset.from_columns([1.0, 2.0], [0.0, 1.0], [3, -1], [1, 1], ["a", "b"])
 
-    def test_paths_of_unequal_lengths_have_no_columns(self):
-        d = PanelDataset.from_paths([path("a", 1, [1.0, 2.0], [1])])
-        assert d.n == 1
-        with pytest.raises(ValueError, match="subject a: times and counts have different lengths"):
-            d.times
+    def test_from_paths_rejects_unequal_lengths(self):
+        paths = [
+            path("a", 1, [1.0], [1]),
+            path("b", 1, [1.0, 2.0], [1]),
+            path("c", 2, [1.0], [1, 2]),
+        ]
+        with pytest.raises(ValueError, match="^subject b: times and counts have different lengths$"):
+            PanelDataset.from_paths(paths)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=6).filter(
+            lambda sizes: any(nt != nc for nt, nc in sizes)
+        )
+    )
+    def test_from_paths_rejects_any_unequal_lengths(self, sizes):
+        paths = [
+            path(f"s{i}", 1, np.arange(1.0, nt + 1), np.zeros(nc)) for i, (nt, nc) in enumerate(sizes)
+        ]
+        first = next(i for i, (nt, nc) in enumerate(sizes) if nt != nc)
+        with pytest.raises(ValueError, match=f"^subject s{first}: times and counts have different lengths$"):
+            PanelDataset.from_paths(paths, k=1)

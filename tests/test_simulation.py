@@ -1,4 +1,7 @@
 import math
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,16 @@ def failure_causes(row):
         row.degenerate_covariance,
         row.degenerate_variance,
     )
+
+
+def fail_first_record_rest(job):
+    """Fails on replication 0; every other replication takes 20 ms and leaves
+    a file named after it in the directory ``$RAN_DIR``."""
+    _, rep = job
+    if rep == 0:
+        raise RuntimeError("replication 0 failed")
+    time.sleep(0.02)
+    (Path(os.environ["RAN_DIR"]) / str(rep)).touch()
 
 
 def small_cfg(**kw):
@@ -278,3 +291,40 @@ class TestQqStudy:
         serial = qq_study(cfg, "t1")
         monkeypatch.setenv("PCT_THREADS", "2")
         np.testing.assert_array_equal(qq_study(cfg, "t1"), serial)
+
+
+class TestMapReplications:
+    def test_failure_stops_remaining_replications(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("RAN_DIR", str(tmp_path))
+        monkeypatch.setenv("PCT_THREADS", "2")
+        cfg = small_cfg(replications=400)
+        with pytest.raises(RuntimeError, match="replication 0 failed"):
+            simulation._map_replications(cfg, fail_first_record_rest)
+        # 16 chunks of 25: without the stop, the chunks held by the workers
+        # when replication 0 fails (100 replications) run to their end.
+        assert len(list(tmp_path.iterdir())) < 25
+
+    def test_no_more_processes_than_replications(self, monkeypatch):
+        started = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialExecutor)
+        monkeypatch.setattr(simulation, "_stop_event", None)
+        monkeypatch.setenv("PCT_THREADS", "64")
+        for reps in (3, 1):
+            result = simulation._map_replications(small_cfg(replications=reps), lambda job: job[1])
+            assert result == list(range(reps))
+        assert started == [3]

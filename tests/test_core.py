@@ -102,6 +102,11 @@ class TestValidateDataset:
         report = validate_dataset(PanelDataset.from_paths([]))
         assert not report.ok
 
+    def test_length_mismatch(self):
+        # Such a path never reaches validate_dataset: building the dataset fails.
+        with pytest.raises(ValueError, match="^subject a: times and counts have different lengths$"):
+            PanelDataset.from_paths([path("a", 1, [1.0, 2.0], [1])])
+
     def test_missing_group_label(self):
         d = PanelDataset.from_paths([path("a", 1, [1.0], [1])], k=2)
         assert any("group 2 has no paths" in e for e in validate_dataset(d).errors)
@@ -355,7 +360,7 @@ class TestColumnStorage:
         with pytest.raises(ValueError):
             PanelDataset.from_columns([1.0, 2.0], [0.0, 1.0], [3, -1], [1, 1], ["a", "b"])
 
-    def test_from_paths_rejects_unequal_lengths(self):
+    def test_paths_of_unequal_lengths_have_no_columns(self):
         paths = [
             path("a", 1, [1.0], [1]),
             path("b", 1, [1.0, 2.0], [1]),

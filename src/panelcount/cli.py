@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import click
 import numpy as np
@@ -33,7 +33,7 @@ from .hypotests import (
     chi2_v_test,
     two_sample_tests,
 )
-from .simulation import FAILURE_CAUSES, SimConfig, ThreadCountError, qq_study, run_power_study
+from .simulation import PowerRow, SimConfig, ThreadCountError, qq_study, run_power_study
 from .weights import WeightKind, WeightSpec
 
 __all__ = [
@@ -218,6 +218,22 @@ def _test_errors():
         _fail(f"error: {exc}", 4)
 
 
+# The ``simulate`` CSV columns are the ``PowerRow`` fields in order, these two renamed.
+_SIMULATE_COLUMNS = {"nu_mode": "nu", "base_seed": "seed"}
+
+
+def _csv_cell(value):
+    """A ``PowerRow`` field as written to the CSV: a bool as 0/1, a float by
+    ``repr``, group sizes joined by '+'."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return "+".join(str(v) for v in value)
+    return value
+
+
 def _write_csv(out: str, header, rows) -> None:
     """Write a header and rows as CSV to ``out`` ('-' for stdout)."""
     with _output(out) as fh:
@@ -370,41 +386,8 @@ def simulate(case, beta, n1, n2, nu, reps, seed, weights, stats, alpha, out):
         _fail(f"error: {exc}", 2)
     _write_csv(
         out,
-        [
-            "case",
-            "beta",
-            "group_sizes",
-            "nu",
-            "replications",
-            "seed",
-            "alpha",
-            "statistic",
-            "weight",
-            "rejections",
-            "failures",
-            "reject_rate",
-            "suspect",
-            *FAILURE_CAUSES.values(),
-        ],
-        (
-            [
-                row.case,
-                repr(row.beta),
-                "+".join(str(s) for s in row.group_sizes),
-                row.nu_mode,
-                row.replications,
-                row.base_seed,
-                repr(row.alpha),
-                row.statistic,
-                row.weight,
-                row.rejections,
-                row.failures,
-                repr(row.reject_rate),
-                int(row.suspect),
-                *(getattr(row, cause) for cause in FAILURE_CAUSES.values()),
-            ]
-            for row in rows
-        ),
+        [_SIMULATE_COLUMNS.get(f.name, f.name) for f in fields(PowerRow)],
+        ([_csv_cell(getattr(row, f.name)) for f in fields(PowerRow)] for row in rows),
     )
     sys.exit(0)
 

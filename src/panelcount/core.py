@@ -364,14 +364,14 @@ def restrict_to_group(d: PanelDataset, l: int) -> PanelDataset:
 class FlatObservations:
     """All (subject, visit) rows of a dataset in subject-major order.
 
-    Solver and test-statistic plumbing: ``rank``/``prev_rank`` are 0-based
-    grid indices (-1 marks the implicit origin time 0), ``dN`` the
-    within-subject count increments, and ``is_last`` each subject's final
-    visit.
+    Solver and test-statistic plumbing: ``rank``/``prev_rank`` are the 0-based
+    grid indices of each visit and of the one before it (-1 marks the
+    implicit origin time 0), so a function read once on the grid is read at
+    every row by rank; ``dN`` holds the within-subject count increments, and
+    ``is_last`` marks each subject's final visit.
     """
 
     times: np.ndarray
-    prev_times: np.ndarray
     counts: np.ndarray
     dN: np.ndarray
     is_first: np.ndarray
@@ -394,9 +394,6 @@ def _flatten(d: PanelDataset, grid: TimeGrid) -> FlatObservations:
     is_first[ends - sizes] = True
     is_last = np.zeros(times.size, dtype=bool)
     is_last[ends - 1] = True
-    prev_times = np.empty_like(times)
-    prev_times[1:] = times[:-1]
-    prev_times[is_first] = 0.0
     dN = np.empty_like(counts)
     dN[1:] = counts[1:] - counts[:-1]
     dN[is_first] = counts[is_first]
@@ -406,7 +403,6 @@ def _flatten(d: PanelDataset, grid: TimeGrid) -> FlatObservations:
     prev_rank[is_first] = -1
     arrays = dict(
         times=times,
-        prev_times=prev_times,
         counts=counts,
         dN=dN,
         is_first=is_first,

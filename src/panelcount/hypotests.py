@@ -11,12 +11,15 @@ chi-square tests for k groups and standard-normal tests for k = 2.
 U, V and the variance are all sums over subjects of one bracket,
 sum_j W(t_j) Lambda(t_j) (q_{j+1} - q_j), closed by a terminal constant,
 where q is the ratio of a group (or observed) increment to the pooled one.
-One kernel takes any number W of weight sets, evaluates the pooled and
-per-group increments once and each distinct weight once, and returns U, V
-and sigma^2 for all W sets through that single bracket.  The public tests
-call it with one weight set and format its rows with small helpers
-(``_two_sample``, ``_chi2``); a Monte Carlo replication calls it once for
-all of its weights and reads p-values through the same helpers.
+They depend on the data only through the pooled and per-group NPMLEs, so
+the tests take those fits (``fits=``) and, given none, solve them with
+``fit_all``, which alone takes solver settings.  One kernel takes any number
+W of weight sets, reads each estimate once on the grid and gathers it at
+every row by rank, evaluates each distinct weight once, and returns U, V and
+sigma^2 for all W sets through that single bracket.  The public tests call
+it with one weight set and build their report in ``_test``; a Monte Carlo
+replication calls it once for all of its weights and reads p-values through
+the same helpers (``_two_sample``, ``_chi2``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .core import (
     FlatObservations,
     PanelDataset,
     StepEstimate,
+    build_time_grid,
     eval_step,
     flatten_observations,
     restrict_to_group,
@@ -187,16 +191,23 @@ def _brackets(flat: FlatObservations, a, q, terminal):
     return np.add.reduceat(a * (q_next - q), np.flatnonzero(flat.is_first), axis=-1)
 
 
-def _step_increments(e: StepEstimate, flat: FlatObservations):
-    right = eval_step(e, flat.times)
-    return right, right - eval_step(e, flat.prev_times)
+def _increments(d: PanelDataset, flat: FlatObservations, estimates):
+    """``(values, increments)`` of each estimate at every row of ``flat``,
+    one row per estimate.  Each estimate is read once, at the origin and at
+    every grid point, and its readings are gathered by the rows' grid ranks."""
+    points = np.concatenate(([0.0], build_time_grid(d).points))
+    at = np.stack([eval_step(e, points) for e in estimates])
+    right = at[:, flat.rank + 1]
+    return right, right - at[:, flat.prev_rank + 1]
 
 
-def sigma_hat_sq(d: PanelDataset, pooled: StepEstimate, w: WeightFn) -> float:
+def sigma_hat_sq(d: PanelDataset, pooled: StepEstimate, w: WeightSpec | WeightFn) -> float:
     """Consistent estimate of the common asymptotic variance of the statistics:
     the mean squared weighted rate-difference bracket across subjects."""
+    if isinstance(w, WeightSpec):
+        w = make_weight(d, w)
     flat = flatten_observations(d)
-    pooled_at, den = _step_increments(pooled, flat)
+    (pooled_at,), (den,) = _increments(d, flat, [pooled])
     q = _increment_ratios(flat.dN, den, _eps_den(pooled), counts=flat.dN)
     brackets = _brackets(flat, w(flat.times) * pooled_at, q, 1.0)
     return float(np.mean(brackets**2))
@@ -225,19 +236,19 @@ def _weight_sets(d: PanelDataset, weight_sets) -> list[list[WeightFn]]:
     return out
 
 
-def _statistics(d: PanelDataset, weight_sets, cfg: IcmConfig, fits: FitBundle | None):
+def _statistics(d: PanelDataset, weight_sets, fits: FitBundle | None):
     """``(fns, fits, u, v, sigma2)`` for W weight sets: U (W x k), V (W x (k-1))
     and sigma^2 (W x k), entry (w, l) taken under set w's weight for group l,
-    from one evaluation of the pooled and group increments.  Each distinct
+    from one reading of the pooled and group estimates.  Each distinct
     weight is evaluated once."""
     fns = _weight_sets(d, weight_sets)
     if fits is None:
-        fits = fit_all(d, cfg)
+        fits = fit_all(d)
     flat = flatten_observations(d)
-    pooled_at, den = _step_increments(fits.pooled, flat)
+    at, inc = _increments(d, flat, [fits.pooled, *fits.groups])
+    pooled_at, den = at[0], inc[0]
     eps = _eps_den(fits.pooled)
-    group_inc = np.stack([_step_increments(est, flat)[1] for est in fits.groups])
-    q = _increment_ratios(group_inc, den, eps)
+    q = _increment_ratios(inc[1:], den, eps)
     q_obs = _increment_ratios(flat.dN, den, eps, counts=flat.dN)
     distinct = {id(fn): fn for row in fns for fn in row}
     at_times = {key: fn(flat.times) for key, fn in distinct.items()}
@@ -249,26 +260,16 @@ def _statistics(d: PanelDataset, weight_sets, cfg: IcmConfig, fits: FitBundle | 
     return fns, fits, u, v, sigma2
 
 
-def u_statistics(
-    d: PanelDataset,
-    weights,
-    cfg: IcmConfig = IcmConfig(),
-    fits: FitBundle | None = None,
-) -> np.ndarray:
+def u_statistics(d: PanelDataset, weights, fits: FitBundle | None = None) -> np.ndarray:
     """U_n^(l) for l = 1..k: each group's rate of increase against the pooled one."""
-    return _statistics(d, [weights], cfg, fits)[2][0]
+    return _statistics(d, [weights], fits)[2][0]
 
 
-def v_statistics(
-    d: PanelDataset,
-    weights,
-    cfg: IcmConfig = IcmConfig(),
-    fits: FitBundle | None = None,
-) -> np.ndarray:
+def v_statistics(d: PanelDataset, weights, fits: FitBundle | None = None) -> np.ndarray:
     """V_n^(l) for l = 2..k: group 1 contrasted with group l."""
     if d.k < 2:
         raise ValueError("v_statistics requires k >= 2 groups")
-    return _statistics(d, [weights], cfg, fits)[3][0]
+    return _statistics(d, [weights], fits)[3][0]
 
 
 def covariance_u(group_sizes: Sequence[int], sigma2: Sequence[float]) -> np.ndarray:
@@ -289,8 +290,7 @@ def covariance_v(group_sizes: Sequence[int], sigma2: Sequence[float]) -> np.ndar
     n = nl.sum()
     h = np.zeros((k - 1, k))
     h[:, 0] = -np.sqrt(n / nl[0])
-    for r in range(k - 1):
-        h[r, r + 1] = np.sqrt(n / nl[r + 1])
+    h[:, 1:] = np.diag(np.sqrt(n / nl[1:]))
     return h @ np.diag(s2) @ h.T
 
 
@@ -315,13 +315,6 @@ def _solve_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
-
-
-def _bundle_diagnostics(fits: FitBundle) -> dict[str, Any]:
-    return {
-        "pooled": _diag_summary(fits.pooled_diag),
-        "groups": [_diag_summary(dg) for dg in fits.group_diags],
-    }
 
 
 def _chi2(method: str, u, v, sigma2, group_sizes):
@@ -358,68 +351,56 @@ def _two_sample(u, v, sigma2, group_sizes, n: int):
     return statistics, p_values, variance
 
 
-def _chi2_test(d: PanelDataset, weights, cfg: IcmConfig, fits: FitBundle | None, method: str):
-    if d.k < 2:
-        raise ValueError("chi-square tests require k >= 2 groups")
-    fns, fits, u, v, sigma2 = _statistics(d, [weights], cfg, fits)
-    chi2, p_value, cov = _chi2(method, u[0], v[0], sigma2[0], d.group_sizes)
+def _test(d: PanelDataset, weights, fits: FitBundle | None, method: str) -> TestReport:
+    """The report of ``method`` ("U-test", "V-test" or "two-sample-T12")
+    under one weight set."""
+    fns, fits, u, v, sigma2 = _statistics(d, [weights], fits)
+    u, v, sigma2 = u[0], v[0], sigma2[0]
+    if method == "two-sample-T12":
+        statistics, p_values, variance = _two_sample(u, v, sigma2, d.group_sizes, d.n)
+        covariance = df = None
+    else:
+        chi2, p_value, cov = _chi2(method, u, v, sigma2, d.group_sizes)
+        statistics, p_values = {"chi2": chi2}, {"chi2": p_value}
+        variance = {f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)}
+        covariance = tuple(tuple(float(x) for x in row) for row in cov)
+        df = d.k - 1
     return TestReport(
         method=method,
-        weights=tuple(fn.name for fn in fns[0]),
-        statistics={"chi2": chi2},
-        p_values={"chi2": p_value},
-        variance={f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2[0], start=1)},
-        covariance=tuple(tuple(float(x) for x in row) for row in cov),
-        df=d.k - 1,
-        n=d.n,
-        group_sizes=d.group_sizes,
-        diagnostics=_bundle_diagnostics(fits),
-    )
-
-
-def chi2_u_test(
-    d: PanelDataset,
-    weights,
-    cfg: IcmConfig = IcmConfig(),
-    fits: FitBundle | None = None,
-) -> TestReport:
-    """Chi-square test from the first k-1 components of the U vector."""
-    return _chi2_test(d, weights, cfg, fits, "U-test")
-
-
-def chi2_v_test(
-    d: PanelDataset,
-    weights,
-    cfg: IcmConfig = IcmConfig(),
-    fits: FitBundle | None = None,
-) -> TestReport:
-    """Chi-square test from the V vector of group-1 contrasts."""
-    return _chi2_test(d, weights, cfg, fits, "V-test")
-
-
-def two_sample_tests(
-    d: PanelDataset,
-    weight,
-    cfg: IcmConfig = IcmConfig(),
-    fits: FitBundle | None = None,
-) -> TestReport:
-    """Standard-normal two-sample tests T1 (U-based) and T2 (V-based)."""
-    if d.k != 2:
-        raise ValueError("two-sample tests require exactly k = 2 groups")
-    fns, fits, u, v, sigma2 = _statistics(d, [weight], cfg, fits)
-    statistics, p_values, variance = _two_sample(u[0], v[0], sigma2[0], d.group_sizes, d.n)
-    return TestReport(
-        method="two-sample-T12",
         weights=tuple(fn.name for fn in fns[0]),
         statistics=statistics,
         p_values=p_values,
         variance=variance,
-        covariance=None,
-        df=None,
+        covariance=covariance,
+        df=df,
         n=d.n,
         group_sizes=d.group_sizes,
-        diagnostics=_bundle_diagnostics(fits),
+        diagnostics={
+            "pooled": _diag_summary(fits.pooled_diag),
+            "groups": [_diag_summary(dg) for dg in fits.group_diags],
+        },
     )
+
+
+def chi2_u_test(d: PanelDataset, weights, fits: FitBundle | None = None) -> TestReport:
+    """Chi-square test from the first k-1 components of the U vector."""
+    if d.k < 2:
+        raise ValueError("chi-square tests require k >= 2 groups")
+    return _test(d, weights, fits, "U-test")
+
+
+def chi2_v_test(d: PanelDataset, weights, fits: FitBundle | None = None) -> TestReport:
+    """Chi-square test from the V vector of group-1 contrasts."""
+    if d.k < 2:
+        raise ValueError("chi-square tests require k >= 2 groups")
+    return _test(d, weights, fits, "V-test")
+
+
+def two_sample_tests(d: PanelDataset, weight, fits: FitBundle | None = None) -> TestReport:
+    """Standard-normal two-sample tests T1 (U-based) and T2 (V-based)."""
+    if d.k != 2:
+        raise ValueError("two-sample tests require exactly k = 2 groups")
+    return _test(d, weight, fits, "two-sample-T12")
 
 
 def normal_sf(x: float) -> float:

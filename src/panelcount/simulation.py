@@ -33,7 +33,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import ObservationPath, PanelDataset
-from .estimators import IcmConfig
 from .hypotests import (
     DegenerateCovarianceError,
     DegenerateVarianceError,
@@ -278,7 +277,7 @@ def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:
     d = generate_dataset(cfg, replication_index)
     fits = fit_all(d)
     try:
-        _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, IcmConfig(), fits)
+        _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, fits)
         out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
         for w_idx in range(len(cfg.weight_specs)):
             row = (u[w_idx], v[w_idx], sigma2[w_idx])

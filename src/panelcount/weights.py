@@ -42,7 +42,8 @@ _GROUPED_KINDS = {
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Declarative choice of weight process; ``group`` for the grouped kinds."""
+    """Declarative choice of weight process; ``group`` for the grouped kinds
+    and for no other kind."""
 
     kind: WeightKind
     group: int | None = None
@@ -50,6 +51,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind in _GROUPED_KINDS and self.group is None:
             raise ValueError(f"weight kind {self.kind.value} requires a group index")
+        if self.kind not in _GROUPED_KINDS and self.group is not None:
+            raise ValueError(f"weight kind {self.kind.value} takes no group index")
 
     @property
     def name(self) -> str:

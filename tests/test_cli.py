@@ -220,6 +220,13 @@ class TestTestCommand:
         result = runner.invoke(main, ["test", "--input", two_group_file, "--weight", "nope"])
         assert result.exit_code == 2
 
+    def test_group_on_ungrouped_weight_exit_2(self, runner, two_group_file):
+        result = runner.invoke(
+            main, ["test", "--input", two_group_file, "--weight", "pooled-risk:2"]
+        )
+        assert result.exit_code == 2
+        assert "error: weight kind pooled-risk takes no group index" in result.output
+
 
 class TestSimulateCommand:
     def test_single_replication(self, runner, tmp_path):
@@ -247,6 +254,27 @@ class TestSimulateCommand:
         assert runner.invoke(main, args + ["--out", str(out2)]).exit_code == 0
         assert out1.read_text() == out2.read_text()
         assert len(out1.read_text().strip().splitlines()) == 5
+
+    def test_output_bytes(self, runner, tmp_path):
+        # every column, float formatting, group sizes, suspect and failure causes
+        out = tmp_path / "sim.csv"
+        args = [
+            "simulate", "--case", "2", "--beta", "1.5", "--nu", "gamma", "--n1", "5",
+            "--n2", "4", "--reps", "12", "--seed", "99", "--weights", "w1,w4",
+            "--stat", "t1,t2,chi2-u", "--alpha", "0.2", "--out", str(out),
+        ]
+        assert runner.invoke(main, args).exit_code == 0
+        assert out.read_bytes() == (
+            b"case,beta,group_sizes,nu,replications,seed,alpha,statistic,weight,"
+            b"rejections,failures,reject_rate,suspect,solver_convergence,"
+            b"increment_mismatch,degenerate_covariance,degenerate_variance\r\n"
+            b"2,1.5,5+4,gamma,12,99,0.2,t1,const,6,5,0.8571428571428571,1,2,3,0,0\r\n"
+            b"2,1.5,5+4,gamma,12,99,0.2,t1,complement,5,5,0.7142857142857143,1,2,3,0,0\r\n"
+            b"2,1.5,5+4,gamma,12,99,0.2,t2,const,6,5,0.8571428571428571,1,2,3,0,0\r\n"
+            b"2,1.5,5+4,gamma,12,99,0.2,t2,complement,6,5,0.8571428571428571,1,2,3,0,0\r\n"
+            b"2,1.5,5+4,gamma,12,99,0.2,chi2-u,const,6,5,0.8571428571428571,1,2,3,0,0\r\n"
+            b"2,1.5,5+4,gamma,12,99,0.2,chi2-u,complement,5,5,0.7142857142857143,1,2,3,0,0\r\n"
+        )
 
     def test_bad_stat_exit_2(self, runner):
         result = runner.invoke(main, ["simulate", "--stat", "bogus", "--reps", "1"])
@@ -441,3 +469,8 @@ class TestParseWeightSpec:
     def test_bad_group_range(self):
         with pytest.raises(DatasetFormatError):
             parse_weight_spec("group-risk:5", 2)
+
+    @pytest.mark.parametrize("token", ["const:1", "pooled-risk:2", "complement:1"])
+    def test_group_on_ungrouped_kind(self, token):
+        with pytest.raises(DatasetFormatError, match="takes no group index"):
+            parse_weight_spec(token, 2)

@@ -10,6 +10,7 @@ from panelcount import (
     IcmConfig,
     PanelDataset,
     SolverConvergenceError,
+    StepEstimate,
     WeightFn,
     WeightKind,
     WeightSpec,
@@ -18,6 +19,7 @@ from panelcount import (
     chisq_sf,
     covariance_u,
     covariance_v,
+    eval_step,
     fit_all,
     make_weight,
     normal_sf,
@@ -27,6 +29,8 @@ from panelcount import (
     u_statistics,
     v_statistics,
 )
+from panelcount.core import flatten_observations
+from panelcount.hypotests import _increments
 from conftest import TIGHT, path, random_dataset
 from _oracles import sigma_sq_direct, u_stat_direct, v_stat_direct
 
@@ -81,17 +85,41 @@ class TestSigmaHatSq:
         with pytest.raises(IncrementMismatchError):
             sigma_hat_sq(d, flat_est, make_weight(d, CONST))
 
+    def test_weight_spec_or_function(self, rng):
+        d = random_dataset(rng, 18, k=2)
+        pooled = fit_all(d, TIGHT).pooled
+        for spec in MIXED:
+            assert sigma_hat_sq(d, pooled, spec) == sigma_hat_sq(d, pooled, make_weight(d, spec))
+
+
+class TestIncrements:
+    def test_grid_reading_equals_row_evaluation(self, rng):
+        # an estimate read once on the grid gives, gathered by rank, exactly
+        # its values at every row time and at the time before (0 first),
+        # whether or not its support lies on the grid or at the origin
+        d = random_dataset(rng, 15, k=2)
+        flat = flatten_observations(d)
+        prev_times = np.where(flat.is_first, 0.0, np.roll(flat.times, 1))
+        estimates = [
+            fit_all(d, TIGHT).pooled,
+            StepEstimate(support=[0.0, 0.7, 2.5, 31.0], values=[0.3, 0.4, 1.9, 7.0]),
+        ]
+        at, inc = _increments(d, flat, estimates)
+        for e, at_e, inc_e in zip(estimates, at, inc):
+            assert np.array_equal(at_e, eval_step(e, flat.times))
+            assert np.array_equal(inc_e, eval_step(e, flat.times) - eval_step(e, prev_times))
+
 
 class TestUStatistics:
     def test_single_group_is_exactly_zero(self, rng):
         d = random_dataset(rng, 17, k=1)
-        u = u_statistics(d, [CONST], cfg=TIGHT)
+        u = u_statistics(d, [CONST], fits=fit_all(d, TIGHT))
         assert u.shape == (1,)
         assert u[0] == 0.0
 
     def test_duplicated_groups_near_zero(self, rng):
         d = duplicated_groups(rng, 10, 2)
-        u = u_statistics(d, CONST, cfg=TIGHT)
+        u = u_statistics(d, CONST, fits=fit_all(d, TIGHT))
         np.testing.assert_allclose(u, 0.0, atol=1e-7)
 
     def test_matches_direct_formula(self, rng):
@@ -102,7 +130,7 @@ class TestUStatistics:
         # (dataset, weight argument, weight of each group's row)
         for d, weights, fns in ((d2, w, [w, w]), (d3, mixed, mixed)):
             fits = fit_all(d, TIGHT)
-            u = u_statistics(d, weights, cfg=TIGHT, fits=fits)
+            u = u_statistics(d, weights, fits=fits)
             for l in range(1, d.k + 1):
                 direct = u_stat_direct(
                     d, _pair(fits.pooled), _pair(fits.groups[l - 1]), fns[l - 1]
@@ -113,7 +141,7 @@ class TestUStatistics:
 class TestVStatistics:
     def test_duplicated_groups_zero(self, rng):
         d = duplicated_groups(rng, 10, 3)
-        v = v_statistics(d, CONST, cfg=TIGHT)
+        v = v_statistics(d, CONST, fits=fit_all(d, TIGHT))
         assert v.shape == (2,)
         np.testing.assert_allclose(v, 0.0, atol=1e-7)
 
@@ -121,17 +149,17 @@ class TestVStatistics:
         d = random_dataset(rng, 16, k=2, rate=1.4)
         fits = fit_all(d, TIGHT)
         w = make_weight(d, WeightSpec(WeightKind.POOLED_RISK))
-        v = v_statistics(d, w, cfg=TIGHT, fits=fits)
-        u = u_statistics(d, w, cfg=TIGHT, fits=fits)
+        v = v_statistics(d, w, fits=fits)
+        u = u_statistics(d, w, fits=fits)
         assert abs(v[0] - (u[0] - u[1])) <= 1e-10
 
     def test_contrast_identity_mixed_weights(self, rng):
         d = random_dataset(rng, 21, k=3, rate=1.1)
         fits = fit_all(d, TIGHT)
         specs = [CONST, WeightSpec(WeightKind.POOLED_RISK), WeightSpec(WeightKind.COMPLEMENT)]
-        v = v_statistics(d, specs, cfg=TIGHT, fits=fits)
+        v = v_statistics(d, specs, fits=fits)
         for l in (2, 3):
-            u_wl = u_statistics(d, [specs[l - 1]] * 3, cfg=TIGHT, fits=fits)
+            u_wl = u_statistics(d, [specs[l - 1]] * 3, fits=fits)
             assert abs(v[l - 2] - (u_wl[0] - u_wl[l - 1])) <= 1e-10
 
     def test_matches_direct_formula(self, rng):
@@ -141,7 +169,7 @@ class TestVStatistics:
         mixed = [make_weight(d, spec) for spec in MIXED]
         # (weight argument, weight of each group's row)
         for weights, fns in ((w, [w, w, w]), (mixed, mixed)):
-            v = v_statistics(d, weights, cfg=TIGHT, fits=fits)
+            v = v_statistics(d, weights, fits=fits)
             for l in (2, 3):
                 direct = v_stat_direct(
                     d,
@@ -191,7 +219,7 @@ class TestChi2Tests:
     def test_identical_triplicated_groups(self, rng):
         d = duplicated_groups(rng, 12, 3)
         for test in (chi2_u_test, chi2_v_test):
-            report = test(d, CONST, cfg=TIGHT)
+            report = test(d, CONST, fits=fit_all(d, TIGHT))
             assert report.df == 2
             assert report.statistics["chi2"] <= 1e-8
             assert report.p_values["chi2"] >= 1.0 - 1e-6
@@ -201,13 +229,13 @@ class TestChi2Tests:
     def test_quadratic_form_against_numpy_solve(self, rng):
         d = random_dataset(rng, 24, k=3, rate=1.5)
         fits = fit_all(d, TIGHT)
-        report = chi2_u_test(d, CONST, cfg=TIGHT, fits=fits)
-        u = u_statistics(d, CONST, cfg=TIGHT, fits=fits)
+        report = chi2_u_test(d, CONST, fits=fits)
+        u = u_statistics(d, CONST, fits=fits)
         cov = np.array(report.covariance)
         expected = float(u[:-1] @ np.linalg.solve(cov[:-1, :-1], u[:-1]))
         assert math.isclose(report.statistics["chi2"], expected, rel_tol=1e-9)
-        report_v = chi2_v_test(d, CONST, cfg=TIGHT, fits=fits)
-        v = v_statistics(d, CONST, cfg=TIGHT, fits=fits)
+        report_v = chi2_v_test(d, CONST, fits=fits)
+        v = v_statistics(d, CONST, fits=fits)
         cov_v = np.array(report_v.covariance)
         expected_v = float(v @ np.linalg.solve(cov_v, v))
         assert math.isclose(report_v.statistics["chi2"], expected_v, rel_tol=1e-9)
@@ -216,7 +244,7 @@ class TestChi2Tests:
         d = random_dataset(rng, 10, k=2)
         zero = WeightFn("zero", lambda t: np.zeros_like(t))
         with pytest.raises(DegenerateCovarianceError):
-            chi2_u_test(d, zero, cfg=TIGHT)
+            chi2_u_test(d, zero, fits=fit_all(d, TIGHT))
 
     def test_requires_multiple_groups(self, rng):
         with pytest.raises(ValueError):
@@ -226,7 +254,7 @@ class TestChi2Tests:
 class TestTwoSampleTests:
     def test_equal_size_variance_combination(self, rng):
         d = random_dataset(rng, 20, k=2, rate=1.2)
-        report = two_sample_tests(d, CONST, cfg=TIGHT)
+        report = two_sample_tests(d, CONST, fits=fit_all(d, TIGHT))
         s1, s2 = report.variance["sigma1_sq"], report.variance["sigma2_sq"]
         assert math.isclose(
             report.variance["sigma_U"] ** 2, 0.5 * s1 + 0.5 * s2, rel_tol=1e-9
@@ -237,7 +265,7 @@ class TestTwoSampleTests:
 
     def test_identical_groups_accept(self, rng):
         d = duplicated_groups(rng, 10, 2)
-        report = two_sample_tests(d, CONST, cfg=TIGHT)
+        report = two_sample_tests(d, CONST, fits=fit_all(d, TIGHT))
         assert abs(report.statistics["T1"]) <= 1e-6
         assert abs(report.statistics["T2"]) <= 1e-6
         assert report.p_values["T1"] >= 1.0 - 1e-5
@@ -258,7 +286,7 @@ class TestTwoSampleTests:
             ]
         )
         with pytest.raises(DegenerateVarianceError):
-            two_sample_tests(d, WeightSpec(WeightKind.COMPLEMENT), cfg=TIGHT)
+            two_sample_tests(d, WeightSpec(WeightKind.COMPLEMENT), fits=fit_all(d, TIGHT))
 
 
 class TestTailProbabilities:
@@ -295,21 +323,21 @@ class TestStatisticInvariants:
         c = 3.7
         one = make_weight(d, CONST)
         scaled = WeightFn("scaled", lambda t: c * np.ones_like(t))
-        u1 = u_statistics(d, one, cfg=TIGHT, fits=fits)
-        uc = u_statistics(d, scaled, cfg=TIGHT, fits=fits)
+        u1 = u_statistics(d, one, fits=fits)
+        uc = u_statistics(d, scaled, fits=fits)
         np.testing.assert_allclose(uc, c * u1, rtol=1e-9)
-        v1 = v_statistics(d, one, cfg=TIGHT, fits=fits)
-        vc = v_statistics(d, scaled, cfg=TIGHT, fits=fits)
+        v1 = v_statistics(d, one, fits=fits)
+        vc = v_statistics(d, scaled, fits=fits)
         np.testing.assert_allclose(vc, c * v1, rtol=1e-9)
         s_one = sigma_hat_sq(d, fits.pooled, one)
         s_c = sigma_hat_sq(d, fits.pooled, scaled)
         assert math.isclose(s_c, c * c * s_one, rel_tol=1e-9)
-        r1 = two_sample_tests(d, one, cfg=TIGHT, fits=fits)
-        rc = two_sample_tests(d, scaled, cfg=TIGHT, fits=fits)
+        r1 = two_sample_tests(d, one, fits=fits)
+        rc = two_sample_tests(d, scaled, fits=fits)
         assert math.isclose(rc.statistics["T1"], r1.statistics["T1"], rel_tol=1e-9)
         assert math.isclose(rc.statistics["T2"], r1.statistics["T2"], rel_tol=1e-9)
-        x1 = chi2_u_test(d, one, cfg=TIGHT, fits=fits)
-        xc = chi2_u_test(d, scaled, cfg=TIGHT, fits=fits)
+        x1 = chi2_u_test(d, one, fits=fits)
+        xc = chi2_u_test(d, scaled, fits=fits)
         assert math.isclose(
             xc.statistics["chi2"], x1.statistics["chi2"], rel_tol=1e-9, abs_tol=1e-12
         )
@@ -320,8 +348,8 @@ class TestStatisticInvariants:
             [path(p.subject_id, 3 - p.group, p.times, p.counts) for p in d.paths], k=2
         )
         for spec in (CONST, WeightSpec(WeightKind.POOLED_RISK), WeightSpec(WeightKind.COMPLEMENT)):
-            r = two_sample_tests(d, spec, cfg=TIGHT)
-            r_swap = two_sample_tests(swapped, spec, cfg=TIGHT)
+            r = two_sample_tests(d, spec, fits=fit_all(d, TIGHT))
+            r_swap = two_sample_tests(swapped, spec, fits=fit_all(swapped, TIGHT))
             assert math.isclose(
                 r.statistics["T2"], -r_swap.statistics["T2"], rel_tol=1e-9, abs_tol=1e-12
             )
@@ -332,9 +360,9 @@ class TestStatisticInvariants:
     def test_two_sample_chi2_equals_squared_t(self, rng):
         d = random_dataset(rng, 30, k=2, rate=1.3)
         fits = fit_all(d, TIGHT)
-        two = two_sample_tests(d, CONST, cfg=TIGHT, fits=fits)
-        chi_u = chi2_u_test(d, CONST, cfg=TIGHT, fits=fits)
-        chi_v = chi2_v_test(d, CONST, cfg=TIGHT, fits=fits)
+        two = two_sample_tests(d, CONST, fits=fits)
+        chi_u = chi2_u_test(d, CONST, fits=fits)
+        chi_v = chi2_v_test(d, CONST, fits=fits)
         assert math.isclose(
             chi_u.statistics["chi2"], two.statistics["T1"] ** 2, rel_tol=1e-9, abs_tol=1e-15
         )
@@ -349,8 +377,8 @@ class TestStatisticInvariants:
         d = random_dataset(rng, 20, k=2, rate=1.2)
         perm = rng.permutation(d.n)
         shuffled = PanelDataset.from_paths([d.paths[i] for i in perm], k=2)
-        r1 = two_sample_tests(d, CONST, cfg=TIGHT)
-        r2 = two_sample_tests(shuffled, CONST, cfg=TIGHT)
+        r1 = two_sample_tests(d, CONST, fits=fit_all(d, TIGHT))
+        r2 = two_sample_tests(shuffled, CONST, fits=fit_all(shuffled, TIGHT))
         assert math.isclose(r1.statistics["T1"], r2.statistics["T1"], rel_tol=1e-6, abs_tol=1e-9)
         assert math.isclose(r1.statistics["T2"], r2.statistics["T2"], rel_tol=1e-6, abs_tol=1e-9)
 

@@ -83,6 +83,13 @@ class TestMakeWeight:
         with pytest.raises(ValueError):
             WeightSpec(WeightKind.GROUP_RISK)
 
+    @pytest.mark.parametrize(
+        "kind", [WeightKind.CONST, WeightKind.POOLED_RISK, WeightKind.COMPLEMENT]
+    )
+    def test_group_rejected_on_ungrouped_kind(self, kind):
+        with pytest.raises(ValueError, match=f"weight kind {kind.value} takes no group index"):
+            WeightSpec(kind, group=2)
+
     def test_names(self):
         assert WeightSpec(WeightKind.CONST).name == "const"
         assert WeightSpec(WeightKind.RISK_PRODUCT, 2).name == "risk-product:2"

@@ -16,6 +16,7 @@ from dataclasses import asdict, fields
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .core import (
     PanelDataset,
@@ -351,11 +352,30 @@ def test_command(input_path, weight, stat, alpha, out):
     sys.exit(0)
 
 
+def _parse_sizes(ctx: click.Context, text: str) -> tuple[int, ...]:
+    """Group sizes from ``simulate --sizes``; ``--n1``/``--n2`` may not be given too."""
+    given = [
+        f"--{name}"
+        for name in ("n1", "n2")
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
+    ]
+    if given:
+        raise ValueError(f"--sizes cannot be combined with {'/'.join(given)}")
+    try:
+        sizes = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        sizes = ()
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes takes comma-separated positive integers, got {text!r}")
+    return sizes
+
+
 @main.command()
 @click.option("--case", type=click.IntRange(1, 2), default=1, show_default=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
 @click.option("--n1", type=int, default=50, show_default=True)
 @click.option("--n2", type=int, default=50, show_default=True)
+@click.option("--sizes", help="comma-separated group sizes, e.g. 50,50,50 (instead of --n1/--n2)")
 @click.option("--nu", type=click.Choice(["fixed", "gamma"]), default="fixed")
 @click.option("--reps", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -363,14 +383,16 @@ def test_command(input_path, weight, stat, alpha, out):
 @click.option("--stat", "stats", default="t2", help="comma-separated: t1,t2,chi2-u,chi2-v")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--out", default="-", help="output CSV path ('-' for stdout)")
-def simulate(case, beta, n1, n2, nu, reps, seed, weights, stats, alpha, out):
+@click.pass_context
+def simulate(ctx, case, beta, n1, n2, sizes, nu, reps, seed, weights, stats, alpha, out):
     """Monte Carlo size/power study; one CSV row per (statistic, weight)."""
     try:
-        specs = tuple(parse_weight_spec(tok, 2) for tok in weights.split(","))
+        group_sizes = (n1, n2) if sizes is None else _parse_sizes(ctx, sizes)
+        specs = tuple(parse_weight_spec(tok, len(group_sizes)) for tok in weights.split(","))
         cfg = SimConfig(
             case=case,
             beta=beta,
-            group_sizes=(n1, n2),
+            group_sizes=group_sizes,
             nu_mode=nu,
             replications=reps,
             base_seed=seed,

@@ -20,6 +20,10 @@ sigma^2 for all W sets through that single bracket.  The public tests call
 it with one weight set and build their report in ``_test``; a Monte Carlo
 replication calls it once for all of its weights and reads p-values through
 the same helpers (``_two_sample``, ``_chi2``).
+
+Two-sample p-values use ``math.erfc``; only ``chisq_sf`` needs scipy, and it
+imports ``scipy.special`` on its first call, so two-sample work loads no
+scipy module.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .core import (
     FlatObservations,
@@ -409,9 +412,13 @@ def normal_sf(x: float) -> float:
 
 
 def chisq_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution with ``df`` >= 1."""
+    """Upper-tail probability of the chi-square distribution with ``df`` >= 1
+    at ``x`` >= 0 (NaN is rejected)."""
     if df < 1:
         raise ValueError("df must be >= 1")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be >= 0")
+    # imported here so that a process computing no chi-square p-value never loads scipy
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, x / 2.0))

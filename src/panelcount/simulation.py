@@ -18,6 +18,9 @@ weight from one call of the statistic kernel in ``hypotests``; its p-values
 equal those of the public tests run one weight at a time.  A replication
 that fails is excluded from the rejection fractions and counted by cause
 (``FAILURE_CAUSES``).
+
+scipy is loaded only by a cell's first chi-square p-value and by
+``qq_study``'s normal quantiles; a T1/T2 study loads no scipy module.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from functools import partial
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import ObservationPath, PanelDataset
 from .hypotests import (
@@ -422,6 +424,9 @@ def qq_study(cfg: SimConfig, statistic: str = "t2") -> np.ndarray:
         raise ValueError("qq_study supports the two-sample statistics t1 and t2")
     cfg = replace(cfg, weight_specs=cfg.weight_specs[:1], statistics=(statistic,))
     values = np.sort(np.asarray(_map_replications(cfg, _qq_worker), dtype=float))
+    # imported here so that Monte Carlo power studies never load scipy
+    from scipy.special import ndtri
+
     r = cfg.replications
     theoretical = ndtri((np.arange(1, r + 1) - 0.5) / r)
     return np.column_stack([theoretical, values])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from panelcount import PanelDataset, WeightKind
+from panelcount import PanelDataset, SimConfig, WeightKind, WeightSpec, run_power_study
 from panelcount.cli import (
     DatasetFormatError,
     main,
@@ -293,6 +293,46 @@ class TestSimulateCommand:
         ]
         assert row[header.index("failures")] == "5"
         assert row[-4:] == ["4", "1", "0", "0"]
+
+    def test_sizes_three_groups_chi_square(self, runner, tmp_path):
+        out = tmp_path / "sim.csv"
+        args = [
+            "simulate", "--sizes", "8,8,8", "--beta", "0.5", "--reps", "6", "--seed", "4",
+            "--weights", "w1,group-risk:3", "--stat", "chi2-u,chi2-v", "--out", str(out),
+        ]
+        assert runner.invoke(main, args).exit_code == 0
+        cfg = SimConfig(
+            beta=0.5,
+            group_sizes=(8, 8, 8),
+            replications=6,
+            base_seed=4,
+            weight_specs=(WeightSpec(WeightKind.CONST), WeightSpec(WeightKind.GROUP_RISK, 3)),
+            statistics=("chi2-u", "chi2-v"),
+        )
+        header, *rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        assert [row[header.index("group_sizes")] for row in rows] == ["8+8+8"] * 4
+        assert [row[header.index("weight")] for row in rows] == ["const", "group-risk:3"] * 2
+        assert [float(row[header.index("reject_rate")]) for row in rows] == [
+            row.reject_rate for row in run_power_study([cfg])
+        ]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--sizes", "5,5,5", "--n1", "5"], "error: --sizes cannot be combined with --n1"),
+            (["--n2", "5", "--sizes", "5,5"], "error: --sizes cannot be combined with --n2"),
+            (["--sizes", "5,x"], "error: --sizes takes comma-separated positive integers, got '5,x'"),
+            (["--sizes", "5,0,5"], "error: --sizes takes comma-separated positive integers"),
+            (["--sizes", "5,2.5"], "error: --sizes takes comma-separated positive integers"),
+            (["--sizes", "5,5,5", "--stat", "chi2-u,t2"], "error: statistic t2 requires exactly 2 groups"),
+            (["--sizes", "5", "--stat", "chi2-v"], "error: statistic chi2-v requires at least 2 groups"),
+            (["--sizes", "5,5", "--weights", "group-risk:3"], "error: weight group 3 outside 1..2"),
+        ],
+    )
+    def test_bad_sizes_exit_2(self, runner, args, message):
+        result = runner.invoke(main, ["simulate", "--reps", "1", *args])
+        assert result.exit_code == 2
+        assert message in result.output
 
     def test_bad_thread_count_exit_2(self, runner, monkeypatch):
         monkeypatch.setenv("PCT_THREADS", "two")

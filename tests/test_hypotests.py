@@ -304,6 +304,7 @@ class TestTailProbabilities:
     def test_chisq_sf_df2_closed_form(self):
         assert math.isclose(chisq_sf(5.99146, 2), math.exp(-5.99146 / 2), rel_tol=1e-10)
         assert math.isclose(chisq_sf(5.99146, 2), 0.05, abs_tol=2e-6)
+        assert chisq_sf(math.inf, 2) == 0.0
 
     def test_chisq_sf_df1_matches_normal(self):
         x = 3.21
@@ -312,6 +313,8 @@ class TestTailProbabilities:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             chisq_sf(-1.0, 2)
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            chisq_sf(float("nan"), 2)
         with pytest.raises(ValueError):
             chisq_sf(1.0, 0)
 

@@ -11,15 +11,22 @@ chi-square tests for k groups and standard-normal tests for k = 2.
 U, V and the variance are all sums over subjects of one bracket,
 sum_j W(t_j) Lambda(t_j) (q_{j+1} - q_j), closed by a terminal constant,
 where q is the ratio of a group (or observed) increment to the pooled one.
+The variance's bracket is written once, for the tests and ``sigma_hat_sq``.
 They depend on the data only through the pooled and per-group NPMLEs, so
 the tests take those fits (``fits=``) and, given none, solve them with
-``fit_all``, which alone takes solver settings.  One kernel takes any number
-W of weight sets, reads each estimate once on the grid and gathers it at
-every row by rank, evaluates each distinct weight once, and returns U, V and
-sigma^2 for all W sets through that single bracket.  The public tests call
-it with one weight set and build their report in ``_test``; a Monte Carlo
-replication calls it once for all of its weights and reads p-values through
-the same helpers (``_two_sample``, ``_chi2``).
+``fit_all``, which alone takes solver settings.  ``fits=`` must be
+``fit_all`` of the same dataset: fits for another number of groups, or
+whose pooled estimate is not on the dataset's time grid, raise
+``ValueError``; fits of another dataset with the same grid and the same k
+cannot be told apart.
+
+One kernel takes any number W of weight sets, reads each estimate once on
+the grid and gathers it at every row by rank, builds and evaluates each
+distinct weight once, and returns U, V and sigma^2 for all W sets.  One
+reader (``_read_row``) turns the kernel's row of one weight set into a
+method's statistics, p-values, variance and covariance.  A public test
+calls both with one weight set; a Monte Carlo replication calls the kernel
+once for all of its weights and reads every p-value through the reader.
 
 Two-sample p-values use ``math.erfc``; only ``chisq_sf`` needs scipy, and it
 imports ``scipy.special`` on its first call, so two-sample work loads no
@@ -204,6 +211,14 @@ def _increments(d: PanelDataset, flat: FlatObservations, estimates):
     return right, right - at[:, flat.prev_rank + 1]
 
 
+def _sigma2(flat: FlatObservations, a, den, eps_den):
+    """sigma^2 under each row of ``a`` (a weight times the pooled values at
+    the rows): the mean squared bracket, across subjects, of the ratios of
+    the observed increments to the pooled ones ``den``."""
+    q_obs = _increment_ratios(flat.dN, den, eps_den, counts=flat.dN)
+    return np.mean(_brackets(flat, a, q_obs, 1.0) ** 2, axis=-1)
+
+
 def sigma_hat_sq(d: PanelDataset, pooled: StepEstimate, w: WeightSpec | WeightFn) -> float:
     """Consistent estimate of the common asymptotic variance of the statistics:
     the mean squared weighted rate-difference bracket across subjects."""
@@ -211,56 +226,47 @@ def sigma_hat_sq(d: PanelDataset, pooled: StepEstimate, w: WeightSpec | WeightFn
         w = make_weight(d, w)
     flat = flatten_observations(d)
     (pooled_at,), (den,) = _increments(d, flat, [pooled])
-    q = _increment_ratios(flat.dN, den, _eps_den(pooled), counts=flat.dN)
-    brackets = _brackets(flat, w(flat.times) * pooled_at, q, 1.0)
-    return float(np.mean(brackets**2))
+    return float(_sigma2(flat, w(flat.times) * pooled_at, den, _eps_den(pooled)))
 
 
-def _weight_sets(d: PanelDataset, weight_sets) -> list[list[WeightFn]]:
-    """Normalize W per-group weight arguments to W lists of k evaluable
-    weights, building each distinct ``WeightSpec`` once."""
-    built: dict[WeightSpec, WeightFn] = {}
-
-    def evaluable(w):
-        if isinstance(w, WeightFn):
-            return w
-        if w not in built:
-            built[w] = make_weight(d, w)
-        return built[w]
-
-    out = []
+def _statistics(d: PanelDataset, weight_sets, fits: FitBundle | None):
+    """``(names, fits, u, v, sigma2)`` for W weight sets, each one weight or
+    one per group: the weight names of each set, U (W x k), V (W x (k-1)) and
+    sigma^2 (W x k), entry (w, l) taken under set w's weight for group l,
+    from one reading of the pooled and group estimates.  Each distinct
+    weight is built and evaluated once, a ``WeightSpec`` told apart by value
+    and a ``WeightFn`` by identity."""
+    flat = flatten_observations(d)
+    at_times = {}
+    names, keys = [], []
     for weights in weight_sets:
         if isinstance(weights, (WeightSpec, WeightFn)):
             weights = [weights] * d.k
         weights = list(weights)
         if len(weights) != d.k:
             raise ValueError(f"expected one weight per group ({d.k}), got {len(weights)}")
-        out.append([evaluable(w) for w in weights])
-    return out
-
-
-def _statistics(d: PanelDataset, weight_sets, fits: FitBundle | None):
-    """``(fns, fits, u, v, sigma2)`` for W weight sets: U (W x k), V (W x (k-1))
-    and sigma^2 (W x k), entry (w, l) taken under set w's weight for group l,
-    from one reading of the pooled and group estimates.  Each distinct
-    weight is evaluated once."""
-    fns = _weight_sets(d, weight_sets)
+        row = [id(w) if isinstance(w, WeightFn) else w for w in weights]
+        for key, w in zip(row, weights):
+            if key not in at_times:
+                fn = make_weight(d, w) if isinstance(w, WeightSpec) else w
+                at_times[key] = fn(flat.times)
+        names.append(tuple(w.name for w in weights))
+        keys.append(row)
     if fits is None:
         fits = fit_all(d)
-    flat = flatten_observations(d)
+    elif len(fits.groups) != d.k:
+        raise ValueError(f"fits are for {len(fits.groups)} groups, the dataset has {d.k}")
+    elif not np.array_equal(fits.pooled.support, build_time_grid(d).points):
+        raise ValueError("fits' pooled estimate is not on the dataset's time grid")
     at, inc = _increments(d, flat, [fits.pooled, *fits.groups])
     pooled_at, den = at[0], inc[0]
     eps = _eps_den(fits.pooled)
     q = _increment_ratios(inc[1:], den, eps)
-    q_obs = _increment_ratios(flat.dN, den, eps, counts=flat.dN)
-    distinct = {id(fn): fn for row in fns for fn in row}
-    at_times = {key: fn(flat.times) for key, fn in distinct.items()}
-    a = np.array([[at_times[id(fn)] for fn in row] for row in fns]) * pooled_at
+    a = np.array([[at_times[key] for key in row] for row in keys]) * pooled_at
     scale = 1.0 / math.sqrt(flat.n_subjects)
     u = scale * _brackets(flat, a, q, 1.0).sum(axis=-1)
     v = scale * _brackets(flat, a[:, 1:], q[:1] - q[1:], 0.0).sum(axis=-1)
-    sigma2 = np.mean(_brackets(flat, a, q_obs, 1.0) ** 2, axis=-1)
-    return fns, fits, u, v, sigma2
+    return names, fits, u, v, _sigma2(flat, a, den, eps)
 
 
 def u_statistics(d: PanelDataset, weights, fits: FitBundle | None = None) -> np.ndarray:
@@ -320,62 +326,51 @@ def _solve_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _chi2(method: str, u, v, sigma2, group_sizes):
-    """``(chi2, p_value, covariance)`` of the "U-test" (the first k-1
-    components of U) or the "V-test" (the V vector) under one weight set."""
+def _read_row(method: str, d: PanelDataset, u, v, sigma2):
+    """``(statistics, p_values, variance, covariance)`` of ``method`` read
+    from one kernel row, U, V and sigma^2 under one weight set: T1 from U and
+    T2 from V for "two-sample-T12" (k = 2), or the chi-square form of the
+    first k-1 components of U ("U-test") or of V ("V-test")."""
+    if method == "two-sample-T12":
+        (n1, n2), n = d.group_sizes, d.n
+        var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * sigma2[0] + (n2 / n) * sigma2[1]
+        var_v = (n / n1) * sigma2[0] + (n / n2) * sigma2[1]
+        if var_u <= 0 or var_v <= 0:
+            raise DegenerateVarianceError("degenerate variance")
+        statistics = {"T1": float(u[0]) / math.sqrt(var_u), "T2": float(v[0]) / math.sqrt(var_v)}
+        p_values = {name: 2.0 * normal_sf(abs(t)) for name, t in statistics.items()}
+        variance = {
+            "sigma_U": math.sqrt(var_u),
+            "sigma_V": math.sqrt(var_v),
+            "sigma1_sq": float(sigma2[0]),
+            "sigma2_sq": float(sigma2[1]),
+        }
+        return statistics, p_values, variance, None
     if method == "U-test":
-        cov = covariance_u(group_sizes, sigma2)
+        cov = covariance_u(d.group_sizes, sigma2)
         vec, mat = u[:-1], cov[:-1, :-1]
     else:
-        cov = covariance_v(group_sizes, sigma2)
+        cov = covariance_v(d.group_sizes, sigma2)
         vec, mat = v, cov
     chi2 = max(float(vec @ _solve_pivot(mat, vec)), 0.0)
-    return chi2, chisq_sf(chi2, len(group_sizes) - 1), cov
-
-
-def _two_sample(u, v, sigma2, group_sizes, n: int):
-    """``(statistics, p_values, variance)`` of T1 (U-based) and T2 (V-based)
-    under one weight set, k = 2."""
-    n1, n2 = group_sizes
-    var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * sigma2[0] + (n2 / n) * sigma2[1]
-    var_v = (n / n1) * sigma2[0] + (n / n2) * sigma2[1]
-    if var_u <= 0 or var_v <= 0:
-        raise DegenerateVarianceError("degenerate variance")
-    t1 = float(u[0]) / math.sqrt(var_u)
-    t2 = float(v[0]) / math.sqrt(var_v)
-    statistics = {"T1": t1, "T2": t2}
-    p_values = {name: 2.0 * normal_sf(abs(t)) for name, t in statistics.items()}
-    variance = {
-        "sigma_U": math.sqrt(var_u),
-        "sigma_V": math.sqrt(var_v),
-        "sigma1_sq": float(sigma2[0]),
-        "sigma2_sq": float(sigma2[1]),
-    }
-    return statistics, p_values, variance
+    variance = {f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)}
+    covariance = tuple(tuple(float(x) for x in row) for row in cov)
+    return {"chi2": chi2}, {"chi2": chisq_sf(chi2, d.k - 1)}, variance, covariance
 
 
 def _test(d: PanelDataset, weights, fits: FitBundle | None, method: str) -> TestReport:
     """The report of ``method`` ("U-test", "V-test" or "two-sample-T12")
     under one weight set."""
-    fns, fits, u, v, sigma2 = _statistics(d, [weights], fits)
-    u, v, sigma2 = u[0], v[0], sigma2[0]
-    if method == "two-sample-T12":
-        statistics, p_values, variance = _two_sample(u, v, sigma2, d.group_sizes, d.n)
-        covariance = df = None
-    else:
-        chi2, p_value, cov = _chi2(method, u, v, sigma2, d.group_sizes)
-        statistics, p_values = {"chi2": chi2}, {"chi2": p_value}
-        variance = {f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)}
-        covariance = tuple(tuple(float(x) for x in row) for row in cov)
-        df = d.k - 1
+    names, fits, u, v, sigma2 = _statistics(d, [weights], fits)
+    statistics, p_values, variance, covariance = _read_row(method, d, u[0], v[0], sigma2[0])
     return TestReport(
         method=method,
-        weights=tuple(fn.name for fn in fns[0]),
+        weights=names[0],
         statistics=statistics,
         p_values=p_values,
         variance=variance,
         covariance=covariance,
-        df=df,
+        df=None if covariance is None else d.k - 1,
         n=d.n,
         group_sizes=d.group_sizes,
         diagnostics={

@@ -40,9 +40,8 @@ from .hypotests import (
     DegenerateVarianceError,
     IncrementMismatchError,
     SolverConvergenceError,
-    _chi2,
+    _read_row,
     _statistics,
-    _two_sample,
     chi2_u_test,
     chi2_v_test,
     fit_all,
@@ -67,8 +66,14 @@ __all__ = [
 OBSERVATION_TIMES = np.arange(1, 11)
 _OBSERVATION_TIMES_F = OBSERVATION_TIMES.astype(float)
 
-_TWO_SAMPLE_STATS = ("t1", "t2")
-_CHI2_METHODS = {"chi2-u": "U-test", "chi2-v": "V-test"}
+# Each statistic name: the method of the test that reports it, and its key
+# in that report's statistics and p-values.
+_STATISTICS = {
+    "t1": ("two-sample-T12", "T1"),
+    "t2": ("two-sample-T12", "T2"),
+    "chi2-u": ("U-test", "chi2"),
+    "chi2-v": ("V-test", "chi2"),
+}
 
 # Why a replication fails, by the error its solves or statistics raise; the
 # cause names are PowerRow fields and ``simulate`` CSV columns.
@@ -151,12 +156,12 @@ class SimConfig:
             raise ValueError("group sizes must be positive")
         k = len(self.group_sizes)
         for stat in self.statistics:
-            if stat in _TWO_SAMPLE_STATS and k != 2:
-                raise ValueError(f"statistic {stat} requires exactly 2 groups")
-            if stat in _CHI2_METHODS and k < 2:
-                raise ValueError(f"statistic {stat} requires at least 2 groups")
-            if stat not in _TWO_SAMPLE_STATS and stat not in _CHI2_METHODS:
+            if stat not in _STATISTICS:
                 raise ValueError(f"unknown statistic {stat!r}")
+            if _STATISTICS[stat][0] == "two-sample-T12" and k != 2:
+                raise ValueError(f"statistic {stat} requires exactly 2 groups")
+            if k < 2:
+                raise ValueError(f"statistic {stat} requires at least 2 groups")
         if not np.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
         # Lambda(10), the mean of a draw over (0, 10], is a group's largest visit mean
@@ -272,41 +277,35 @@ def generate_dataset(cfg: SimConfig, replication_index: int) -> PanelDataset:
 def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:
     """p-value matrix of one replication, shape (statistics, weights).
 
-    One statistic-kernel call gives U, V and sigma^2 for every weight; each
-    p-value is read from its weight's row in weight-major order, so a
-    failing replication raises the error the public tests raise first.
+    One statistic-kernel call gives U, V and sigma^2 for every weight, and
+    the public tests' reader (``_read_row``) reads each p-value from its
+    weight's row, in weight-major order as the public tests run one weight
+    at a time.  A failure is re-raised by the public test of the failing
+    pair, or of the first pair if the kernel failed (its errors do not
+    depend on the weight), where callers of the public tests, the
+    benchmark's tracer among them, see it.
     """
     d = generate_dataset(cfg, replication_index)
     fits = fit_all(d)
+    method, spec = _STATISTICS[cfg.statistics[0]][0], cfg.weight_specs[0]
     try:
         _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, fits)
         out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
-        for w_idx in range(len(cfg.weight_specs)):
-            row = (u[w_idx], v[w_idx], sigma2[w_idx])
-            two_sample = None
+        for w_idx, spec in enumerate(cfg.weight_specs):
             for s_idx, stat in enumerate(cfg.statistics):
-                if stat in _TWO_SAMPLE_STATS:
-                    if two_sample is None:
-                        two_sample = _two_sample(*row, d.group_sizes, d.n)[1]
-                    out[s_idx, w_idx] = two_sample[stat.upper()]
-                else:
-                    out[s_idx, w_idx] = _chi2(_CHI2_METHODS[stat], *row, d.group_sizes)[1]
+                method, key = _STATISTICS[stat]
+                out[s_idx, w_idx] = _read_row(method, d, u[w_idx], v[w_idx], sigma2[w_idx])[1][key]
     except _STATISTIC_ERRORS:
-        # Rare: replay the replication through the public tests, one weight
-        # at a time.  They raise the same error, and raise it where callers
-        # of those tests, the benchmark's tracer among them, see it.
-        for spec in cfg.weight_specs:
-            for stat in cfg.statistics:
-                _public_test(stat)(d, spec, fits=fits)
+        _public_test(method)(d, spec, fits=fits)
         raise
     return out
 
 
-def _public_test(stat: str):
-    """The public test function of a statistic name, looked up at call time."""
-    if stat in _TWO_SAMPLE_STATS:
+def _public_test(method: str):
+    """The public test function of a method, looked up at call time."""
+    if method == "two-sample-T12":
         return two_sample_tests
-    return chi2_u_test if stat == "chi2-u" else chi2_v_test
+    return chi2_u_test if method == "U-test" else chi2_v_test
 
 
 def _replication_worker(args):
@@ -420,7 +419,7 @@ def qq_study(cfg: SimConfig, statistic: str = "t2") -> np.ndarray:
     quantiles; returns an (R, 2) array (theoretical, ordered empirical)."""
     if cfg.beta != 0.0:
         raise ValueError("qq_study requires the null design beta = 0")
-    if statistic not in _TWO_SAMPLE_STATS:
+    if statistic not in ("t1", "t2"):
         raise ValueError("qq_study supports the two-sample statistics t1 and t2")
     cfg = replace(cfg, weight_specs=cfg.weight_specs[:1], statistics=(statistic,))
     values = np.sort(np.asarray(_map_replications(cfg, _qq_worker), dtype=float))

@@ -29,8 +29,10 @@ from panelcount import (
     u_statistics,
     v_statistics,
 )
+from panelcount import hypotests
+from panelcount.cli import parse_weight_spec
 from panelcount.core import flatten_observations
-from panelcount.hypotests import _increments
+from panelcount.hypotests import _increments, _statistics
 from conftest import TIGHT, path, random_dataset
 from _oracles import sigma_sq_direct, u_stat_direct, v_stat_direct
 
@@ -287,6 +289,73 @@ class TestTwoSampleTests:
         )
         with pytest.raises(DegenerateVarianceError):
             two_sample_tests(d, WeightSpec(WeightKind.COMPLEMENT), fits=fit_all(d, TIGHT))
+
+
+class TestFitsOfTheDataset:
+    def test_fits_for_another_number_of_groups_rejected(self, rng):
+        d = random_dataset(rng, 12, k=2)
+        other = fit_all(random_dataset(rng, 12, k=3))
+        for test in (two_sample_tests, chi2_u_test, chi2_v_test):
+            with pytest.raises(ValueError, match="fits are for 3 groups, the dataset has 2"):
+                test(d, CONST, fits=other)
+
+    def test_fits_off_the_dataset_grid_rejected(self, rng):
+        d = random_dataset(rng, 12, k=2, max_time=10)
+        other = fit_all(random_dataset(rng, 12, k=2, max_time=8))
+        for test in (two_sample_tests, chi2_u_test, u_statistics, v_statistics):
+            with pytest.raises(ValueError, match="not on the dataset's time grid"):
+                test(d, CONST, fits=other)
+
+
+class TestKernel:
+    RAMP = WeightFn("ramp", lambda t: t / (1.0 + t))
+
+    def test_shared_weight_variance_is_sigma_hat_sq(self, rng):
+        # one weight for every group: each group's sigma^2 in a report is
+        # exactly sigma_hat_sq of that weight
+        for _ in range(6):
+            for k, tests in ((2, (two_sample_tests, chi2_u_test)), (3, (chi2_v_test,))):
+                d = random_dataset(rng, 8 * k, k=k, rate=1.3)
+                fits = fit_all(d)
+                for w in ["w1", "w2", "w4", *(["w3"] if k == 2 else []), self.RAMP]:
+                    w = parse_weight_spec(w, k) if isinstance(w, str) else w
+                    expected = sigma_hat_sq(d, fits.pooled, w)
+                    for test in tests:
+                        variance = test(d, w, fits=fits).variance
+                        for l in range(1, k + 1):
+                            assert variance[f"sigma{l}_sq"] == expected
+
+    def test_each_distinct_weight_built_and_evaluated_once(self, rng, monkeypatch):
+        d = random_dataset(rng, 15, k=3)
+        fits = fit_all(d)
+        built = []
+
+        def spy(d, spec):
+            built.append(spec)
+            return make_weight(d, spec)
+
+        monkeypatch.setattr(hypotests, "make_weight", spy)
+        evaluated = []
+        ramp = WeightFn("ramp", lambda t: evaluated.append("ramp") or t / (1.0 + t))
+        same_name = WeightFn("ramp", lambda t: evaluated.append("same_name") or t / (2.0 + t))
+        const, w2 = parse_weight_spec("w1", 3), parse_weight_spec("w2", 3)
+        weight_sets = [
+            [const] * 3,
+            parse_weight_spec("w1", 3),
+            [w2, parse_weight_spec("w2", 3), ramp],
+            ramp,
+            [same_name, ramp, const],
+        ]
+        names, _, u, v, sigma2 = _statistics(d, weight_sets, fits)
+        assert sorted(built, key=lambda spec: spec.name) == [const, w2]
+        assert sorted(evaluated) == ["ramp", "same_name"]
+        assert names[2] == ("pooled-risk", "pooled-risk", "ramp")
+        # each set reads as it does alone
+        for w_idx, weights in enumerate(weight_sets):
+            _, _, u1, v1, s1 = _statistics(d, [weights], fits)
+            assert np.array_equal(u[w_idx], u1[0])
+            assert np.array_equal(v[w_idx], v1[0])
+            assert np.array_equal(sigma2[w_idx], s1[0])
 
 
 class TestTailProbabilities:

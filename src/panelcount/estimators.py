@@ -14,7 +14,10 @@ nondecreasing step functions on the pooled observation grid:
   (score and per-row curvature weights), and the increments of each
   accepted iterate carry forward to the next score.  The Newton system is
   summed at block level: its size is blocks x blocks, not m x m.
-  The Newton step holds a first block at the origin.
+  The Newton step holds a first block at the origin.  A Newton step that
+  would cross blocks, or take the first below 0, is projected back onto the
+  cone, which merges the blocks it crosses; it is halved only when that
+  projection gains nothing.
 
   The NPMLE solves on the likelihood's support: the grid points that start
   or end a row with events (Wellner & Zhang 2000).  At any other point phi
@@ -302,8 +305,9 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll: float, m
     the cone) keeps its value, and the system is solved over the other
     blocks; otherwise it is the full system.  On the likelihood's support
     (``_support_rows``) every block of a feasible iterate ends a row with
-    events, so each diagonal entry is positive.  Feasibility, ordering, and
-    monotone ascent are enforced by backtracking.  Returns
+    events, so each diagonal entry is positive.  ``_block_step`` keeps the
+    blocks in order: a step that would cross blocks is projected onto the
+    cone, and halved only when the projection gains nothing.  Returns
     ``(u, du, ll, polished)``; on any failure the iterate comes back
     unchanged.
     """
@@ -326,16 +330,43 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll: float, m
         dv[first:] = np.linalg.solve(neg_h[first:, first:], g_red[first:])
     except np.linalg.LinAlgError:
         return u, du, ll, False
+    return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), max_halvings)
+
+
+def _in_cone(v: np.ndarray) -> bool:
+    """Whether block values ``v`` satisfy 0 <= v_1 <= ... <= v_blocks."""
+    return bool(v[0] >= 0 and (v[1:] >= v[:-1]).all())
+
+
+def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, max_halvings: int):
+    """Move the tie-block values ``v`` of ``u`` (grid point i in block
+    ``block_id[i]``) along the Newton step ``dv``, staying on the cone
+    0 <= v_1 <= ... <= v_blocks and ascending.
+
+    The full step is tried first when it stays on the cone.  When it would
+    cross blocks or take the first below 0, its projection onto the cone in
+    the metric of the block curvatures ``h`` (the Newton system's diagonal,
+    floored as in ``_grad_curv``) is tried instead: the isotonic regression
+    of v + dv, clipped at 0, which merges the blocks the step would cross.
+    If that candidate gains nothing, the step halves from 1/2 until a
+    candidate on the cone gains, at most ``max_halvings`` times.  Returns
+    ``(u, du, ll, polished)``; when no candidate gains, the iterate comes back
+    unchanged.
+    """
     step = 1.0
+    v_cand = v + dv
+    if not _in_cone(v_cand):
+        h = np.maximum(h, _CURVATURE_FLOOR_RATIO * h.max())
+        v_cand = np.maximum(isotonic_regression(v_cand, h), 0.0)
     for _ in range(max_halvings + 1):
-        v_cand = v + step * dv
-        if v_cand[0] >= 0 and (v_cand[1:] >= v_cand[:-1]).all():
+        if _in_cone(v_cand):
             cand = v_cand[block_id]
             du_cand = _increments(rows, cand)
             gain = _loglik_diff(rows, cand, du_cand, u, du)
             if gain > 0:
                 return cand, du_cand, ll + gain, True
         step /= 2.0
+        v_cand = v + step * dv
     return u, du, ll, False
 
 
@@ -466,7 +497,10 @@ def _icm(rows: _EventRows, u: np.ndarray, n: int, cfg: IcmConfig):
             trace.append(ll)
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
         if not moved:
-            # numeric fixed point: nothing can improve, certificates decide
+            # numeric fixed point: nothing can improve, the certificates of
+            # the iterate returned decide
+            g, _ = _score_and_weights(rows, du)
+            certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
             status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
             break
         rel_change = (ll - ll_start) / (1.0 + abs(ll_start))

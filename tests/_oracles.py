@@ -18,6 +18,7 @@ from panelcount.estimators import (
     _MAX_HALVINGS,
     _REL_TOL,
     SolveDiagnostics,
+    _block_step,
     _certificates,
     _event_rows,
     _grad_curv,
@@ -264,7 +265,8 @@ def npmle_full_grid(d, cfg):
     """The NPMLE solved over every grid point: the modified ICM loop and its
     Newton polish as they were before the solve moved to the likelihood's
     support, built on the library's per-row helpers.  The polish holds a
-    first block at the origin and every block of zero curvature.  Returns
+    first block at the origin and every block of zero curvature, and takes
+    its step by the library's rule (``_block_step``).  Returns
     ``(StepEstimate, SolveDiagnostics)``."""
 
     def newton_polish(rows, u, du, ll, max_halvings):
@@ -287,17 +289,7 @@ def npmle_full_grid(d, cfg):
             dv[free] = np.linalg.solve(neg_h[free][:, free], g_red[free])
         except np.linalg.LinAlgError:
             return u, du, ll, False
-        step = 1.0
-        for _ in range(max_halvings + 1):
-            v_cand = v + step * dv
-            if v_cand[0] >= 0 and (v_cand[1:] >= v_cand[:-1]).all():
-                cand = v_cand[block_id]
-                du_cand = _increments(rows, cand)
-                gain = _loglik_diff(rows, cand, du_cand, u, du)
-                if gain > 0:
-                    return cand, du_cand, ll + gain, True
-            step /= 2.0
-        return u, du, ll, False
+        return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), max_halvings)
 
     grid = build_time_grid(d)
     flat = flatten_observations(d)
@@ -340,6 +332,8 @@ def npmle_full_grid(d, cfg):
             trace.append(ll)
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
         if not moved:
+            g, _ = _score_and_weights(rows, du)
+            certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
             status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
             break
         rel_change = (ll - ll_start) / (1.0 + abs(ll_start))

@@ -444,6 +444,23 @@ class TestSolveStatus:
         assert diag.status == "stalled"
         assert diag.iterations < 50
 
+    def test_fixed_point_status_certifies_the_returned_estimate(self):
+        # the last step moves the iterate by less than the fixed-point
+        # threshold; certified before that step it would read "stalled"
+        # with residual 1.012e-12
+        rng = np.random.default_rng(582)
+        # three draws precede the dataset in the stream that produced it
+        rng.integers(1, 40), rng.choice([0.1, 0.5, 1.0, 3.0]), rng.integers(2, 12)
+        d = random_dataset(rng, 28, k=1, max_time=10, rate=0.1)
+        cfg = IcmConfig(fenchel_tol=1e-12)
+        est, diag = npmle(d, cfg)
+        g, _ = gradient_and_curvature(d, est.values)
+        certified, residual, _ = estimators._certificates(g, est.values, d.n, cfg.fenchel_tol)
+        assert certified
+        assert diag.status == "converged"
+        assert diag.fenchel_residual == residual
+        assert diag.fenchel_residual == pytest.approx(9.908e-13, rel=1e-3)
+
 
 class TestWeightedScoreResidual:
     def test_zero_at_exact_interior_mle(self):

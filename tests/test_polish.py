@@ -3,12 +3,13 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from panelcount import IcmConfig, PanelDataset, npmle
-from panelcount.core import flatten_observations
+from panelcount.core import build_time_grid, flatten_observations
 from panelcount import estimators
 from conftest import TIGHT, path, random_dataset
-from _oracles import loglik_hessian_direct
+from _oracles import isotonic_brute_force, loglik_direct, loglik_hessian_direct
 
 
 def continuous_dataset(seed, n_subjects, horizon=10.0, max_visits=10):
@@ -131,6 +132,56 @@ def test_polish_moves_free_blocks_at_origin_boundary(rng):
     assert np.all(np.diff(cand) >= 0)
 
 
+def polish_with_step(monkeypatch, d, u):
+    """One Newton polish at ``u``: the block step its linear solve returned,
+    the polished iterate and its log-likelihood gain."""
+    steps = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        steps.append(solve(a, b))
+        return steps[-1]
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rows = estimators._event_rows(flatten_observations(d))
+    ll = estimators._loglik(rows, u)
+    cand, _, ll_new, polished = estimators._newton_polish(
+        rows, u, estimators._increments(rows, u), ll, 30
+    )
+    monkeypatch.undo()
+    assert polished and len(steps) == 1
+    return steps[0], cand, ll_new - ll
+
+
+class TestProjectedStep:
+    """Iterates with distinct values, so each grid point is a block and no
+    block is held."""
+
+    def test_step_across_two_blocks_merges_them(self, monkeypatch, two_subject_dataset):
+        d = two_subject_dataset
+        u = np.array([1.4, 3.8, 4.6, 4.8])
+        dv, got, gain = polish_with_step(monkeypatch, d, u)
+        full = u + dv
+        # the full step crosses blocks 1 and 2 and keeps every other pair in order
+        assert full[0] > 0 and full[1] < full[0]
+        assert np.all(np.diff(full[1:]) > 0)
+        # the projection in the metric of the block curvatures
+        h = np.diagonal(dense_block_reduction(d, u))
+        assert h.min() > estimators._CURVATURE_FLOOR_RATIO * h.max()
+        np.testing.assert_allclose(got, isotonic_brute_force(full, h), rtol=1e-14)
+        assert got[0] == got[1] and np.unique(got).size == 3
+        grid = build_time_grid(d).points
+        assert gain > 0
+        assert gain == pytest.approx(loglik_direct(d, grid, got) - loglik_direct(d, grid, u), rel=1e-12)
+
+    def test_step_that_keeps_order_is_taken_in_full(self, monkeypatch, two_subject_dataset):
+        u = np.array([1.0, 2.0, 3.0, 4.0])
+        dv, got, gain = polish_with_step(monkeypatch, two_subject_dataset, u)
+        assert np.all(np.diff(u + dv) > 0)
+        np.testing.assert_array_equal(got, u + dv)
+        assert gain > 0
+
+
 def block_curvature(rows, u, du):
     """Diagonal of the block Newton matrix of phi at ``u``: each row with
     events adds its weight dN / du^2 to the block it ends in and to the
@@ -171,6 +222,17 @@ def test_continuous_npmle_stops_at_origin_boundary():
     # the log-likelihood after 500 iterations without the prompt stop
     ll_500 = -317.15797215851575
     assert diag.loglik >= ll_500 - 1e-9 * abs(ll_500)
+
+
+def test_continuous_npmle_iteration_budget():
+    # a Newton step that would cross tie blocks merges them in one projected
+    # step; halving the whole step until no block crossed took 31 iterations
+    d = continuous_dataset(20090415, 3000)
+    _, diag = npmle(d)
+    assert diag.status == "boundary-origin"
+    assert diag.iterations <= 10
+    ll_halving = -4477.847465162513
+    assert abs(diag.loglik - ll_halving) <= 1e-12 * abs(ll_halving)
 
 
 def test_npmle_memory_stays_below_grid_squared():

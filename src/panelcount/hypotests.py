@@ -28,14 +28,15 @@ method's statistics, p-values, variance and covariance.  A public test
 calls both with one weight set; a Monte Carlo replication calls the kernel
 once for all of its weights and reads every p-value through the reader.
 
-Two-sample p-values use ``math.erfc``; only ``chisq_sf`` needs scipy, and it
-imports ``scipy.special`` on its first call, so two-sample work loads no
-scipy module.
+P-values come from the standard library: two-sample ones from
+``math.erfc``, chi-square ones from the closed form in ``chisq_sf``.  The
+runtime dependencies are numpy and click.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -407,13 +408,45 @@ def normal_sf(x: float) -> float:
 
 
 def chisq_sf(x: float, df: int) -> float:
-    """Upper-tail probability of the chi-square distribution with ``df`` >= 1
-    at ``x`` >= 0 (NaN is rejected)."""
+    """Upper-tail probability of the chi-square distribution with an integer
+    ``df`` >= 1 at ``x`` >= 0 (NaN is rejected).
+
+    With h = x/2 and a = df/2, the tail is a finite sum of the terms
+    e^-h h^c / Gamma(c + 1) over c = a - 1, a - 2, ..., down to 0 for even
+    df, or to 1/2 plus erfc(sqrt h) for odd df: Abramowitz & Stegun 26.4.5
+    and 26.4.4.  The same terms over c = a, a + 1, ... sum to the lower tail
+    (A&S 6.5.29), whose complement gives the upper tail below the mean
+    (h < a).  There the finite sum lies within a few ulps of 1, and its
+    rounding would put it above 1 or let it rise with x.  Every term of the
+    finite sum, and the first of the lower tail, is the exponential of its
+    logarithm (``math.lgamma``), so none overflows or underflows before it is
+    negligible; the lower tail's later terms follow by the ratio h / c.
+    """
+    if isinstance(df, bool) or not isinstance(df, numbers.Integral):
+        raise ValueError("df must be an integer")
     if df < 1:
         raise ValueError("df must be >= 1")
     if not x >= 0:
         raise ValueError("x must be >= 0")
-    # imported here so that a process computing no chi-square p-value never loads scipy
-    from scipy.special import gammaincc
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
 
-    return float(gammaincc(df / 2.0, x / 2.0))
+    def term(c: float) -> float:
+        return math.exp(c * log_h - h - math.lgamma(c + 1.0))
+
+    a = df / 2.0
+    if h < a:
+        # each term is the one before it times h / c < 1
+        t = lower = term(a)
+        c = a
+        while t > lower * 1e-17:
+            c += 1.0
+            t *= h / c
+            lower += t
+        return 1.0 - lower
+    head = math.erfc(math.sqrt(h)) if df % 2 else 0.0
+    return head + math.fsum(term(a - j) for j in range(1, df // 2 + 1))

@@ -19,8 +19,9 @@ equal those of the public tests run one weight at a time.  A replication
 that fails is excluded from the rejection fractions and counted by cause
 (``FAILURE_CAUSES``).
 
-scipy is loaded only by a cell's first chi-square p-value and by
-``qq_study``'s normal quantiles; a T1/T2 study loads no scipy module.
+Chi-square p-values come from ``hypotests.chisq_sf`` and ``qq_study``'s
+normal quantiles from ``statistics.NormalDist``: the runtime dependencies
+are numpy and click.
 """
 
 from __future__ import annotations
@@ -423,9 +424,9 @@ def qq_study(cfg: SimConfig, statistic: str = "t2") -> np.ndarray:
         raise ValueError("qq_study supports the two-sample statistics t1 and t2")
     cfg = replace(cfg, weight_specs=cfg.weight_specs[:1], statistics=(statistic,))
     values = np.sort(np.asarray(_map_replications(cfg, _qq_worker), dtype=float))
-    # imported here so that Monte Carlo power studies never load scipy
-    from scipy.special import ndtri
+    # imported here so that importing panelcount does not pay for the statistics module
+    from statistics import NormalDist
 
     r = cfg.replications
-    theoretical = ndtri((np.arange(1, r + 1) - 0.5) / r)
+    theoretical = np.array([NormalDist().inv_cdf((i - 0.5) / r) for i in range(1, r + 1)])
     return np.column_stack([theoretical, values])

@@ -3,6 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from panelcount import (
     DegenerateCovarianceError,
@@ -386,6 +387,25 @@ class TestTailProbabilities:
             chisq_sf(float("nan"), 2)
         with pytest.raises(ValueError):
             chisq_sf(1.0, 0)
+
+    @pytest.mark.parametrize("df", [2.0, 1.5, np.float64(3.0), True, np.True_, "2"])
+    def test_chisq_sf_rejects_non_integer_df(self, df):
+        with pytest.raises(ValueError, match="df must be an integer"):
+            chisq_sf(1.0, df)
+
+    def test_chisq_sf_takes_numpy_integer_df(self):
+        assert chisq_sf(4.2, np.int64(3)) == chisq_sf(4.2, 3)
+
+    def test_chisq_sf_matches_gammaincc(self):
+        x = np.unique(np.concatenate([np.linspace(0.0, 3000.0, 3001), np.geomspace(1e-6, 3000.0, 400)]))
+        x = np.append(x, math.inf)
+        for df in range(1, 61):
+            got = np.array([chisq_sf(float(v), df) for v in x])
+            want = gammaincc(df / 2.0, x / 2.0)
+            assert got[0] == 1.0 and got[-1] == 0.0
+            assert np.all(np.diff(got) <= 0.0), f"df={df}: not nonincreasing in x"
+            shown = want > 1e-280
+            np.testing.assert_allclose(got[shown], want[shown], rtol=1e-12, atol=0, err_msg=f"df={df}")
 
 
 class TestStatisticInvariants:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import panelcount
 
-# scipy.optimize and scipy.linalg cost tens of MB of resident memory on import,
+# scipy is a test dependency only.  scipy.optimize and scipy.linalg cost tens
+# of MB of resident memory on import, and even scipy.special about 16 MB,
 # which every Monte Carlo worker process would pay.
 HEAVY = ("scipy.optimize", "scipy.linalg")
 
@@ -32,33 +33,34 @@ def test_import_loads_no_scipy():
     assert run_fresh(f"import panelcount, panelcount.cli; print({LOADED_SCIPY})") == "[]"
 
 
-def test_two_sample_work_loads_no_scipy_until_a_chi_square_p_value():
-    body = f"""
+# T1/T2 and chi-square studies, a chi-square report and a QQ table
+STUDY_WORK = """
 import panelcount as pc
-from panelcount.hypotests import chisq_sf
 
-cfg = pc.SimConfig(beta=0.2, group_sizes=(20, 20), replications=4, base_seed=5,
+t12 = pc.SimConfig(beta=0.2, group_sizes=(20, 20), replications=4, base_seed=5,
                    weight_specs=(pc.WeightSpec(pc.WeightKind.CONST),
                                  pc.WeightSpec(pc.WeightKind.COMPLEMENT)),
                    statistics=("t1", "t2"))
-d = pc.generate_dataset(cfg, 0)
+chi2 = pc.SimConfig(beta=0.0, group_sizes=(20, 20, 20), replications=4, base_seed=5,
+                    weight_specs=(pc.WeightSpec(pc.WeightKind.CONST),),
+                    statistics=("chi2-u", "chi2-v"))
+d = pc.generate_dataset(t12, 0)
 report = pc.two_sample_tests(d, pc.WeightSpec(pc.WeightKind.CONST), fits=pc.fit_all(d))
-assert set(report.p_values) == {{"T1", "T2"}}
-rows = pc.run_power_study([cfg])
-assert len(rows) == 4 and sum(row.failures for row in rows) < 16
-for bad in ((float("nan"), 2), (-1.0, 2), (1.0, 0)):
-    try:
-        chisq_sf(*bad)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError(bad)
-print({LOADED_SCIPY})
-p = chisq_sf(1.0, 2)
-loaded = "scipy.special" in sys.modules
-import scipy.special
-print(loaded, p == float(scipy.special.gammaincc(1.0, 0.5)))
+assert set(report.p_values) == {"T1", "T2"}
+report = pc.chi2_u_test(pc.generate_dataset(chi2, 0), pc.WeightSpec(pc.WeightKind.CONST))
+assert 0.0 <= report.p_values["chi2"] <= 1.0
+rows = pc.run_power_study([t12, chi2])
+assert len(rows) == 6 and sum(row.failures for row in rows) < 24
+qq = pc.SimConfig(beta=0.0, group_sizes=(10, 10), replications=4, base_seed=5,
+                  weight_specs=(pc.WeightSpec(pc.WeightKind.CONST),), statistics=("t2",))
+assert pc.qq_study(qq, "t2").shape == (4, 2)
 """
-    before, after = run_fresh(body).splitlines()
-    assert before == "[]"
-    assert after == "True True"
+
+
+def test_study_work_loads_no_scipy():
+    assert run_fresh(f"{STUDY_WORK}\nprint({LOADED_SCIPY})") == "[]"
+
+
+def test_study_work_runs_with_scipy_blocked():
+    # a None entry makes every import of scipy raise ImportError
+    assert run_fresh(f"sys.modules['scipy'] = None\n{STUDY_WORK}\nprint('done')") == "done"

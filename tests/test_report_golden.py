@@ -71,7 +71,7 @@ def report_digest():
     return h.hexdigest()
 
 
-REPORT_DIGEST = "00d43f18f00ec156a2c9669bbf5cbcfdb08104e0e9add0f10b63e7c45bff868f"
+REPORT_DIGEST = "ee832a92cc147391411aede8169b0ee175cc1484d65a7fd7cdb07e95fa3e553a"
 
 
 def test_reports_match_digest():

@@ -15,18 +15,19 @@ The variance's bracket is written once, for the tests and ``sigma_hat_sq``.
 They depend on the data only through the pooled and per-group NPMLEs, so
 the tests take those fits (``fits=``) and, given none, solve them with
 ``fit_all``, which alone takes solver settings.  ``fits=`` must be
-``fit_all`` of the same dataset: fits for another number of groups, or
-whose pooled estimate is not on the dataset's time grid, raise
-``ValueError``; fits of another dataset with the same grid and the same k
-cannot be told apart.
+``fit_all`` of the same dataset object: the bundle keeps that dataset's
+``flatten_observations``, and fits of any other dataset raise
+``ValueError``.
 
 One kernel takes any number W of weight sets, reads each estimate once on
 the grid and gathers it at every row by rank, builds and evaluates each
 distinct weight once, and returns U, V and sigma^2 for all W sets.  One
-reader (``_read_row``) turns the kernel's row of one weight set into a
-method's statistics, p-values, variance and covariance.  A public test
-calls both with one weight set; a Monte Carlo replication calls the kernel
-once for all of its weights and reads every p-value through the reader.
+reader (``_read``) turns that stack into a method's statistics, p-values,
+variances and covariances for all W sets at once: the W covariances are
+built as one stack, tested for degeneracy by one ``eigvalsh`` and solved by
+one LAPACK ``solve``.  A public test reads a stack of one; a Monte Carlo
+replication calls the kernel once for all of its weights and the reader
+once per method.
 
 P-values come from the standard library: two-sample ones from
 ``math.erfc``, chi-square ones from the closed form in ``chisq_sf``.  The
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -118,12 +119,15 @@ class TestReport:
 
 @dataclass(frozen=True)
 class FitBundle:
-    """Pooled and per-group NPMLEs of one dataset, reused across statistics."""
+    """Pooled and per-group NPMLEs of one dataset, reused across statistics;
+    ``flat`` is that dataset's ``flatten_observations``, by which the tests
+    know it."""
 
     pooled: StepEstimate
     pooled_diag: SolveDiagnostics
     groups: tuple[StepEstimate, ...]
     group_diags: tuple[SolveDiagnostics, ...]
+    flat: FlatObservations = field(compare=False, repr=False)
 
 
 def _diag_summary(diag: SolveDiagnostics) -> dict[str, Any]:
@@ -160,6 +164,7 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
         pooled_diag=pooled_diag,
         groups=tuple(groups),
         group_diags=tuple(group_diags),
+        flat=flatten_observations(d),
     )
 
 
@@ -255,10 +260,8 @@ def _statistics(d: PanelDataset, weight_sets, fits: FitBundle | None):
         keys.append(row)
     if fits is None:
         fits = fit_all(d)
-    elif len(fits.groups) != d.k:
-        raise ValueError(f"fits are for {len(fits.groups)} groups, the dataset has {d.k}")
-    elif not np.array_equal(fits.pooled.support, build_time_grid(d).points):
-        raise ValueError("fits' pooled estimate is not on the dataset's time grid")
+    elif fits.flat is not flat:
+        raise ValueError("fits are not fit_all of this dataset")
     at, inc = _increments(d, flat, [fits.pooled, *fits.groups])
     pooled_at, den = at[0], inc[0]
     eps = _eps_den(fits.pooled)
@@ -282,18 +285,20 @@ def v_statistics(d: PanelDataset, weights, fits: FitBundle | None = None) -> np.
     return _statistics(d, [weights], fits)[3][0]
 
 
-def covariance_u(group_sizes: Sequence[int], sigma2: Sequence[float]) -> np.ndarray:
-    """Estimated covariance of the U vector from group sizes and variances."""
+def covariance_u(group_sizes: Sequence[int], sigma2) -> np.ndarray:
+    """Estimated covariance of the U vector from group sizes and variances;
+    sigma^2 of shape (..., k) gives a stack of covariances (..., k, k)."""
     nl = np.asarray(group_sizes, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
     n = nl.sum()
     gamma = np.tile(np.sqrt(nl / n), (nl.size, 1))
     gamma[np.diag_indices(nl.size)] -= np.sqrt(n / nl)
-    return gamma @ np.diag(s2) @ gamma.T
+    return (gamma * s2[..., None, :]) @ gamma.T
 
 
-def covariance_v(group_sizes: Sequence[int], sigma2: Sequence[float]) -> np.ndarray:
-    """Estimated covariance of the V vector from group sizes and variances."""
+def covariance_v(group_sizes: Sequence[int], sigma2) -> np.ndarray:
+    """Estimated covariance of the V vector from group sizes and variances;
+    sigma^2 of shape (..., k) gives a stack of covariances (..., k-1, k-1)."""
     nl = np.asarray(group_sizes, dtype=float)
     s2 = np.asarray(sigma2, dtype=float)
     k = nl.size
@@ -301,76 +306,59 @@ def covariance_v(group_sizes: Sequence[int], sigma2: Sequence[float]) -> np.ndar
     h = np.zeros((k - 1, k))
     h[:, 0] = -np.sqrt(n / nl[0])
     h[:, 1:] = np.diag(np.sqrt(n / nl[1:]))
-    return h @ np.diag(s2) @ h.T
+    return (h * s2[..., None, :]) @ h.T
 
 
-def _solve_pivot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by Gaussian elimination with partial pivoting; pivots
-    beneath 1e-12 * max|a| are treated as a degenerate covariance."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    threshold = 1e-12 * np.max(np.abs(a)) if a.size else 0.0
-    for col in range(n):
-        pivot = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot, col]) <= threshold:
-            raise DegenerateCovarianceError("degenerate covariance")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            b[[col, pivot]] = b[[pivot, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1 :] -= factors * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
-
-
-def _read_row(method: str, d: PanelDataset, u, v, sigma2):
-    """``(statistics, p_values, variance, covariance)`` of ``method`` read
-    from one kernel row, U, V and sigma^2 under one weight set: T1 from U and
-    T2 from V for "two-sample-T12" (k = 2), or the chi-square form of the
-    first k-1 components of U ("U-test") or of V ("V-test")."""
+def _read(method: str, d: PanelDataset, u, v, sigma2):
+    """``(statistics, p_values, variance, covariance)`` of ``method`` for a
+    stack of W weight sets, read from the kernel's U (W x k), V (W x (k-1))
+    and sigma^2 (W x k): dicts by name of W values each, and the W
+    covariance matrices or None.  "two-sample-T12" (k = 2) gives T1 from U
+    and T2 from V; "U-test" and "V-test" give the chi-square form of the
+    first k-1 components of U, or of V.  A degenerate variance or covariance
+    of any set raises."""
     if method == "two-sample-T12":
         (n1, n2), n = d.group_sizes, d.n
-        var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * sigma2[0] + (n2 / n) * sigma2[1]
-        var_v = (n / n1) * sigma2[0] + (n / n2) * sigma2[1]
-        if var_u <= 0 or var_v <= 0:
+        s1, s2 = sigma2[:, 0], sigma2[:, 1]
+        var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * s1 + (n2 / n) * s2
+        var_v = (n / n1) * s1 + (n / n2) * s2
+        if np.any(var_u <= 0) or np.any(var_v <= 0):
             raise DegenerateVarianceError("degenerate variance")
-        statistics = {"T1": float(u[0]) / math.sqrt(var_u), "T2": float(v[0]) / math.sqrt(var_v)}
-        p_values = {name: 2.0 * normal_sf(abs(t)) for name, t in statistics.items()}
-        variance = {
-            "sigma_U": math.sqrt(var_u),
-            "sigma_V": math.sqrt(var_v),
-            "sigma1_sq": float(sigma2[0]),
-            "sigma2_sq": float(sigma2[1]),
+        sd_u, sd_v = np.sqrt(var_u), np.sqrt(var_v)
+        statistics = {"T1": u[:, 0] / sd_u, "T2": v[:, 0] / sd_v}
+        p_values = {
+            name: [2.0 * normal_sf(abs(t)) for t in ts.tolist()] for name, ts in statistics.items()
         }
+        variance = {"sigma_U": sd_u, "sigma_V": sd_v, "sigma1_sq": s1, "sigma2_sq": s2}
         return statistics, p_values, variance, None
     if method == "U-test":
         cov = covariance_u(d.group_sizes, sigma2)
-        vec, mat = u[:-1], cov[:-1, :-1]
+        vec, mat = u[:, :-1], cov[:, :-1, :-1]
     else:
         cov = covariance_v(d.group_sizes, sigma2)
         vec, mat = v, cov
-    chi2 = max(float(vec @ _solve_pivot(mat, vec)), 0.0)
-    variance = {f"sigma{l}_sq": float(s) for l, s in enumerate(sigma2, start=1)}
-    covariance = tuple(tuple(float(x) for x in row) for row in cov)
-    return {"chi2": chi2}, {"chi2": chisq_sf(chi2, d.k - 1)}, variance, covariance
+    eig = np.linalg.eigvalsh(mat)
+    if np.any(eig[:, 0] <= 1e-12 * eig[:, -1]):
+        raise DegenerateCovarianceError("degenerate covariance")
+    # b as a stack of column vectors, under numpy 1.x and 2.x rules alike
+    chi2 = np.maximum((vec * np.linalg.solve(mat, vec[..., None])[..., 0]).sum(axis=-1), 0.0)
+    p_values = {"chi2": [chisq_sf(x, d.k - 1) for x in chi2.tolist()]}
+    variance = {f"sigma{l}_sq": s for l, s in enumerate(sigma2.T, start=1)}
+    return {"chi2": chi2}, p_values, variance, cov
 
 
 def _test(d: PanelDataset, weights, fits: FitBundle | None, method: str) -> TestReport:
     """The report of ``method`` ("U-test", "V-test" or "two-sample-T12")
-    under one weight set."""
+    under one weight set: the reading of a stack of one."""
     names, fits, u, v, sigma2 = _statistics(d, [weights], fits)
-    statistics, p_values, variance, covariance = _read_row(method, d, u[0], v[0], sigma2[0])
+    statistics, p_values, variance, covariance = _read(method, d, u, v, sigma2)
     return TestReport(
         method=method,
         weights=names[0],
-        statistics=statistics,
-        p_values=p_values,
-        variance=variance,
-        covariance=covariance,
+        statistics={name: float(x[0]) for name, x in statistics.items()},
+        p_values={name: p[0] for name, p in p_values.items()},
+        variance={name: float(x[0]) for name, x in variance.items()},
+        covariance=None if covariance is None else tuple(map(tuple, covariance[0].tolist())),
         df=None if covariance is None else d.k - 1,
         n=d.n,
         group_sizes=d.group_sizes,

@@ -13,11 +13,12 @@ of an immutable ``PanelDataset``; no per-subject path object is built.  Its
 ``sample_subject`` draws from the same stream: both make their draws through
 one helper.
 
-A replication fits its NPMLEs once and gets U, V and sigma^2 for every
-weight from one call of the statistic kernel in ``hypotests``; its p-values
-equal those of the public tests run one weight at a time.  A replication
-that fails is excluded from the rejection fractions and counted by cause
-(``FAILURE_CAUSES``).
+A replication fits its NPMLEs once, gets U, V and sigma^2 for every
+weight from one call of the statistic kernel in ``hypotests``, and reads
+the p-values of every weight with one call of the tests' reader per
+method; they equal those of the public tests run one weight at a time.  A
+replication that fails is excluded from the rejection fractions and
+counted by cause (``FAILURE_CAUSES``).
 
 Chi-square p-values come from ``hypotests.chisq_sf`` and ``qq_study``'s
 normal quantiles from ``statistics.NormalDist``: the runtime dependencies
@@ -41,7 +42,7 @@ from .hypotests import (
     DegenerateVarianceError,
     IncrementMismatchError,
     SolverConvergenceError,
-    _read_row,
+    _read,
     _statistics,
     chi2_u_test,
     chi2_v_test,
@@ -279,27 +280,24 @@ def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:
     """p-value matrix of one replication, shape (statistics, weights).
 
     One statistic-kernel call gives U, V and sigma^2 for every weight, and
-    the public tests' reader (``_read_row``) reads each p-value from its
-    weight's row, in weight-major order as the public tests run one weight
-    at a time.  A failure is re-raised by the public test of the failing
-    pair, or of the first pair if the kernel failed (its errors do not
-    depend on the weight), where callers of the public tests, the
-    benchmark's tracer among them, see it.
+    one call of the public tests' reader (``_read``) per method reads the
+    p-values of every weight, so T1 and T2 share a reading.  A failure is
+    replayed through the public tests, one weight at a time in weight-major
+    order as they run, until one raises; callers of the public tests, the
+    benchmark's tracer among them, see it there.
     """
     d = generate_dataset(cfg, replication_index)
     fits = fit_all(d)
-    method, spec = _STATISTICS[cfg.statistics[0]][0], cfg.weight_specs[0]
+    stats = [_STATISTICS[stat] for stat in cfg.statistics]
     try:
         _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, fits)
-        out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
-        for w_idx, spec in enumerate(cfg.weight_specs):
-            for s_idx, stat in enumerate(cfg.statistics):
-                method, key = _STATISTICS[stat]
-                out[s_idx, w_idx] = _read_row(method, d, u[w_idx], v[w_idx], sigma2[w_idx])[1][key]
+        p_values = {m: _read(m, d, u, v, sigma2)[1] for m in dict.fromkeys(m for m, _ in stats)}
     except _STATISTIC_ERRORS:
-        _public_test(method)(d, spec, fits=fits)
+        for spec in cfg.weight_specs:
+            for method, _ in stats:
+                _public_test(method)(d, spec, fits=fits)
         raise
-    return out
+    return np.array([p_values[method][key] for method, key in stats])
 
 
 def _public_test(method: str):

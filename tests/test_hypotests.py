@@ -10,6 +10,7 @@ from panelcount import (
     DegenerateVarianceError,
     IcmConfig,
     PanelDataset,
+    SimConfig,
     SolverConvergenceError,
     StepEstimate,
     WeightFn,
@@ -22,6 +23,7 @@ from panelcount import (
     covariance_v,
     eval_step,
     fit_all,
+    generate_dataset,
     make_weight,
     normal_sf,
     npmle,
@@ -32,7 +34,7 @@ from panelcount import (
 )
 from panelcount import hypotests
 from panelcount.cli import parse_weight_spec
-from panelcount.core import flatten_observations
+from panelcount.core import build_time_grid, flatten_observations
 from panelcount.hypotests import _increments, _statistics
 from conftest import TIGHT, path, random_dataset
 from _oracles import sigma_sq_direct, u_stat_direct, v_stat_direct
@@ -217,6 +219,17 @@ class TestCovarianceMatrices:
         cov = covariance_v([5, 5, 5], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(cov, [[6.0, 3.0], [3.0, 6.0]], atol=1e-12)
 
+    def test_stacked_variances_give_each_row_its_covariance(self, rng):
+        # every matrix of the stack is bit for bit that of its own variances
+        for k in (2, 3, 5):
+            nl = rng.integers(2, 60, size=k)
+            s2 = rng.uniform(0, 3, size=(7, k))
+            for covariance in (covariance_u, covariance_v):
+                stack = covariance(nl, s2)
+                assert len(stack) == 7
+                for w in range(7):
+                    assert stack[w].tobytes() == covariance(nl, s2[w]).tobytes()
+
 
 class TestChi2Tests:
     def test_identical_triplicated_groups(self, rng):
@@ -248,6 +261,15 @@ class TestChi2Tests:
         zero = WeightFn("zero", lambda t: np.zeros_like(t))
         with pytest.raises(DegenerateCovarianceError):
             chi2_u_test(d, zero, fits=fit_all(d, TIGHT))
+
+    def test_rank_one_covariance_degenerate(self, rng):
+        # only group 1 weighted: sigma^2 is (s, 0, 0), a rank-one covariance
+        d = random_dataset(rng, 10, k=3, rate=1.3)
+        zero = WeightFn("zero", lambda t: np.zeros_like(t))
+        fits = fit_all(d, TIGHT)
+        for test in (chi2_u_test, chi2_v_test):
+            with pytest.raises(DegenerateCovarianceError):
+                test(d, [CONST, zero, zero], fits=fits)
 
     def test_requires_multiple_groups(self, rng):
         with pytest.raises(ValueError):
@@ -297,15 +319,25 @@ class TestFitsOfTheDataset:
         d = random_dataset(rng, 12, k=2)
         other = fit_all(random_dataset(rng, 12, k=3))
         for test in (two_sample_tests, chi2_u_test, chi2_v_test):
-            with pytest.raises(ValueError, match="fits are for 3 groups, the dataset has 2"):
+            with pytest.raises(ValueError, match="fits are not fit_all of this dataset"):
                 test(d, CONST, fits=other)
 
     def test_fits_off_the_dataset_grid_rejected(self, rng):
         d = random_dataset(rng, 12, k=2, max_time=10)
         other = fit_all(random_dataset(rng, 12, k=2, max_time=8))
         for test in (two_sample_tests, chi2_u_test, u_statistics, v_statistics):
-            with pytest.raises(ValueError, match="not on the dataset's time grid"):
+            with pytest.raises(ValueError, match="fits are not fit_all of this dataset"):
                 test(d, CONST, fits=other)
+
+    def test_fits_of_another_dataset_on_the_same_grid_rejected(self):
+        # both replications have the grid 1..10 and two groups
+        cfg = SimConfig(group_sizes=(20, 20), replications=2, base_seed=1)
+        d1, d2 = generate_dataset(cfg, 0), generate_dataset(cfg, 1)
+        assert np.array_equal(build_time_grid(d1).points, build_time_grid(d2).points)
+        with pytest.raises(ValueError, match="fits are not fit_all of this dataset"):
+            two_sample_tests(d2, CONST, fits=fit_all(d1))
+        t1 = two_sample_tests(d2, CONST, fits=fit_all(d2)).statistics["T1"]
+        assert math.isclose(t1, -0.1396, abs_tol=5e-5)
 
 
 class TestKernel:

@@ -114,7 +114,7 @@ def per_weight_pvalues(cfg, rep):
 # trace, as float64 bytes) and the replication's p-value matrix
 REPLICATION_DIGESTS = {
     "power_2s": "b63a50504fbd2a40ac6c0c0857ed219fe4b7226e413ffaaddd0068649aa90e33",
-    "chi2_k3": "5b412ee595977ad3ed1a603a78975a0cd5dfe99f31de74440bdbf08441010e0f",
+    "chi2_k3": "e4564280d92f1908e7c6dbd7033e398070d01cad738b8115fe0d19b6867b4bce",
 }
 
 

@@ -71,7 +71,7 @@ def report_digest():
     return h.hexdigest()
 
 
-REPORT_DIGEST = "ee832a92cc147391411aede8169b0ee175cc1484d65a7fd7cdb07e95fa3e553a"
+REPORT_DIGEST = "f8a124d880bf508e3e2169c303d3faad915fcce06ca78d327182737c33596b7b"
 
 
 def test_reports_match_digest():

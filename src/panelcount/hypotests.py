@@ -145,20 +145,24 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
     """Solve the pooled NPMLE and one NPMLE per group; error on non-convergence.
 
     Each group is solved on its rows, taken from the dataset's columns by
-    ``restrict_to_group``."""
+    ``restrict_to_group``, starting from the pooled NPMLE scaled to the
+    group's level (see ``estimators``).  With one group its rows are the
+    pooled rows, and the pooled fit is the group's."""
     pooled, pooled_diag = npmle(d, cfg)
     if not pooled_diag.converged:
         raise SolverConvergenceError(
             f"pooled NPMLE did not converge ({pooled_diag.status})", pooled_diag
         )
-    groups = []
-    group_diags = []
-    for l in range(1, d.k + 1):
-        est, diag = npmle(restrict_to_group(d, l), cfg)
-        if not diag.converged:
-            raise SolverConvergenceError(f"group {l} NPMLE did not converge ({diag.status})", diag)
-        groups.append(est)
-        group_diags.append(diag)
+    if d.k == 1:
+        groups, group_diags = [pooled], [pooled_diag]
+    else:
+        groups, group_diags = [], []
+        for l in range(1, d.k + 1):
+            est, diag = npmle(restrict_to_group(d, l), cfg, _start=pooled)
+            if not diag.converged:
+                raise SolverConvergenceError(f"group {l} NPMLE did not converge ({diag.status})", diag)
+            groups.append(est)
+            group_diags.append(diag)
     return FitBundle(
         pooled=pooled,
         pooled_diag=pooled_diag,

@@ -27,9 +27,7 @@ are numpy and click.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import accumulate
@@ -327,6 +325,10 @@ def _thread_count() -> int:
 # Set in each worker process of a parallel map; see ``_map_replications``.
 _stop_event = None
 
+# The process pool class, imported by the first parallel map
+# (``_map_replications``).
+ProcessPoolExecutor = None
+
 
 def _init_worker(stop) -> None:
     global _stop_event
@@ -346,9 +348,16 @@ def _map_replications(cfg: SimConfig, worker):
     failure raises as soon as every earlier replication has returned, as in
     a serial run: ``Executor.map`` then drops the chunks no worker holds, and
     the stop event makes the held chunks skip their remaining replications."""
+    global ProcessPoolExecutor
     jobs = [(cfg, rep) for rep in range(cfg.replications)]
     threads = min(_thread_count(), cfg.replications)
     if threads > 1:
+        # imported here so that importing panelcount or a serial run does not
+        # pay for the process pool
+        import multiprocessing
+
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         stop = multiprocessing.Event()
         with ProcessPoolExecutor(
             max_workers=threads, initializer=_init_worker, initargs=(stop,)

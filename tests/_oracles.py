@@ -261,12 +261,14 @@ def loglik_hessian_direct(d, u):
     return h
 
 
-def npmle_full_grid(d, cfg):
+def npmle_full_grid(d, cfg, start=None):
     """The NPMLE solved over every grid point: the modified ICM loop and its
     Newton polish as they were before the solve moved to the likelihood's
     support, built on the library's per-row helpers.  The polish holds a
     first block at the origin and every block of zero curvature, and takes
-    its step by the library's rule (``_block_step``).  Returns
+    its step by the library's rule (``_block_step``).  The loop starts from
+    the NPMPLE, or from the step estimate ``start`` scaled by the total
+    count over its sum at the subjects' last visits.  Returns
     ``(StepEstimate, SolveDiagnostics)``."""
 
     def newton_polish(rows, u, du, ll, max_halvings):
@@ -293,11 +295,15 @@ def npmle_full_grid(d, cfg):
 
     grid = build_time_grid(d)
     flat = flatten_observations(d)
-    pm = _npmple_flat(grid, flat)
     m = grid.m
     n = flat.n_subjects
     rows = _event_rows(flat)
-    u = pm.values + _INIT_SLOPE_EPSILON * np.arange(1, m + 1)
+    if start is None:
+        u = _npmple_flat(grid, flat).values
+    else:
+        u = np.array([step_at(start.support, start.values, t) for t in grid.points])
+        u = u * (flat.dN.sum() / u[flat.rank[flat.is_last]].sum())
+    u = u + _INIT_SLOPE_EPSILON * np.arange(1, m + 1)
     du = _increments(rows, u)
     ll = _loglik(rows, u, du)
     trace = [ll]

@@ -18,6 +18,7 @@ from panelcount import (
     log_likelihood,
     npmle,
     npmple,
+    restrict_to_group,
 )
 from panelcount import estimators
 from panelcount.core import flatten_observations
@@ -387,6 +388,59 @@ class TestSupportSolve:
             assert diag.fenchel_residual == residual
             assert diag.status == ("converged" if certified else "boundary-origin" if kkt else "stalled")
         assert abs(diag.loglik - want.loglik) <= 1e-12 * max(1.0, abs(want.loglik))
+
+
+def pooled_and_groups(seed):
+    """A random dataset of 2 or 3 groups: its pooled NPMLE and its groups.
+    Sparse draws (many visit times, a low rate) leave grid points off a
+    group's support."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 4))
+    n, max_time = int(rng.integers(2 * k, 40)), int(rng.choice([10, 30]))
+    d = random_dataset(rng, n, k=k, max_time=max_time, rate=float(rng.uniform(0.05, 2.5)))
+    return npmle(d)[0], [restrict_to_group(d, l) for l in range(1, k + 1)]
+
+
+class TestPooledStart:
+    """A group's solve started from the pooled NPMLE scaled to its level."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scale_maximizes_phi_along_the_pooled_fit(self, seed):
+        pooled, groups = pooled_and_groups(seed)
+        for g in groups:
+            c = sum(p.counts[-1] for p in g.paths) / sum(pooled(p.times[-1]) for p in g.paths)
+
+            def phi(scale):
+                return loglik_direct(g, pooled.support, scale * pooled.values)
+
+            assert phi(0.999 * c) < phi(c) > phi(1.001 * c)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_npmple_start(self, seed):
+        pooled, groups = pooled_and_groups(seed)
+        for g in groups:
+            _, warm = npmle(g, _start=pooled)
+            _, cold = npmle(g)
+            assert warm.status == cold.status
+            assert abs(warm.loglik - cold.loglik) <= 1e-12 * abs(cold.loglik)
+
+    def test_matches_full_grid_solve_from_the_same_start(self):
+        full = reduced = 0
+        for seed in range(12):
+            pooled, groups = pooled_and_groups(seed)
+            for g in groups:
+                est, diag = npmle(g, TIGHT, _start=pooled)
+                want_est, want = npmle_full_grid(g, TIGHT, start=pooled)
+                rows = estimators._event_rows(flatten_observations(g))
+                if estimators._support_rows(rows)[1] is None:
+                    full += 1
+                    assert diag == want
+                    np.testing.assert_array_equal(est.values, want_est.values)
+                else:
+                    reduced += 1
+                    assert diag.status == want.status
+                    assert abs(diag.loglik - want.loglik) <= 1e-12 * abs(want.loglik)
+        assert full > 0 and reduced > 0
 
 
 def test_solve_time_is_reported_and_not_compared(rng):

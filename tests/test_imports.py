@@ -64,3 +64,17 @@ def test_study_work_loads_no_scipy():
 def test_study_work_runs_with_scipy_blocked():
     # a None entry makes every import of scipy raise ImportError
     assert run_fresh(f"sys.modules['scipy'] = None\n{STUDY_WORK}\nprint('done')") == "done"
+
+
+def test_serial_study_loads_no_process_pool():
+    # a serial run never starts a worker, so it need not import the pool
+    body = """
+import os
+os.environ["PCT_THREADS"] = "1"
+import panelcount, panelcount.cli
+cfg = panelcount.SimConfig(beta=0.2, group_sizes=(10, 10), replications=2, base_seed=5,
+                           statistics=("t1", "t2"))
+panelcount.run_power_study([cfg])
+print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
+"""
+    assert run_fresh(body) == "[]"

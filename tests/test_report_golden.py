@@ -71,7 +71,7 @@ def report_digest():
     return h.hexdigest()
 
 
-REPORT_DIGEST = "f8a124d880bf508e3e2169c303d3faad915fcce06ca78d327182737c33596b7b"
+REPORT_DIGEST = "655fc8f3253e525695945bb511e2dcf7c75b568eb007446b22680bf09b55c249"
 
 
 def test_reports_match_digest():

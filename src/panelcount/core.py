@@ -220,11 +220,13 @@ class StepEstimate:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if support.size != values.size or support.size == 0:
             raise ValueError("support and values must have equal positive length")
-        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(values))):
+        # ufunc reductions rather than np.all / np.any / np.diff, whose
+        # wrappers cost more than the checks: every solve makes an estimate
+        if not (np.logical_and.reduce(np.isfinite(support)) and np.logical_and.reduce(np.isfinite(values))):
             raise ValueError("support and values must be finite")
-        if np.any(np.diff(support) <= 0):
+        if np.logical_or.reduce(support[1:] <= support[:-1]):
             raise ValueError("support must be strictly increasing")
-        if values[0] < 0 or np.any(np.diff(values) < 0):
+        if values[0] < 0 or np.logical_or.reduce(values[1:] < values[:-1]):
             raise ValueError("values must be nonnegative and nondecreasing")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
@@ -237,7 +239,7 @@ def eval_step(e: StepEstimate, t):
     """Evaluate a step estimate at time(s) ``t`` (scalar or array), t >= 0."""
     t_arr = np.asarray(t, dtype=float)
     idx = np.searchsorted(e.support, t_arr, side="right") - 1
-    out = np.where(idx >= 0, e.values[np.clip(idx, 0, None)], 0.0)
+    out = np.where(idx >= 0, e.values[np.maximum(idx, 0)], 0.0)
     if np.ndim(t) == 0:
         return float(out)
     return out

@@ -25,6 +25,15 @@ nondecreasing step functions on the pooled observation grid:
   pooled fit is close to every group's, and the solve needs fewer
   iterations from it.
 
+  One loop (``_icm``) solves a batch of datasets, each a segment of the
+  batch's arrays; a single dataset is a batch of one.  ``fit_all`` solves
+  its k groups as one batch, cut from the pooled rows (``_group_rows``).
+  Element-wise work and bincounts run once over the batch; sums, reversed
+  cumulative sums, PAVA and the Newton solves run per segment, so each
+  segment gets the bits of its solve alone.  Step halvings, the stop rule,
+  status and trace are each segment's own, and a segment that stops leaves
+  the batch.
+
   The NPMLE solves on the likelihood's support: the grid points that start
   or end a row with events (Wellner & Zhang 2000).  At any other point phi
   is linear in the value, with slope minus its number of last visits, so
@@ -92,6 +101,12 @@ _MAX_HALVINGS = 30
 _INIT_SLOPE_EPSILON = 1e-4
 _CURVATURE_FLOOR_RATIO = 1e-6
 
+# u = 0 at the origin, which slot 0 of the padded values stands for; and
+# the first grid point starts a tie block
+_ORIGIN = np.zeros(1)
+_ORIGIN_SLOT = np.zeros(1, dtype=np.intp)
+_FIRST = np.ones(1, dtype=bool)
+
 
 @dataclass(frozen=True)
 class IcmConfig:
@@ -148,7 +163,7 @@ class SolveDiagnostics:
 _MIN_ROUND_BLOCKS = 64
 
 
-def isotonic_regression(y, w):
+def isotonic_regression(y, w, *, _segments: "_Segments | None" = None):
     """Weighted least-squares projection onto nondecreasing sequences (PAVA).
 
     Returns the unique minimizer of sum_i w_i (x_i - y_i)^2 over
@@ -166,15 +181,42 @@ def isotonic_regression(y, w):
     followed by zeros (m rounds of one pool each), are handed to the stack
     pass after the first round, so the worst case is the O(m) stack pass
     over the elements, never m numpy rounds.
+
+    The NPMLE solver passes the segments of its batch as ``_segments``:
+    each segment is then projected on its own, by the steps it would take
+    alone.
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if y.ndim != 1 or y.shape != w.shape or y.size == 0:
         raise ValueError("y and w must be 1-d arrays of equal positive length")
-    if not np.isfinite(np.concatenate((y, w))).all():
+    if not np.logical_and.reduce(np.isfinite(np.concatenate((y, w)))):
         raise ValueError("y and w must be finite")
-    if not w.min() > 0:
+    if not np.minimum.reduce(w) > 0:
         raise ValueError("weights must be strictly positive")
+    if _segments is None or _segments.single:
+        return _pava(y, w)
+    # Segments small enough for the stack pass alone share one pass over
+    # Python floats; larger ones take their rounds first, as alone.
+    values, weights = y.tolist(), w.tolist()
+    pieces: list[np.ndarray] = []
+    block_means: list[float] = []
+    block_sizes: list[int] = []
+    for a, b in _segments.pairs:
+        if b - a <= _MIN_ROUND_BLOCKS:
+            _stack_pass(values[a:b], weights[a:b], [1] * (b - a), block_means, block_sizes)
+            continue
+        if block_means:
+            pieces.append(np.array(block_means).repeat(block_sizes))
+            block_means, block_sizes = [], []
+        pieces.append(_pava(y[a:b], w[a:b]))
+    if block_means:
+        pieces.append(np.array(block_means).repeat(block_sizes))
+    return np.concatenate(pieces)
+
+
+def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The isotonic regression of ``y`` with weights ``w``, unchecked."""
     # Block j has total weight weights[j] and value means[j]; element i lies
     # in block block[i] once a round has pooled.
     means, weights, block = y, w, None
@@ -195,11 +237,21 @@ def isotonic_regression(y, w):
             weights = np.bincount(run, weights=weights)
             means = sums / weights
             block = run if block is None else run[block]
+    block_means: list[float] = []
+    block_sizes: list[int] = []
+    sizes = [1] * means.size if block is None else np.bincount(block).tolist()
+    _stack_pass(means.tolist(), weights.tolist(), sizes, block_means, block_sizes)
+    return np.array(block_means).repeat(block_sizes)
+
+
+def _stack_pass(means: list, weights: list, sizes: list, block_means: list, block_sizes: list) -> None:
+    """The sequential pass of PAVA over blocks of the given means, weights
+    and sizes; appends the pooled blocks to ``block_means`` and
+    ``block_sizes``."""
     stack_means: list[float] = []
     stack_weights: list[float] = []
     stack_sizes: list[int] = []
-    sizes = [1] * means.size if block is None else np.bincount(block).tolist()
-    for mean, weight, size in zip(means.tolist(), weights.tolist(), sizes):
+    for mean, weight, size in zip(means, weights, sizes):
         while stack_means and stack_means[-1] > mean:
             pm, pw = stack_means.pop(), stack_weights.pop()
             mean = (pm * pw + mean * weight) / (pw + weight)
@@ -208,19 +260,115 @@ def isotonic_regression(y, w):
         stack_means.append(mean)
         stack_weights.append(weight)
         stack_sizes.append(size)
-    return np.array(stack_means).repeat(stack_sizes)
+    block_means.extend(stack_means)
+    block_sizes.extend(stack_sizes)
 
 
-@dataclass(frozen=True)
+class _Segments:
+    """Consecutive runs of a batch's arrays, one run per solve: segment s
+    holds items ``bounds[s]:bounds[s + 1]``.
+
+    Sums and reversed cumulative sums run over each run as over a standalone
+    array, so every segment gets the bits of its own solve; maxima and
+    bincounts are exact in any grouping and run once over the batch.  The
+    reductions call the ufunc methods themselves, the same reductions as the
+    array methods without their wrappers, which cost more than the sums at
+    m = 10.
+    """
+
+    __slots__ = ("bounds", "starts", "ends", "single", "_pairs", "_of")
+
+    def __init__(self, bounds: np.ndarray):
+        self.bounds = bounds
+        self.starts = bounds[:-1]
+        self.ends = bounds[1:]
+        self.single = bounds.size == 2
+        self._pairs = self._of = None
+
+    @classmethod
+    def of_sizes(cls, sizes: np.ndarray) -> "_Segments":
+        bounds = np.zeros(sizes.size + 1, dtype=np.intp)
+        np.add.accumulate(sizes, out=bounds[1:])
+        return cls(bounds)
+
+    def __len__(self) -> int:
+        return self.bounds.size - 1
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        if self._pairs is None:
+            self._pairs = list(zip(self.starts.tolist(), self.ends.tolist()))
+        return self._pairs
+
+    @property
+    def of(self) -> np.ndarray:
+        """The segment of each item."""
+        if self._of is None:
+            self._of = np.arange(len(self)).repeat(self.ends - self.starts)
+        return self._of
+
+    def spread(self, v: np.ndarray):
+        """Per-segment values ``v`` broadcast to the items of each segment."""
+        return v[0] if self.single else v[self.of]
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        if self.single:
+            return np.add.reduce(x, keepdims=True)
+        return np.array([np.add.reduce(x[a:b]) for a, b in self.pairs])
+
+    def reversed_cumsums(self, x: np.ndarray) -> np.ndarray:
+        """sum_{j >= l} x_j within each segment."""
+        if self.single:
+            return np.add.accumulate(x[::-1])[::-1]
+        out = np.empty_like(x)
+        for a, b in self.pairs:
+            out[a:b] = np.add.accumulate(x[a:b][::-1])[::-1]
+        return out
+
+    def maxima(self, x: np.ndarray) -> np.ndarray:
+        """Per-segment maxima; every segment must be nonempty."""
+        return np.maximum.reduceat(x, self.starts)
+
+    def counts(self, mask: np.ndarray) -> np.ndarray:
+        """The number of items of each segment that ``mask`` marks."""
+        if self.single:
+            return np.array([np.count_nonzero(mask)])
+        return np.bincount(self.of[mask], minlength=len(self))
+
+    def any(self, mask: np.ndarray) -> np.ndarray:
+        if not np.logical_or.reduce(mask):
+            return np.zeros(len(self), dtype=bool)
+        return self.counts(mask) > 0
+
+    def before(self, x: np.ndarray) -> np.ndarray:
+        """Each item's predecessor in its segment, 0 for a segment's first."""
+        out = np.concatenate((_ORIGIN, x[:-1]))
+        if not self.single:
+            out[self.starts] = 0.0
+        return out
+
+    def take(self, keep: np.ndarray) -> "_Segments":
+        return _Segments.of_sizes((self.ends - self.starts)[keep])
+
+
+def _single(size: int) -> _Segments:
+    return _Segments(np.array([0, size], dtype=np.intp))
+
+
+@dataclass(frozen=True, eq=False)
 class _EventRows:
-    """What the likelihood reads of a dataset, built once per solve.
+    """What the likelihood reads of a batch of datasets, built once per solve.
 
-    The observation rows with events, in subject-major order: the grid index
-    of each row's end (``rank``), the padded slot of its start
-    (``prev_slot`` = prev_rank + 1, with slot 0 the origin) and its count
-    increment ``dN``.  Rows without events add nothing to phi, its score or
-    its curvature.  ``last_rank`` holds each subject's last visit and
-    ``last_count`` the number of last visits at each grid point.
+    Each dataset is a segment of the batch, and a single dataset is a batch
+    of one.  Its grid points (``points``), its rows with events (``events``)
+    and its subjects' last visits (``lasts``) are consecutive runs of the
+    arrays below, in the batch's grid of ``m`` points: the grid index of each
+    row's end (``rank``), the padded slot of its start (``prev_slot`` =
+    prev_rank + 1, with slot 0 the origin of every segment) and its count
+    increment ``dN``, rows in subject-major order.  Rows without events add
+    nothing to phi, its score or its curvature.  ``last_rank`` holds each
+    subject's last visit and ``last_count`` the number of last visits at
+    each grid point.
     """
 
     rank: np.ndarray
@@ -229,48 +377,126 @@ class _EventRows:
     last_rank: np.ndarray
     last_count: np.ndarray
     m: int
+    points: _Segments
+    events: _Segments
+    lasts: _Segments
+
+    def take(self, keep: np.ndarray):
+        """The segments in ``keep`` (a mask over segments) as a batch of
+        their own.  Returns ``(rows, point_mask, event_mask)``, the masks
+        selecting their grid points and event rows in this batch."""
+        points, events, lasts = (s.spread(keep) for s in (self.points, self.events, self.lasts))
+        index = np.add.accumulate(points, dtype=np.intp)
+        rows = _EventRows(
+            rank=index[self.rank[events]] - 1,
+            prev_slot=np.concatenate([[0], index])[self.prev_slot[events]],
+            dN=self.dN[events],
+            last_rank=index[self.last_rank[lasts]] - 1,
+            last_count=self.last_count[points],
+            m=int(index[-1]),
+            points=self.points.take(keep),
+            events=self.events.take(keep),
+            lasts=self.lasts.take(keep),
+        )
+        return rows, points, events
 
 
 def _event_rows(flat: FlatObservations) -> _EventRows:
     ev = flat.dN > 0
     last_rank = flat.rank[flat.is_last]
+    dN = flat.dN[ev]
     return _EventRows(
         rank=flat.rank[ev],
         prev_slot=flat.prev_rank[ev] + 1,
-        dN=flat.dN[ev],
+        dN=dN,
         last_rank=last_rank,
         last_count=np.bincount(last_rank, minlength=flat.m).astype(float),
         m=flat.m,
+        points=_single(flat.m),
+        events=_single(dN.size),
+        lasts=_single(last_rank.size),
     )
+
+
+def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
+    """The rows of each group of ``d`` with subjects, as the segments of one
+    batch cut from the pooled rows ``flat``.
+
+    A group's grid is the pooled grid points that its rows visit; a cumulative
+    sum over those points maps each pooled rank to the group's grid.  Rows,
+    their order and their counts are those of ``restrict_to_group(d, l)``.
+    Returns ``(rows, points, n, labels)``: the batch, the groups' grid points
+    end to end, and each segment's number of subjects and group label.
+    """
+    m = flat.m
+    n = np.array(d.group_sizes)
+    labels = np.nonzero(n)[0] + 1
+    segment = np.add.accumulate(n > 0, dtype=np.intp) - 1
+    row_label = d.groups.repeat(d.sizes)
+    kept = np.nonzero((row_label >= 1) & (row_label <= d.k))[0]
+    seg = segment[row_label[kept].astype(int) - 1]
+    order = seg.argsort(kind="stable")
+    kept, seg = kept[order], seg[order]
+    visit = seg * m + flat.rank[kept]
+    visited = np.zeros(labels.size * m, dtype=bool)
+    visited[visit] = True
+    on_grid = np.nonzero(visited)[0]
+    # index[seg * m + j]: pooled grid point j on the grids of the groups, end to end
+    index = np.add.accumulate(visited, dtype=np.intp) - 1
+    rank = index[visit]
+    prev = flat.prev_rank[kept]
+    prev_slot = np.where(prev >= 0, index[seg * m + prev] + 1, 0)
+    dN = flat.dN[kept]
+    ev = dN > 0
+    last = flat.is_last[kept]
+    last_rank = rank[last]
+    rows = _EventRows(
+        rank=rank[ev],
+        prev_slot=prev_slot[ev],
+        dN=dN[ev],
+        last_rank=last_rank,
+        last_count=np.bincount(last_rank, minlength=on_grid.size).astype(float),
+        m=on_grid.size,
+        points=_Segments.of_sizes(np.bincount(on_grid // m, minlength=labels.size)),
+        events=_Segments.of_sizes(np.bincount(seg[ev], minlength=labels.size)),
+        lasts=_Segments.of_sizes(np.bincount(seg[last], minlength=labels.size)),
+    )
+    points = grid.points[on_grid % m]
+    points.flags.writeable = False
+    return rows, points, n[labels - 1], labels
 
 
 def _increments(rows: _EventRows, u: np.ndarray) -> np.ndarray:
     """Increments of grid values ``u`` over each event row (u = 0 at the origin)."""
-    return u[rows.rank] - np.concatenate([[0.0], u])[rows.prev_slot]
+    return u[rows.rank] - np.concatenate((_ORIGIN, u))[rows.prev_slot]
 
 
-def _loglik(rows: _EventRows, u: np.ndarray, du: np.ndarray | None = None) -> float:
-    """phi(u | X) with the 0*log(0) = 0 convention; -inf when infeasible.
-    ``du`` is ``_increments(rows, u)`` when the caller already has it."""
+def _loglik(rows: _EventRows, u: np.ndarray, du: np.ndarray | None = None) -> np.ndarray:
+    """phi(u | X) of each segment with the 0*log(0) = 0 convention; -inf
+    where infeasible.  ``du`` is ``_increments(rows, u)`` when the caller
+    already has it."""
     if du is None:
         du = _increments(rows, u)
-    if (du <= 0).any():
-        return float("-inf")
-    ll = float((rows.dN * np.log(du)).sum())
-    ll -= float(u[rows.last_rank].sum())
-    return ll
+    return _phi(rows, du <= 0, du, u[rows.last_rank])
 
 
-def _loglik_diff(rows: _EventRows, u_new, du_new, u_old, du_old) -> float:
-    """phi(u_new) - phi(u_old) for feasible ``u_old``, computed from increment
-    ratios.  Resolves gains far below the float granularity of the absolute
-    log-likelihood, which the line searches need near the optimum.  Returns
-    -inf when ``u_new`` is infeasible."""
-    if (du_new <= 0).any():
-        return float("-inf")
-    diff = float((rows.dN * np.log(du_new / du_old)).sum())
-    diff -= float((u_new[rows.last_rank] - u_old[rows.last_rank]).sum())
-    return diff
+def _loglik_diff(rows: _EventRows, u_new, du_new, u_old, du_old) -> np.ndarray:
+    """phi(u_new) - phi(u_old) of each segment for feasible ``u_old``,
+    computed from increment ratios.  Resolves gains far below the float
+    granularity of the absolute log-likelihood, which the line searches need
+    near the optimum.  -inf where ``u_new`` is infeasible."""
+    return _phi(rows, du_new <= 0, du_new / du_old, u_new[rows.last_rank] - u_old[rows.last_rank])
+
+
+def _phi(rows: _EventRows, bad: np.ndarray, ratio: np.ndarray, at_last: np.ndarray) -> np.ndarray:
+    """sum dN log(ratio) - sum at_last of each segment, -inf where a row is
+    ``bad``."""
+    if not np.logical_or.reduce(bad):
+        return rows.events.sums(rows.dN * np.log(ratio)) - rows.lasts.sums(at_last)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = rows.events.sums(rows.dN * np.log(ratio)) - rows.lasts.sums(at_last)
+    phi[rows.events.any(bad)] = -np.inf
+    return phi
 
 
 def _score_and_weights(rows: _EventRows, du: np.ndarray):
@@ -279,7 +505,7 @@ def _score_and_weights(rows: _EventRows, du: np.ndarray):
     adds -w_i (e_rank - e_prev)(e_rank - e_prev)^T to the Hessian of phi,
     with e_prev = 0 at the origin (slot 0 of the padded bincounts).
     """
-    if (du <= 0).any():
+    if np.logical_or.reduce(du <= 0):
         raise ValueError("u infeasible: zero increment over an interval with events")
     ratio = rows.dN / du
     g = np.bincount(rows.rank, weights=ratio, minlength=rows.m)
@@ -288,67 +514,110 @@ def _score_and_weights(rows: _EventRows, du: np.ndarray):
 
 
 def _grad_curv(rows: _EventRows, du: np.ndarray):
-    """Score and floored negative Hessian diagonal of phi at increments ``du``."""
+    """Score and negative Hessian diagonal of phi at increments ``du``, the
+    diagonal floored per segment at a ratio of its largest entry."""
     g, w = _score_and_weights(rows, du)
     c = np.bincount(rows.rank, weights=w, minlength=rows.m)
     c += np.bincount(rows.prev_slot, weights=w, minlength=rows.m + 1)[1:]
-    cmax = c.max()
-    if cmax <= 0:
-        c = np.ones(rows.m)
-    else:
-        c = np.maximum(c, _CURVATURE_FLOOR_RATIO * cmax)
+    cmax = rows.points.maxima(c).tolist()
+    floor = [_CURVATURE_FLOOR_RATIO * top for top in cmax]
+    c = np.maximum(c, floor[0] if rows.points.single else np.array(floor)[rows.points.of])
+    flat = [top <= 0 for top in cmax]
+    if any(flat):
+        c = np.where(rows.points.spread(np.array(flat)), 1.0, c)
     return g, c
 
 
-def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll: float, max_halvings: int):
-    """One Newton step on the values of the current tie blocks of ``u``.
+def _merge(rows: _EventRows, won: list[bool], new, old):
+    """``(u, du)`` from ``new`` on the segments in ``won``, from ``old``
+    elsewhere."""
+    if all(won):
+        return new
+    if not any(won):
+        return old
+    won = np.array(won)
+    return np.where(rows.points.spread(won), new[0], old[0]), np.where(rows.events.spread(won), new[1], old[1])
+
+
+def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll, max_halvings: int):
+    """One Newton step on the values of the current tie blocks of ``u``, in
+    every segment.
 
     The diagonal-ICM step alone contracts slowly once the active set has
     stabilized; solving the reduced (block-level) Newton system drives the
     stationarity residual to machine precision in a few steps.  The
     (blocks x blocks) system is summed directly from the per-row weights,
     each row landing on the blocks of its two ends; no grid-level Hessian
-    is formed.  A first block at the origin (value 0, on the boundary of
-    the cone) keeps its value, and the system is solved over the other
-    blocks; otherwise it is the full system.  On the likelihood's support
-    (``_support_rows``) every block of a feasible iterate ends a row with
-    events, so each diagonal entry is positive.  ``_block_step`` keeps the
-    blocks in order: a step that would cross blocks is projected onto the
-    cone, and halved only when the projection gains nothing.  Returns
-    ``(u, du, ll, polished)``; on any failure the iterate comes back
-    unchanged.
+    is formed.  No row joins two segments, so the batch's system is block
+    diagonal, and each segment's block of it is solved as its own system;
+    systems of one size are solved as one stack.
+    A first block at the origin (value 0, on the boundary of the cone) keeps
+    its value, and the system is solved over the other blocks; otherwise it
+    is the full system.  On the likelihood's support (``_support_rows``)
+    every block of a feasible iterate ends a row with events, so each
+    diagonal entry is positive.  ``_block_step`` keeps the blocks in order:
+    a step that would cross blocks is projected onto the cone, and halved
+    only when the projection gains nothing.  Returns ``(u, du, ll,
+    polished)``; a segment whose step fails comes back unchanged.
     """
-    jumps = u[1:] != u[:-1]
-    block_id = np.concatenate([[0], np.cumsum(jumps)])
+    points = rows.points
+    first_of_block = np.concatenate((_FIRST, u[1:] != u[:-1]))
+    if not points.single:
+        first_of_block[points.starts] = True
+    block_id = np.add.accumulate(first_of_block, dtype=np.intp) - 1
     n_blocks = int(block_id[-1]) + 1
+    blocks = _Segments(np.concatenate((block_id[points.starts], [n_blocks])))
     g, w = _score_and_weights(rows, du)
     g_red = np.bincount(block_id, weights=g, minlength=n_blocks)
     # slot 0 stands for the origin, where u = 0 is not a free value
     size = n_blocks + 1
-    slot = np.concatenate([[0], block_id + 1])
+    slot = np.concatenate((_ORIGIN_SLOT, block_id + 1))
     a, b = slot[rows.rank + 1], slot[rows.prev_slot]
-    pairs = np.concatenate([a * size + a, b * size + b, a * size + b, b * size + a])
-    neg_h = np.bincount(pairs, weights=np.concatenate([w, w, -w, -w]), minlength=size * size)
+    # each row adds w at (a, a) and (b, b) and -w at (a, b) and (b, a)
+    pairs = np.concatenate((a, b, a, b)) * size + np.concatenate((a, b, b, a))
+    neg_w = -w
+    neg_h = np.bincount(pairs, weights=np.concatenate((w, w, neg_w, neg_w)), minlength=size * size)
     neg_h = neg_h.reshape(size, size)[1:, 1:]
-    v = u[np.concatenate([[0], np.flatnonzero(jumps) + 1])]
-    first = 0 if v[0] > 0 else 1
+    v = u[first_of_block]
     dv = np.zeros(n_blocks)
-    try:
-        dv[first:] = np.linalg.solve(neg_h[first:, first:], g_red[first:])
-    except np.linalg.LinAlgError:
-        return u, du, ll, False
-    return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), max_halvings)
+    spans = [(lo if v[lo] > 0 else lo + 1, hi) for lo, hi in blocks.pairs]
+    solved = [True] * len(spans)
+    if len(spans) > 1 and len({hi - first for first, hi in spans}) == 1:
+        # systems of one size solve as one stack: LAPACK solves each matrix
+        # of a stack as it solves the matrix alone
+        at = np.array([first for first, _ in spans])[:, None] + np.arange(spans[0][1] - spans[0][0])
+        try:
+            dv[at] = np.linalg.solve(neg_h[at[:, :, None], at[:, None, :]], g_red[at][:, :, None])[:, :, 0]
+            spans = []
+        except np.linalg.LinAlgError:
+            pass
+    for s, (first, hi) in enumerate(spans):
+        try:
+            dv[first:hi] = np.linalg.solve(neg_h[first:hi, first:hi], g_red[first:hi])
+        except np.linalg.LinAlgError:
+            solved[s] = False
+    return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), max_halvings, solved, blocks)
 
 
-def _in_cone(v: np.ndarray) -> bool:
-    """Whether block values ``v`` satisfy 0 <= v_1 <= ... <= v_blocks."""
-    return bool(v[0] >= 0 and (v[1:] >= v[:-1]).all())
+def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
+    """Whether each segment's block values ``v`` satisfy
+    0 <= v_1 <= ... <= v_blocks."""
+    ordered = v[1:] >= v[:-1]
+    if blocks.single:
+        return [bool(v[0] >= 0 and np.logical_and.reduce(ordered))]
+    ordered[blocks.starts[1:] - 1] = True
+    ok = v[blocks.starts] >= 0
+    if not np.logical_and.reduce(ordered):
+        ok &= ~blocks.any(np.concatenate([[False], ~ordered]))
+    return ok.tolist()
 
 
-def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, max_halvings: int):
+def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, max_halvings: int, pending=None, blocks=None):
     """Move the tie-block values ``v`` of ``u`` (grid point i in block
     ``block_id[i]``) along the Newton step ``dv``, staying on the cone
-    0 <= v_1 <= ... <= v_blocks and ascending.
+    0 <= v_1 <= ... <= v_blocks and ascending, in each segment of ``rows``
+    that ``pending`` marks (all when None); ``blocks`` are the segments'
+    runs of blocks, found from ``block_id`` when None.
 
     The full step is tried first when it stays on the cone.  When it would
     cross blocks or take the first below 0, its projection onto the cone in
@@ -356,28 +625,42 @@ def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, max_halvings: i
     floored as in ``_grad_curv``) is tried instead: the isotonic regression
     of v + dv, clipped at 0, which merges the blocks the step would cross.
     If that candidate gains nothing, the step halves from 1/2 until a
-    candidate on the cone gains, at most ``max_halvings`` times.  Returns
-    ``(u, du, ll, polished)``; when no candidate gains, the iterate comes back
-    unchanged.
+    candidate on the cone gains, at most ``max_halvings`` times; every
+    segment still trying has the same step.  Returns ``(u, du, ll,
+    polished)``; a segment where no candidate gains comes back unchanged.
     """
-    step = 1.0
+    if blocks is None:
+        blocks = _Segments(np.concatenate((block_id[rows.points.starts], [v.size])))
+    ll = list(ll)
+    pending = [True] * len(blocks) if pending is None else list(pending)
+    polished = [False] * len(blocks)
     v_cand = v + dv
-    if not _in_cone(v_cand):
-        h = np.maximum(h, _CURVATURE_FLOOR_RATIO * h.max())
-        v_cand = np.maximum(isotonic_regression(v_cand, h), 0.0)
+    for (lo, hi), trying, ok in zip(blocks.pairs, pending, _in_cone(blocks, v_cand)):
+        if trying and not ok:
+            h_s = np.maximum(h[lo:hi], _CURVATURE_FLOOR_RATIO * np.maximum.reduce(h[lo:hi]))
+            v_cand[lo:hi] = np.maximum(isotonic_regression(v_cand[lo:hi], h_s), 0.0)
+    # a projection ends on the cone, so every first candidate lies on it
+    trying = pending
+    step = 1.0
     for _ in range(max_halvings + 1):
-        if _in_cone(v_cand):
+        if any(trying):
             cand = v_cand[block_id]
             du_cand = _increments(rows, cand)
-            gain = _loglik_diff(rows, cand, du_cand, u, du)
-            if gain > 0:
-                return cand, du_cand, ll + gain, True
+            gain = _loglik_diff(rows, cand, du_cand, u, du).tolist()
+            won = [t and g > 0 for t, g in zip(trying, gain)]
+            u, du = _merge(rows, won, (cand, du_cand), (u, du))
+            ll = [l + g if w else l for l, g, w in zip(ll, gain, won)]
+            polished = [p or w for p, w in zip(polished, won)]
+            pending = [p and not w for p, w in zip(pending, won)]
+        if not any(pending):
+            break
         step /= 2.0
         v_cand = v + step * dv
-    return u, du, ll, False
+        trying = [p and ok for p, ok in zip(pending, _in_cone(blocks, v_cand))]
+    return u, du, np.array(ll), np.array(polished)
 
 
-def _certificates(g: np.ndarray, u: np.ndarray, n: int, tol: float):
+def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments | None = None):
     """Cumulative-gradient stationarity, with S_l = sum_{j >= l} g_j.
 
     Returns ``(certified, residual, kkt)``.  ``residual`` is the largest
@@ -385,16 +668,27 @@ def _certificates(g: np.ndarray, u: np.ndarray, n: int, tol: float):
     l = 1, divided by n; ``certified`` is ``residual <= tol``.  ``kkt`` is
     the same test with l = 1 two-sided only when u_1 jumps above 0: the
     optimality conditions on the cone 0 <= u_1 <= ... <= u_m, which a
-    maximizer at the origin boundary (u_1 = 0, S_1 < 0) meets while
-    failing ``certified``.
+    maximizer at the origin boundary (u_1 = 0, S_1 < 0) meets while failing
+    ``certified``.  Given the segments of a batch as ``points`` and their
+    numbers of subjects as the list ``n``, each is a list with one entry per
+    segment, with S summed within the segment.
     """
-    S = np.cumsum(g[::-1])[::-1]
-    alpha = u - np.concatenate([[0.0], u[:-1]])
-    eps_jump = 1e-10 * max(1.0, float(u[-1]))
-    two_sided = alpha > eps_jump
-    kkt_residual = max(float(S.max()), float(np.max(-S[two_sided], initial=-np.inf))) / n
-    residual = max(kkt_residual, float(-S[0]) / n)
-    return residual <= tol, residual, kkt_residual <= tol
+    segments = _single(u.size) if points is None else points
+    S = segments.reversed_cumsums(g)
+    alpha = u - segments.before(u)
+    eps_jump = [1e-10 * max(1.0, last) for last in u[segments.ends - 1].tolist()]
+    two_sided = alpha > (eps_jump[0] if segments.single else np.array(eps_jump)[segments.of])
+    top = segments.maxima(S).tolist()
+    at_jumps = segments.maxima(np.where(two_sided, -S, -np.inf)).tolist()
+    columns = ([], [], [])
+    for top_s, jumps_s, first_s, n_s in zip(top, at_jumps, S[segments.starts].tolist(), [n] if points is None else n):
+        kkt_residual = max(top_s, jumps_s) / n_s
+        residual = max(kkt_residual, -first_s / n_s)
+        for column, value in zip(columns, (residual <= tol, residual, kkt_residual <= tol)):
+            column.append(value)
+    if points is None:
+        return tuple(column[0] for column in columns)
+    return columns
 
 
 def npmple(d: PanelDataset) -> StepEstimate:
@@ -406,10 +700,13 @@ def npmple(d: PanelDataset) -> StepEstimate:
 
 
 def _npmple_flat(grid: TimeGrid, flat: FlatObservations) -> StepEstimate:
+    return StepEstimate(support=grid.points, values=_npmple_values(grid, flat))
+
+
+def _npmple_values(grid: TimeGrid, flat: FlatObservations) -> np.ndarray:
     w = np.bincount(flat.rank, minlength=grid.m).astype(float)
     ybar = np.bincount(flat.rank, weights=flat.counts, minlength=grid.m) / w
-    values = np.maximum.accumulate(isotonic_regression(ybar, w))
-    return StepEstimate(support=grid.points, values=values)
+    return np.maximum.accumulate(isotonic_regression(ybar, w))
 
 
 def log_likelihood(d: PanelDataset, e: StepEstimate) -> float:
@@ -421,7 +718,7 @@ def log_likelihood(d: PanelDataset, e: StepEstimate) -> float:
     """
     grid = build_time_grid(d)
     rows = _event_rows(flatten_observations(d))
-    return _loglik(rows, eval_step(e, grid.points))
+    return float(_loglik(rows, eval_step(e, grid.points))[0])
 
 
 def gradient_and_curvature(d: PanelDataset, u):
@@ -440,89 +737,193 @@ def _support_rows(rows: _EventRows):
     The support is the set of grid points that start or end a row with
     events; phi is linear in the value at any other point, with slope minus
     its number of last visits.  Such a point takes the value of the support
-    point at or left of it, so its last visits fold into that point, or are
-    dropped before the first one, where the value is 0.  Returns
-    ``(rows, support)`` with ``support`` a mask over the grid, or the rows
-    unchanged and None when every grid point is in the support.
+    point at or left of it in its segment, so its last visits fold into that
+    point, or are dropped before the first one, where the value is 0.
+    Returns ``(rows, support)`` with ``support`` a mask over the grid, or the
+    rows unchanged and None when every grid point is in the support.  A
+    segment without events keeps no point.
     """
     support = np.zeros(rows.m + 1, dtype=bool)
     support[rows.rank + 1] = True
     support[rows.prev_slot] = True
     support = support[1:]
-    if support.all():
+    if np.logical_and.reduce(support):
         return rows, None
-    # slot[j]: 1 + the support index of the support point at or left of
-    # grid point j, or 0 (the origin) when there is none
+    # slot[j]: 1 + the support index of the support point at or left of grid
+    # point j, in the batch; the segment's offset when there is none
     slot = np.cumsum(support)
-    m = int(slot[-1])
+    points = _Segments(np.concatenate([[0], slot[rows.points.ends - 1]]))
     last_slot = slot[rows.last_rank]
+    kept = last_slot > rows.lasts.spread(points.starts)
+    last_rank = last_slot[kept] - 1
+    m = int(slot[-1])
     reduced = _EventRows(
         rank=slot[rows.rank] - 1,
         prev_slot=np.concatenate([[0], slot])[rows.prev_slot],
         dN=rows.dN,
-        last_rank=last_slot[last_slot > 0] - 1,
-        last_count=np.bincount(last_slot, minlength=m + 1)[1:].astype(float),
+        last_rank=last_rank,
+        last_count=np.bincount(last_rank, minlength=m).astype(float),
         m=m,
+        points=points,
+        events=rows.events,
+        lasts=_Segments.of_sizes(rows.lasts.counts(kept)),
     )
     return reduced, support
 
 
-def _icm(rows: _EventRows, u: np.ndarray, n: int, cfg: IcmConfig):
-    """The modified ICM from the feasible start ``u``, each step followed by
-    a Newton polish.  Returns ``(u, ll, trace, status, residual, iterations)``."""
+def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
+    """The modified ICM on every segment of ``rows`` at once, from the
+    feasible start ``u``, each step followed by a Newton polish.
+
+    Each segment keeps its own line-search and block-step halvings, stop
+    rule, status and trace, all read from its own values, so it follows the
+    path of its solve alone.  A segment that stops leaves the batch, and the
+    loop runs until the last one stops.  Per-segment scalars are Python
+    floats, whose arithmetic is numpy's.  Returns, per segment, ``(u, ll,
+    trace, status, residual, iterations)``.
+    """
+    out = [None] * len(rows.points)
+    ids = list(range(len(rows.points)))
     du = _increments(rows, u)
-    ll = _loglik(rows, u, du)
-    trace = [ll]
-    rel_change = float("inf")
-    status = "max-iterations"
-    residual = float("inf")
-    iterations = 0
+    ll = _loglik(rows, u, du).tolist()
+    traces = [[v] for v in ll]
+    rel_change = [float("inf")] * len(ids)
+
+    def leave(done, status, residual, iterations):
+        """Record the segments that ``done`` marks and drop them from the
+        batch; returns the mask of the grid points kept, None when no
+        segment is left."""
+        nonlocal rows, u, du, ll, n, rel_change, ids
+        for s, (a, b) in enumerate(rows.points.pairs):
+            if done[s]:
+                out[ids[s]] = (u[a:b], ll[s], traces[ids[s]], status[s], residual[s], iterations)
+        ids, ll, rel_change, n = ([x for x, gone in zip(xs, done) if not gone] for xs in (ids, ll, rel_change, n))
+        if not ids:
+            return None
+        rows, kept, kept_rows = rows.take(~np.array(done))
+        u, du = u[kept], du[kept_rows]
+        return kept
+
     for iterations in range(1, cfg.max_iterations + 1):
         g, c = _grad_curv(rows, du)
-        certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
-        if kkt_ok and rel_change < _REL_TOL:
-            status = "converged" if certs_ok else "boundary-origin"
-            break
+        # the stop rule needs the certificates only once an iteration gains little
+        if any(r < _REL_TOL for r in rel_change):
+            certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
+            stop = [kkt and r < _REL_TOL for kkt, r in zip(kkt_ok, rel_change)]
+            if any(stop):
+                status = ["converged" if ok else "boundary-origin" for ok in certs_ok]
+                kept = leave(stop, status, residual, iterations)
+                if kept is None:
+                    break
+                g, c = g[kept], c[kept]
         ll_start = ll
-        x = np.maximum(isotonic_regression(u + g / c, c), 0.0)
+        x = np.maximum(isotonic_regression(u + g / c, c, _segments=rows.points), 0.0)
+        u_start, du_start = u, du
         step = 1.0
-        accepted = False
+        pending = [True] * len(ids)
         for _ in range(_MAX_HALVINGS + 1):
-            cand = u + step * (x - u)
+            cand = u_start + step * (x - u_start)
             du_cand = _increments(rows, cand)
-            gain = _loglik_diff(rows, cand, du_cand, u, du)
-            if gain >= 0:
-                accepted = True
+            gain = _loglik_diff(rows, cand, du_cand, u_start, du_start).tolist()
+            won = [p and g >= 0 for p, g in zip(pending, gain)]
+            if any(won):
+                u, du = _merge(rows, won, (cand, du_cand), (u, du))
+                ll = [l0 + g if w else l for l0, l, g, w in zip(ll_start, ll, gain, won)]
+                for i, w, l in zip(ids, won, ll):
+                    if w:
+                        traces[i].append(l)
+                pending = [p and not w for p, w in zip(pending, won)]
+            if not any(pending):
                 break
             step /= 2.0
-        u_start = u
-        if accepted:
-            u, du, ll = cand, du_cand, ll + gain
-            trace.append(ll)
         u, du, ll, polished = _newton_polish(rows, u, du, ll, _MAX_HALVINGS)
-        if polished:
-            trace.append(ll)
-        moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
-        if not moved:
+        ll = ll.tolist()
+        for i, p, l in zip(ids, polished.tolist(), ll):
+            if p:
+                traces[i].append(l)
+        rel_change = [(l - l0) / (1.0 + abs(l0)) for l, l0 in zip(ll, ll_start)]
+        shift = rows.points.maxima(np.abs(u - u_start)).tolist()
+        last = u_start[rows.points.ends - 1].tolist()
+        still = [not d > 1e-14 * max(1.0, t) for d, t in zip(shift, last)]
+        if any(still):
             # numeric fixed point: nothing can improve, the certificates of
             # the iterate returned decide
             g, _ = _score_and_weights(rows, du)
-            certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
-            status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
-            break
-        rel_change = (ll - ll_start) / (1.0 + abs(ll_start))
-    else:
+            certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
+            status = [
+                "converged" if ok else "boundary-origin" if kkt else "stalled" for ok, kkt in zip(certs_ok, kkt_ok)
+            ]
+            if leave(still, status, residual, iterations) is None:
+                break
+    if ids:
         g, _ = _score_and_weights(rows, du)
-        _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol)
-    return u, ll, trace, status, residual, iterations
+        _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
+        leave([True] * len(ids), ["max-iterations"] * len(ids), residual, cfg.max_iterations)
+    return out
 
 
-def _scaled_start(start: StepEstimate, grid: TimeGrid, rows: _EventRows) -> np.ndarray:
-    """``start`` read on ``grid`` and scaled by c = sum dN / sum of its values
-    at the last visits, the c that maximizes phi(c * start): the level of
-    these rows under the shape of ``start``."""
-    u = eval_step(start, grid.points)
-    return u * (rows.dN.sum() / u[rows.last_rank].sum())
+def _scaled_start(start: StepEstimate, points: np.ndarray, rows: _EventRows) -> np.ndarray:
+    """``start`` read at ``points`` and scaled, in each segment, by
+    c = sum dN / sum of its values at the last visits, the c that maximizes
+    phi(c * start): the level of the segment's rows under the shape of
+    ``start``.  A segment without events is left unscaled."""
+    u = eval_step(start, points)
+    at_last = rows.lasts.sums(u[rows.last_rank])
+    return u * rows.points.spread(rows.events.sums(rows.dN) / np.where(at_last > 0, at_last, 1.0))
+
+
+def _solve(full: _EventRows, u0: np.ndarray, n: list[int], points: np.ndarray, cfg: IcmConfig, began: float):
+    """The NPMLE of every segment of ``full`` from its start ``u0`` on its
+    grid (``points``), in one run of ``_icm``.  Status and residual of a
+    segment solved on part of its grid are certified on the full grid.
+    Returns one ``(StepEstimate, SolveDiagnostics)`` per segment; each
+    ``seconds`` is the wall time since ``began``."""
+    rows, support = _support_rows(full)
+    # no events: phi = -(last visits) . u is largest at u = 0, and the
+    # certificates below give the status
+    fits = [(np.zeros(0), 0.0, [0.0], "converged", np.inf, 0)] * len(full.points)
+    events = rows.points.ends > rows.points.starts
+    if np.logical_or.reduce(events):
+        if support is not None:
+            u0 = u0[support]
+        local = np.arange(1, rows.m + 1) - rows.points.spread(rows.points.starts)
+        u0 = u0 + _INIT_SLOPE_EPSILON * local
+        if not np.logical_and.reduce(events):
+            rows, kept, _ = rows.take(events)
+            u0 = u0[kept]
+        solving = [s for s, has_events in enumerate(events.tolist()) if has_events]
+        for s, fit in zip(solving, _icm(rows, u0, [n[s] for s in solving], cfg)):
+            fits[s] = fit
+    u = np.concatenate([fit[0] for fit in fits])
+    if support is not None:
+        # slot[j] - first[j]: 1 + the segment's support index at or left of
+        # grid point j, or 0 when there is none
+        slot = np.cumsum(support)
+        first = full.points.spread(np.concatenate(([0], slot[full.points.ends[:-1] - 1])))
+        u = np.concatenate((_ORIGIN, u))[np.where(slot > first, slot, 0)]
+        g, _ = _score_and_weights(full, _increments(full, u))
+        certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol, full.points)
+        for s, partial in enumerate(full.points.any(~support).tolist()):
+            if partial:
+                u_s, ll, trace, status, _, iterations = fits[s]
+                if status != "max-iterations":
+                    status = "converged" if certs_ok[s] else "boundary-origin" if kkt_ok[s] else "stalled"
+                fits[s] = (u_s, ll, trace, status, residual[s], iterations)
+    seconds = time.perf_counter() - began
+    return [
+        (
+            StepEstimate(support=points[a:b], values=np.maximum.accumulate(np.maximum(u[a:b], 0.0))),
+            SolveDiagnostics(
+                iterations=iterations,
+                loglik=ll,
+                fenchel_residual=residual,
+                status=status,
+                loglik_trace=tuple(trace),
+                seconds=seconds,
+            ),
+        )
+        for (a, b), (_, ll, trace, status, residual, iterations) in zip(full.points.pairs, fits)
+    ]
 
 
 def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig(), *, _start: StepEstimate | None = None):
@@ -535,41 +936,40 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig(), *, _start: StepEstimate
     non-convergence the best iterate is returned with ``converged=False``
     and a ``status`` that says why; no exception.
 
-    The solve starts from the NPMPLE.  ``fit_all`` passes its pooled NPMLE
-    as ``_start`` for a group's solve, which then starts from that fit
-    scaled to the group's level (``_scaled_start``).
+    The solve starts from the NPMPLE, or, given a step estimate ``_start``,
+    from that estimate scaled to the dataset's level (``_scaled_start``).
+    The dataset is solved as a batch of one (``_icm``).
     """
-    start = time.perf_counter()
+    began = time.perf_counter()
     grid = build_time_grid(d)
     flat = flatten_observations(d)
-    n = flat.n_subjects
     full = _event_rows(flat)
-    rows, support = _support_rows(full)
-    if rows.m:
-        u0 = _npmple_flat(grid, flat).values if _start is None else _scaled_start(_start, grid, full)
-        u0 = u0 if support is None else u0[support]
-        u0 = u0 + _INIT_SLOPE_EPSILON * np.arange(1, rows.m + 1)
-        u, ll, trace, status, residual, iterations = _icm(rows, u0, n, cfg)
+    if _start is None:
+        u0 = _npmple_values(grid, flat)
     else:
-        # no events: phi = -(last visits) . u is largest at u = 0, and the
-        # certificates below give the status
-        u, ll, trace, status, iterations = np.zeros(0), 0.0, [0.0], "converged", 0
-    if support is not None:
-        u = np.concatenate([[0.0], u])[np.cumsum(support)]
-        g, _ = _score_and_weights(full, _increments(full, u))
-        certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
-        if status != "max-iterations":
-            status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
-    estimate = StepEstimate(support=grid.points, values=np.maximum.accumulate(np.maximum(u, 0.0)))
-    diag = SolveDiagnostics(
-        iterations=iterations,
-        loglik=ll,
-        fenchel_residual=residual,
-        status=status,
-        loglik_trace=tuple(trace),
-        seconds=time.perf_counter() - start,
-    )
+        u0 = _scaled_start(_start, grid.points, full)
+    ((estimate, diag),) = _solve(full, u0, [flat.n_subjects], grid.points, cfg, began)
     return estimate, diag
+
+
+def _group_npmles(d: PanelDataset, start: StepEstimate, cfg: IcmConfig):
+    """The NPMLE of each group of ``d``, all solved as the segments of one
+    batch (``_group_rows``), each from ``start`` scaled to its group's level.
+
+    Each group's estimate and diagnostics are those of
+    ``npmle(restrict_to_group(d, l), cfg, _start=start)``, except that
+    ``seconds`` is the wall time of the whole batch.  Returns one
+    ``(StepEstimate, SolveDiagnostics)`` per group label 1..k, None for a
+    group without subjects.
+    """
+    began = time.perf_counter()
+    full, points, n, labels = _group_rows(d, build_time_grid(d), flatten_observations(d))
+    fits = [None] * d.k
+    if labels.size:
+        u0 = _scaled_start(start, points, full)
+        for l, fit in zip(labels.tolist(), _solve(full, u0, n.tolist(), points, cfg, began)):
+            fits[l - 1] = fit
+    return fits
 
 
 def weighted_score_residual(d: PanelDataset, e: StepEstimate, phi) -> float:

@@ -50,9 +50,8 @@ from .core import (
     build_time_grid,
     eval_step,
     flatten_observations,
-    restrict_to_group,
 )
-from .estimators import IcmConfig, SolveDiagnostics, npmle
+from .estimators import IcmConfig, SolveDiagnostics, _group_npmles, npmle
 from .weights import WeightFn, WeightSpec, make_weight
 
 __all__ = [
@@ -144,30 +143,34 @@ def _diag_summary(diag: SolveDiagnostics) -> dict[str, Any]:
 def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
     """Solve the pooled NPMLE and one NPMLE per group; error on non-convergence.
 
-    Each group is solved on its rows, taken from the dataset's columns by
-    ``restrict_to_group``, starting from the pooled NPMLE scaled to the
-    group's level (see ``estimators``).  With one group its rows are the
-    pooled rows, and the pooled fit is the group's."""
+    The pooled NPMLE is ``npmle(d, cfg)``.  The groups are then solved
+    together, as the segments of one batch of the solver's loop, each on
+    its rows cut from the pooled rows and started from the pooled NPMLE
+    scaled to the group's level (see ``estimators``).  Each group's estimate
+    and diagnostics are, bit for bit, those of
+    ``npmle(restrict_to_group(d, l), cfg, _start=pooled)``, except that its
+    ``seconds`` is the wall time of the whole batch.  A failing group raises
+    for the lowest label.  With one group its rows are the pooled rows, and
+    the pooled fit is the group's."""
     pooled, pooled_diag = npmle(d, cfg)
     if not pooled_diag.converged:
         raise SolverConvergenceError(
             f"pooled NPMLE did not converge ({pooled_diag.status})", pooled_diag
         )
     if d.k == 1:
-        groups, group_diags = [pooled], [pooled_diag]
+        fits = [(pooled, pooled_diag)]
     else:
-        groups, group_diags = [], []
-        for l in range(1, d.k + 1):
-            est, diag = npmle(restrict_to_group(d, l), cfg, _start=pooled)
-            if not diag.converged:
-                raise SolverConvergenceError(f"group {l} NPMLE did not converge ({diag.status})", diag)
-            groups.append(est)
-            group_diags.append(diag)
+        fits = _group_npmles(d, pooled, cfg)
+    for l, fit in enumerate(fits, start=1):
+        if fit is None:
+            raise ValueError(f"group {l} has no paths")
+        if not fit[1].converged:
+            raise SolverConvergenceError(f"group {l} NPMLE did not converge ({fit[1].status})", fit[1])
     return FitBundle(
         pooled=pooled,
         pooled_diag=pooled_diag,
-        groups=tuple(groups),
-        group_diags=tuple(group_diags),
+        groups=tuple(est for est, _ in fits),
+        group_diags=tuple(diag for _, diag in fits),
         flat=flatten_observations(d),
     )
 

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 from panelcount import (
     IcmConfig,
     PanelDataset,
+    SolverConvergenceError,
     StepEstimate,
     build_time_grid,
     empirical_l2_distance,
     eval_step,
+    fit_all,
     gradient_and_curvature,
     isotonic_regression,
     weighted_score_residual,
@@ -441,6 +443,165 @@ class TestPooledStart:
                     assert diag.status == want.status
                     assert abs(diag.loglik - want.loglik) <= 1e-12 * abs(want.loglik)
         assert full > 0 and reduced > 0
+
+
+def group_batch_dataset(seed):
+    """A random dataset of 2 to 4 groups of 5, 12 or 60 subjects.  Each
+    group visits its own random part of a grid of 10, 40 or 120 times, so a
+    group's grid can be a strict subset of the pooled grid; low rates leave
+    grid points off a group's support, and about one draw in four has a
+    group without events.  In about one draw in four all groups share a
+    grid of 10 times, which a first subject of each visits, at a high rate:
+    the groups' Newton systems then tend to have one size."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    shared = rng.random() < 0.25
+    n_times = 10 if shared else int(rng.choice([10, 40, 120]))
+    silent = int(rng.integers(1, k + 1)) if rng.random() < 0.25 and not shared else 0
+    paths = []
+    for l in range(1, k + 1):
+        grid = np.arange(1, n_times + 1)
+        own = grid if shared else rng.choice(grid, size=int(rng.integers(n_times // 3, n_times + 1)), replace=False)
+        rate = 0.0 if l == silent else 2.0 if shared else float(rng.choice([0.1, 1.0, 4.0])) * 10 / n_times
+        for i in range(int(rng.choice([5, 12, 60]))):
+            times = np.sort(rng.choice(own, size=int(rng.integers(1, min(own.size, 12) + 1)), replace=False))
+            if shared and i == 0:
+                times = grid
+            increments = rng.poisson(rate * np.diff(times, prepend=0.0))
+            if i == 0 and rate > 0:
+                increments[0] = max(increments[0], 1)
+            paths.append(path(f"g{l}s{i}", l, times.astype(float), np.cumsum(increments)))
+    return PanelDataset.from_paths(paths, k=k)
+
+
+def solo_group_fits(d, cfg, pooled):
+    return [npmle(restrict_to_group(d, l), cfg, _start=pooled) for l in range(1, d.k + 1)]
+
+
+class TestGroupBatch:
+    """``fit_all`` solves the groups as one batch of the solver's loop; each
+    group's fit is, bit for bit, its solve alone."""
+
+    @pytest.mark.parametrize("cfg", [IcmConfig(), IcmConfig(max_iterations=2), TIGHT], ids=["default", "two-iterations", "tight"])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_each_group_gets_its_solo_solve(self, seed, cfg):
+        d = group_batch_dataset(seed)
+        pooled, _ = npmle(d, cfg)
+        batch = estimators._group_npmles(d, pooled, cfg)
+        for (est, diag), (want_est, want) in zip(batch, solo_group_fits(d, cfg, pooled)):
+            assert est.support.tobytes() == want_est.support.tobytes()
+            assert est.values.tobytes() == want_est.values.tobytes()
+            assert diag == want
+
+    def test_the_draws_cover_every_kind_of_segment(self, monkeypatch):
+        """The datasets above include each case the batch must get right."""
+        seen = set()
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            if np.ndim(a) == 3:
+                seen.add("Newton systems of one size solved as one stack")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        for seed in range(24):
+            d = group_batch_dataset(seed)
+            pooled, _ = npmle(d)
+            estimators._group_npmles(d, pooled, IcmConfig())
+            supports = []
+            for g in (restrict_to_group(d, l) for l in range(1, d.k + 1)):
+                rows, support = estimators._support_rows(estimators._event_rows(flatten_observations(g)))
+                supports.append(rows.m)
+                if support is not None and rows.m:
+                    seen.add("grid points off a group's support")
+                if not rows.m:
+                    seen.add("a group without events")
+                if build_time_grid(g).m < build_time_grid(d).m:
+                    seen.add("a group grid strictly inside the pooled grid")
+            if max(supports) <= 64 < sum(supports):
+                seen.add("segments of at most 64 points, more than 64 in all")
+            if any(m > 64 for m in supports):
+                seen.add("a segment of more than 64 points")
+            if 5 in d.group_sizes and 60 in d.group_sizes:
+                iterations = {diag.iterations for _, diag in solo_group_fits(d, IcmConfig(), pooled)}
+                if len(iterations) > 1:
+                    seen.add("groups of 5 and 60 that stop at different iterations")
+            statuses = {diag.status for _, diag in solo_group_fits(d, IcmConfig(max_iterations=2), pooled)}
+            if "max-iterations" in statuses and len(statuses) > 1:
+                seen.add("some segments end at the iteration limit")
+        assert seen == {
+            "grid points off a group's support",
+            "a group without events",
+            "a group grid strictly inside the pooled grid",
+            "segments of at most 64 points, more than 64 in all",
+            "a segment of more than 64 points",
+            "groups of 5 and 60 that stop at different iterations",
+            "some segments end at the iteration limit",
+            "Newton systems of one size solved as one stack",
+        }
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_segments_are_the_rows_of_each_group(self, seed):
+        d = group_batch_dataset(seed)
+        rows, points, n, labels = estimators._group_rows(d, build_time_grid(d), flatten_observations(d))
+        assert labels.tolist() == list(range(1, d.k + 1))
+        for s, l in enumerate(labels.tolist()):
+            g = restrict_to_group(d, l)
+            want = estimators._event_rows(flatten_observations(g))
+            (p0, p1), (e0, e1), (l0, l1) = rows.points.pairs[s], rows.events.pairs[s], rows.lasts.pairs[s]
+            prev_slot = rows.prev_slot[e0:e1]
+            got = {
+                "rank": rows.rank[e0:e1] - p0,
+                "prev_slot": np.where(prev_slot > 0, prev_slot - p0, 0),
+                "dN": rows.dN[e0:e1],
+                "last_rank": rows.last_rank[l0:l1] - p0,
+                "last_count": rows.last_count[p0:p1],
+            }
+            for name, value in got.items():
+                assert value.dtype == getattr(want, name).dtype, name
+                np.testing.assert_array_equal(value, getattr(want, name), err_msg=name)
+            assert p1 - p0 == want.m
+            assert points[p0:p1].tobytes() == build_time_grid(g).points.tobytes()
+            assert n[s] == g.n
+
+    def test_failing_groups_raise_for_the_lowest(self):
+        # groups 2 and 3 have no events at the first visit time: their
+        # NPMLEs sit at the origin boundary
+        d = PanelDataset.from_paths(
+            [
+                path("a1", 1, [1.0, 2.0, 3.0], [2, 3, 5]),
+                path("b1", 1, [1.0, 3.0], [1, 4]),
+                path("a2", 2, [1.0, 2.0], [0, 2]),
+                path("b2", 2, [1.0, 3.0], [0, 1]),
+                path("a3", 3, [1.0, 2.0], [0, 3]),
+                path("b3", 3, [1.0, 3.0], [0, 2]),
+            ],
+            k=3,
+        )
+        pooled, pooled_diag = npmle(d)
+        assert pooled_diag.converged
+        solo = solo_group_fits(d, IcmConfig(), pooled)
+        assert [diag.status for _, diag in solo] == ["converged", "boundary-origin", "boundary-origin"]
+        with pytest.raises(SolverConvergenceError) as raised:
+            fit_all(d)
+        assert str(raised.value) == "group 2 NPMLE did not converge (boundary-origin)"
+        assert raised.value.diagnostics == solo[1][1]
+
+    def test_group_without_subjects_named(self):
+        d = PanelDataset.from_paths(
+            [path("a", 1, [1.0, 2.0], [1, 3]), path("b", 3, [1.0, 2.0], [2, 2])], k=3
+        )
+        with pytest.raises(ValueError, match="group 2 has no paths"):
+            fit_all(d)
+
+    def test_each_group_reports_the_batch_time(self):
+        d = group_batch_dataset(3)
+        fits = fit_all(d, TIGHT)
+        seconds = {diag.seconds for diag in fits.group_diags}
+        assert len(seconds) == 1 and seconds.pop() > 0
+        for diag, (_, want) in zip(fits.group_diags, solo_group_fits(d, TIGHT, fits.pooled)):
+            assert diag == want
+            assert replace(diag, seconds=diag.seconds + 1.0) == diag
 
 
 def test_solve_time_is_reported_and_not_compared(rng):

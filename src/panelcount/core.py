@@ -220,13 +220,11 @@ class StepEstimate:
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if support.size != values.size or support.size == 0:
             raise ValueError("support and values must have equal positive length")
-        # ufunc reductions rather than np.all / np.any / np.diff, whose
-        # wrappers cost more than the checks: every solve makes an estimate
-        if not (np.logical_and.reduce(np.isfinite(support)) and np.logical_and.reduce(np.isfinite(values))):
+        if not (np.all(np.isfinite(support)) and np.all(np.isfinite(values))):
             raise ValueError("support and values must be finite")
-        if np.logical_or.reduce(support[1:] <= support[:-1]):
+        if np.any(np.diff(support) <= 0):
             raise ValueError("support must be strictly increasing")
-        if values[0] < 0 or np.logical_or.reduce(values[1:] < values[:-1]):
+        if values[0] < 0 or np.any(np.diff(values) < 0):
             raise ValueError("values must be nonnegative and nondecreasing")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
@@ -239,7 +237,7 @@ def eval_step(e: StepEstimate, t):
     """Evaluate a step estimate at time(s) ``t`` (scalar or array), t >= 0."""
     t_arr = np.asarray(t, dtype=float)
     idx = np.searchsorted(e.support, t_arr, side="right") - 1
-    out = np.where(idx >= 0, e.values[np.maximum(idx, 0)], 0.0)
+    out = np.where(idx >= 0, e.values[np.clip(idx, 0, None)], 0.0)
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -392,10 +390,12 @@ def flatten_observations(d: PanelDataset) -> FlatObservations:
 def _flatten(d: PanelDataset, grid: TimeGrid) -> FlatObservations:
     times, counts, sizes = d.times, d.counts, d.sizes
     ends = np.cumsum(sizes)
+    # a subject without visits has no first or last row
+    visited = sizes > 0
     is_first = np.zeros(times.size, dtype=bool)
-    is_first[ends - sizes] = True
+    is_first[(ends - sizes)[visited]] = True
     is_last = np.zeros(times.size, dtype=bool)
-    is_last[ends - 1] = True
+    is_last[(ends - 1)[visited]] = True
     dN = np.empty_like(counts)
     dN[1:] = counts[1:] - counts[:-1]
     dN[is_first] = counts[is_first]

@@ -163,7 +163,7 @@ class SolveDiagnostics:
 _MIN_ROUND_BLOCKS = 64
 
 
-def isotonic_regression(y, w, *, _segments: "_Segments | None" = None):
+def isotonic_regression(y, w):
     """Weighted least-squares projection onto nondecreasing sequences (PAVA).
 
     Returns the unique minimizer of sum_i w_i (x_i - y_i)^2 over
@@ -181,30 +181,29 @@ def isotonic_regression(y, w, *, _segments: "_Segments | None" = None):
     followed by zeros (m rounds of one pool each), are handed to the stack
     pass after the first round, so the worst case is the O(m) stack pass
     over the elements, never m numpy rounds.
-
-    The NPMLE solver passes the segments of its batch as ``_segments``:
-    each segment is then projected on its own, by the steps it would take
-    alone.
     """
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     if y.ndim != 1 or y.shape != w.shape or y.size == 0:
         raise ValueError("y and w must be 1-d arrays of equal positive length")
-    if not np.logical_and.reduce(np.isfinite(np.concatenate((y, w)))):
+    if not np.isfinite(np.concatenate((y, w))).all():
         raise ValueError("y and w must be finite")
-    if not np.minimum.reduce(w) > 0:
+    if not w.min() > 0:
         raise ValueError("weights must be strictly positive")
-    if _segments is None or _segments.single:
-        return _pava(y, w)
-    # Segments small enough for the stack pass alone share one pass over
-    # Python floats; larger ones take their rounds first, as alone.
-    values, weights = y.tolist(), w.tolist()
+    return _pava(y, w)
+
+
+def _segmented_pava(y: np.ndarray, w: np.ndarray, segments: "_Segments") -> np.ndarray:
+    """The isotonic regression of each segment of ``y`` with weights ``w``,
+    unchecked, each by the steps of ``isotonic_regression`` on it alone.
+    Segments small enough for the stack pass alone share one pass over
+    Python floats; larger ones take their rounds first."""
     pieces: list[np.ndarray] = []
     block_means: list[float] = []
     block_sizes: list[int] = []
-    for a, b in _segments.pairs:
+    for a, b in segments.pairs:
         if b - a <= _MIN_ROUND_BLOCKS:
-            _stack_pass(values[a:b], weights[a:b], [1] * (b - a), block_means, block_sizes)
+            _stack_pass(y[a:b].tolist(), w[a:b].tolist(), [1] * (b - a), block_means, block_sizes)
             continue
         if block_means:
             pieces.append(np.array(block_means).repeat(block_sizes))
@@ -271,19 +270,18 @@ class _Segments:
     Sums and reversed cumulative sums run over each run as over a standalone
     array, so every segment gets the bits of its own solve; maxima and
     bincounts are exact in any grouping and run once over the batch.  The
-    reductions call the ufunc methods themselves, the same reductions as the
-    array methods without their wrappers, which cost more than the sums at
-    m = 10.
+    sums call ``np.add.reduce`` itself, the reduction of ``ndarray.sum``
+    without its wrapper, which costs more than a sum at m = 10.
     """
 
-    __slots__ = ("bounds", "starts", "ends", "single", "_pairs", "_of")
+    __slots__ = ("bounds", "starts", "ends", "pairs", "_of")
 
     def __init__(self, bounds: np.ndarray):
         self.bounds = bounds
         self.starts = bounds[:-1]
         self.ends = bounds[1:]
-        self.single = bounds.size == 2
-        self._pairs = self._of = None
+        self.pairs = list(zip(self.starts.tolist(), self.ends.tolist()))
+        self._of = None
 
     @classmethod
     def of_sizes(cls, sizes: np.ndarray) -> "_Segments":
@@ -292,13 +290,7 @@ class _Segments:
         return cls(bounds)
 
     def __len__(self) -> int:
-        return self.bounds.size - 1
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        if self._pairs is None:
-            self._pairs = list(zip(self.starts.tolist(), self.ends.tolist()))
-        return self._pairs
+        return len(self.pairs)
 
     @property
     def of(self) -> np.ndarray:
@@ -307,19 +299,15 @@ class _Segments:
             self._of = np.arange(len(self)).repeat(self.ends - self.starts)
         return self._of
 
-    def spread(self, v: np.ndarray):
+    def spread(self, v: np.ndarray) -> np.ndarray:
         """Per-segment values ``v`` broadcast to the items of each segment."""
-        return v[0] if self.single else v[self.of]
+        return v[self.of]
 
     def sums(self, x: np.ndarray) -> np.ndarray:
-        if self.single:
-            return np.add.reduce(x, keepdims=True)
         return np.array([np.add.reduce(x[a:b]) for a, b in self.pairs])
 
     def reversed_cumsums(self, x: np.ndarray) -> np.ndarray:
         """sum_{j >= l} x_j within each segment."""
-        if self.single:
-            return np.add.accumulate(x[::-1])[::-1]
         out = np.empty_like(x)
         for a, b in self.pairs:
             out[a:b] = np.add.accumulate(x[a:b][::-1])[::-1]
@@ -331,20 +319,19 @@ class _Segments:
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """The number of items of each segment that ``mask`` marks."""
-        if self.single:
-            return np.array([np.count_nonzero(mask)])
-        return np.bincount(self.of[mask], minlength=len(self))
+        marked = np.zeros(mask.size + 1, dtype=np.intp)
+        np.add.accumulate(mask, dtype=np.intp, out=marked[1:])
+        return marked[self.ends] - marked[self.starts]
 
     def any(self, mask: np.ndarray) -> np.ndarray:
-        if not np.logical_or.reduce(mask):
-            return np.zeros(len(self), dtype=bool)
-        return self.counts(mask) > 0
+        """Whether ``mask`` marks an item of each segment; every segment
+        must be nonempty."""
+        return np.logical_or.reduceat(mask, self.starts)
 
     def before(self, x: np.ndarray) -> np.ndarray:
         """Each item's predecessor in its segment, 0 for a segment's first."""
         out = np.concatenate((_ORIGIN, x[:-1]))
-        if not self.single:
-            out[self.starts] = 0.0
+        out[self.starts] = 0.0
         return out
 
     def take(self, keep: np.ndarray) -> "_Segments":
@@ -419,7 +406,7 @@ def _event_rows(flat: FlatObservations) -> _EventRows:
 
 
 def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
-    """The rows of each group of ``d`` with subjects, as the segments of one
+    """The rows of each group of ``d`` that has rows, as the segments of one
     batch cut from the pooled rows ``flat``.
 
     A group's grid is the pooled grid points that its rows visit; a cumulative
@@ -429,12 +416,12 @@ def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
     end to end, and each segment's number of subjects and group label.
     """
     m = flat.m
-    n = np.array(d.group_sizes)
-    labels = np.nonzero(n)[0] + 1
-    segment = np.add.accumulate(n > 0, dtype=np.intp) - 1
     row_label = d.groups.repeat(d.sizes)
     kept = np.nonzero((row_label >= 1) & (row_label <= d.k))[0]
-    seg = segment[row_label[kept].astype(int) - 1]
+    group = row_label[kept].astype(int) - 1
+    has_rows = np.bincount(group, minlength=d.k) > 0
+    labels = np.nonzero(has_rows)[0] + 1
+    seg = (np.add.accumulate(has_rows, dtype=np.intp) - 1)[group]
     order = seg.argsort(kind="stable")
     kept, seg = kept[order], seg[order]
     visit = seg * m + flat.rank[kept]
@@ -463,7 +450,7 @@ def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
     )
     points = grid.points[on_grid % m]
     points.flags.writeable = False
-    return rows, points, n[labels - 1], labels
+    return rows, points, np.array(d.group_sizes)[labels - 1], labels
 
 
 def _increments(rows: _EventRows, u: np.ndarray) -> np.ndarray:
@@ -491,7 +478,7 @@ def _loglik_diff(rows: _EventRows, u_new, du_new, u_old, du_old) -> np.ndarray:
 def _phi(rows: _EventRows, bad: np.ndarray, ratio: np.ndarray, at_last: np.ndarray) -> np.ndarray:
     """sum dN log(ratio) - sum at_last of each segment, -inf where a row is
     ``bad``."""
-    if not np.logical_or.reduce(bad):
+    if not bad.any():
         return rows.events.sums(rows.dN * np.log(ratio)) - rows.lasts.sums(at_last)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = rows.events.sums(rows.dN * np.log(ratio)) - rows.lasts.sums(at_last)
@@ -505,7 +492,7 @@ def _score_and_weights(rows: _EventRows, du: np.ndarray):
     adds -w_i (e_rank - e_prev)(e_rank - e_prev)^T to the Hessian of phi,
     with e_prev = 0 at the origin (slot 0 of the padded bincounts).
     """
-    if np.logical_or.reduce(du <= 0):
+    if (du <= 0).any():
         raise ValueError("u infeasible: zero increment over an interval with events")
     ratio = rows.dN / du
     g = np.bincount(rows.rank, weights=ratio, minlength=rows.m)
@@ -519,12 +506,11 @@ def _grad_curv(rows: _EventRows, du: np.ndarray):
     g, w = _score_and_weights(rows, du)
     c = np.bincount(rows.rank, weights=w, minlength=rows.m)
     c += np.bincount(rows.prev_slot, weights=w, minlength=rows.m + 1)[1:]
-    cmax = rows.points.maxima(c).tolist()
-    floor = [_CURVATURE_FLOOR_RATIO * top for top in cmax]
-    c = np.maximum(c, floor[0] if rows.points.single else np.array(floor)[rows.points.of])
-    flat = [top <= 0 for top in cmax]
-    if any(flat):
-        c = np.where(rows.points.spread(np.array(flat)), 1.0, c)
+    cmax = rows.points.maxima(c)
+    c = np.maximum(c, rows.points.spread(_CURVATURE_FLOOR_RATIO * cmax))
+    flat = cmax <= 0
+    if flat.any():
+        c = np.where(rows.points.spread(flat), 1.0, c)
     return g, c
 
 
@@ -562,8 +548,7 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll, max_halv
     """
     points = rows.points
     first_of_block = np.concatenate((_FIRST, u[1:] != u[:-1]))
-    if not points.single:
-        first_of_block[points.starts] = True
+    first_of_block[points.starts] = True
     block_id = np.add.accumulate(first_of_block, dtype=np.intp) - 1
     n_blocks = int(block_id[-1]) + 1
     blocks = _Segments(np.concatenate((block_id[points.starts], [n_blocks])))
@@ -602,13 +587,12 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll, max_halv
 def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
     """Whether each segment's block values ``v`` satisfy
     0 <= v_1 <= ... <= v_blocks."""
-    ordered = v[1:] >= v[:-1]
-    if blocks.single:
-        return [bool(v[0] >= 0 and np.logical_and.reduce(ordered))]
-    ordered[blocks.starts[1:] - 1] = True
+    # ordered[i]: v_i >= v_{i-1}; a segment's first block is held only to 0
+    ordered = np.concatenate((_FIRST, v[1:] >= v[:-1]))
     ok = v[blocks.starts] >= 0
-    if not np.logical_and.reduce(ordered):
-        ok &= ~blocks.any(np.concatenate([[False], ~ordered]))
+    if not ordered.all():
+        ordered[blocks.starts] = True
+        ok &= np.logical_and.reduceat(ordered, blocks.starts)
     return ok.tolist()
 
 
@@ -676,8 +660,8 @@ def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments
     segments = _single(u.size) if points is None else points
     S = segments.reversed_cumsums(g)
     alpha = u - segments.before(u)
-    eps_jump = [1e-10 * max(1.0, last) for last in u[segments.ends - 1].tolist()]
-    two_sided = alpha > (eps_jump[0] if segments.single else np.array(eps_jump)[segments.of])
+    eps_jump = 1e-10 * np.maximum(1.0, u[segments.ends - 1])
+    two_sided = alpha > segments.spread(eps_jump)
     top = segments.maxima(S).tolist()
     at_jumps = segments.maxima(np.where(two_sided, -S, -np.inf)).tolist()
     columns = ([], [], [])
@@ -747,7 +731,7 @@ def _support_rows(rows: _EventRows):
     support[rows.rank + 1] = True
     support[rows.prev_slot] = True
     support = support[1:]
-    if np.logical_and.reduce(support):
+    if support.all():
         return rows, None
     # slot[j]: 1 + the support index of the support point at or left of grid
     # point j, in the batch; the segment's offset when there is none
@@ -817,7 +801,7 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
                     break
                 g, c = g[kept], c[kept]
         ll_start = ll
-        x = np.maximum(isotonic_regression(u + g / c, c, _segments=rows.points), 0.0)
+        x = np.maximum(_segmented_pava(u + g / c, c, rows.points), 0.0)
         u_start, du_start = u, du
         step = 1.0
         pending = [True] * len(ids)
@@ -883,12 +867,12 @@ def _solve(full: _EventRows, u0: np.ndarray, n: list[int], points: np.ndarray, c
     # certificates below give the status
     fits = [(np.zeros(0), 0.0, [0.0], "converged", np.inf, 0)] * len(full.points)
     events = rows.points.ends > rows.points.starts
-    if np.logical_or.reduce(events):
+    if events.any():
         if support is not None:
             u0 = u0[support]
         local = np.arange(1, rows.m + 1) - rows.points.spread(rows.points.starts)
         u0 = u0 + _INIT_SLOPE_EPSILON * local
-        if not np.logical_and.reduce(events):
+        if not events.all():
             rows, kept, _ = rows.take(events)
             u0 = u0[kept]
         solving = [s for s, has_events in enumerate(events.tolist()) if has_events]
@@ -960,7 +944,7 @@ def _group_npmles(d: PanelDataset, start: StepEstimate, cfg: IcmConfig):
     ``npmle(restrict_to_group(d, l), cfg, _start=start)``, except that
     ``seconds`` is the wall time of the whole batch.  Returns one
     ``(StepEstimate, SolveDiagnostics)`` per group label 1..k, None for a
-    group without subjects.
+    group without rows.
     """
     began = time.perf_counter()
     full, points, n, labels = _group_rows(d, build_time_grid(d), flatten_observations(d))

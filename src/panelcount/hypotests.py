@@ -163,7 +163,7 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
         fits = _group_npmles(d, pooled, cfg)
     for l, fit in enumerate(fits, start=1):
         if fit is None:
-            raise ValueError(f"group {l} has no paths")
+            raise ValueError(f"group {l} has no observations")
         if not fit[1].converged:
             raise SolverConvergenceError(f"group {l} NPMLE did not converge ({fit[1].status})", fit[1])
     return FitBundle(

@@ -591,7 +591,22 @@ class TestGroupBatch:
         d = PanelDataset.from_paths(
             [path("a", 1, [1.0, 2.0], [1, 3]), path("b", 3, [1.0, 2.0], [2, 2])], k=3
         )
-        with pytest.raises(ValueError, match="group 2 has no paths"):
+        with pytest.raises(ValueError, match="group 2 has no observations"):
+            fit_all(d)
+
+    @pytest.mark.parametrize("sizes", [[2, 0], [0, 2]])
+    @pytest.mark.parametrize("groups", [[1, 2], [2, 1]])
+    def test_group_whose_subjects_have_no_visits_named(self, sizes, groups):
+        d = PanelDataset.from_columns(
+            times=[1.0, 2.0], counts=[1, 3], sizes=sizes, groups=groups, subject_ids=["a", "b"], k=2
+        )
+        empty = groups[sizes.index(0)]
+        pooled, _ = npmle(d)
+        fits = estimators._group_npmles(d, pooled, IcmConfig())
+        assert fits[empty - 1] is None
+        (est, diag), (want_est, want) = fits[2 - empty], npmle(restrict_to_group(d, 3 - empty), _start=pooled)
+        assert est.values.tobytes() == want_est.values.tobytes() and diag == want
+        with pytest.raises(ValueError, match=f"group {empty} has no observations"):
             fit_all(d)
 
     def test_each_group_reports_the_batch_time(self):

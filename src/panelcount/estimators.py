@@ -32,7 +32,9 @@ nondecreasing step functions on the pooled observation grid:
   cumulative sums, PAVA and the Newton solves run per segment, so each
   segment gets the bits of its solve alone.  Step halvings, the stop rule,
   status and trace are each segment's own, and a segment that stops leaves
-  the batch.
+  the batch.  ``_cut`` is the one place a batch is cut to a sub-batch: to
+  each group's grid, to the likelihood's support, and to the segments still
+  solving.
 
   The NPMLE solves on the likelihood's support: the grid points that start
   or end a row with events (Wellner & Zhang 2000).  At any other point phi
@@ -61,8 +63,10 @@ exposes the weighted-sum corollary used as an end-to-end correctness check.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +121,8 @@ class IcmConfig:
     fenchel_tol: float = 1e-6
 
     def __post_init__(self):
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError("max_iterations must be an integer")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
         if not (0 < self.fenchel_tol < 1):
@@ -195,23 +201,8 @@ def isotonic_regression(y, w):
 
 def _segmented_pava(y: np.ndarray, w: np.ndarray, segments: "_Segments") -> np.ndarray:
     """The isotonic regression of each segment of ``y`` with weights ``w``,
-    unchecked, each by the steps of ``isotonic_regression`` on it alone.
-    Segments small enough for the stack pass alone share one pass over
-    Python floats; larger ones take their rounds first."""
-    pieces: list[np.ndarray] = []
-    block_means: list[float] = []
-    block_sizes: list[int] = []
-    for a, b in segments.pairs:
-        if b - a <= _MIN_ROUND_BLOCKS:
-            _stack_pass(y[a:b].tolist(), w[a:b].tolist(), [1] * (b - a), block_means, block_sizes)
-            continue
-        if block_means:
-            pieces.append(np.array(block_means).repeat(block_sizes))
-            block_means, block_sizes = [], []
-        pieces.append(_pava(y[a:b], w[a:b]))
-    if block_means:
-        pieces.append(np.array(block_means).repeat(block_sizes))
-    return np.concatenate(pieces)
+    unchecked, each by the steps of ``isotonic_regression`` on it alone."""
+    return np.concatenate([_pava(y[a:b], w[a:b]) for a, b in segments.pairs])
 
 
 def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -236,21 +227,12 @@ def _pava(y: np.ndarray, w: np.ndarray) -> np.ndarray:
             weights = np.bincount(run, weights=weights)
             means = sums / weights
             block = run if block is None else run[block]
-    block_means: list[float] = []
-    block_sizes: list[int] = []
+    # the sequential stack pass over the blocks left
     sizes = [1] * means.size if block is None else np.bincount(block).tolist()
-    _stack_pass(means.tolist(), weights.tolist(), sizes, block_means, block_sizes)
-    return np.array(block_means).repeat(block_sizes)
-
-
-def _stack_pass(means: list, weights: list, sizes: list, block_means: list, block_sizes: list) -> None:
-    """The sequential pass of PAVA over blocks of the given means, weights
-    and sizes; appends the pooled blocks to ``block_means`` and
-    ``block_sizes``."""
     stack_means: list[float] = []
     stack_weights: list[float] = []
     stack_sizes: list[int] = []
-    for mean, weight, size in zip(means, weights, sizes):
+    for mean, weight, size in zip(means.tolist(), weights.tolist(), sizes):
         while stack_means and stack_means[-1] > mean:
             pm, pw = stack_means.pop(), stack_weights.pop()
             mean = (pm * pw + mean * weight) / (pw + weight)
@@ -259,8 +241,7 @@ def _stack_pass(means: list, weights: list, sizes: list, block_means: list, bloc
         stack_means.append(mean)
         stack_weights.append(weight)
         stack_sizes.append(size)
-    block_means.extend(stack_means)
-    block_sizes.extend(stack_sizes)
+    return np.array(stack_means).repeat(stack_sizes)
 
 
 class _Segments:
@@ -334,9 +315,6 @@ class _Segments:
         out[self.starts] = 0.0
         return out
 
-    def take(self, keep: np.ndarray) -> "_Segments":
-        return _Segments.of_sizes((self.ends - self.starts)[keep])
-
 
 def _single(size: int) -> _Segments:
     return _Segments(np.array([0, size], dtype=np.intp))
@@ -354,38 +332,22 @@ class _EventRows:
     prev_rank + 1, with slot 0 the origin of every segment) and its count
     increment ``dN``, rows in subject-major order.  Rows without events add
     nothing to phi, its score or its curvature.  ``last_rank`` holds each
-    subject's last visit and ``last_count`` the number of last visits at
-    each grid point.
+    subject's last visit; ``last_count``, the number of last visits at each
+    grid point, is derived from it.
     """
 
     rank: np.ndarray
     prev_slot: np.ndarray
     dN: np.ndarray
     last_rank: np.ndarray
-    last_count: np.ndarray
     m: int
     points: _Segments
     events: _Segments
     lasts: _Segments
 
-    def take(self, keep: np.ndarray):
-        """The segments in ``keep`` (a mask over segments) as a batch of
-        their own.  Returns ``(rows, point_mask, event_mask)``, the masks
-        selecting their grid points and event rows in this batch."""
-        points, events, lasts = (s.spread(keep) for s in (self.points, self.events, self.lasts))
-        index = np.add.accumulate(points, dtype=np.intp)
-        rows = _EventRows(
-            rank=index[self.rank[events]] - 1,
-            prev_slot=np.concatenate([[0], index])[self.prev_slot[events]],
-            dN=self.dN[events],
-            last_rank=index[self.last_rank[lasts]] - 1,
-            last_count=self.last_count[points],
-            m=int(index[-1]),
-            points=self.points.take(keep),
-            events=self.events.take(keep),
-            lasts=self.lasts.take(keep),
-        )
-        return rows, points, events
+    @cached_property
+    def last_count(self) -> np.ndarray:
+        return np.bincount(self.last_rank, minlength=self.m).astype(float)
 
 
 def _event_rows(flat: FlatObservations) -> _EventRows:
@@ -397,7 +359,6 @@ def _event_rows(flat: FlatObservations) -> _EventRows:
         prev_slot=flat.prev_rank[ev] + 1,
         dN=dN,
         last_rank=last_rank,
-        last_count=np.bincount(last_rank, minlength=flat.m).astype(float),
         m=flat.m,
         points=_single(flat.m),
         events=_single(dN.size),
@@ -405,15 +366,51 @@ def _event_rows(flat: FlatObservations) -> _EventRows:
     )
 
 
+def _cut(rows: _EventRows, keep: np.ndarray, live: np.ndarray | None = None) -> _EventRows:
+    """The segments of ``rows`` that ``live`` marks (all when None) as a
+    batch of their own, on the grid points that ``keep`` marks.
+
+    ``keep`` marks no point of a segment that ``live`` leaves out, and every
+    event row of the other segments starts and ends at kept points.  A last
+    visit moves to the kept point at or left of it in its segment, and is
+    dropped when there is none.  Every cut of a batch to a sub-batch goes
+    through here: to each group's grid (``_group_rows``), to the likelihood's
+    support (``_support_rows``) and to the segments still solving (``_icm``).
+    """
+    # slot[j + 1]: 1 + the index of the kept point at or left of grid point
+    # j, with slot 0 the origin; slot[start] counts the points kept before a
+    # segment
+    slot = np.zeros(rows.m + 1, dtype=np.intp)
+    np.add.accumulate(keep, dtype=np.intp, out=slot[1:])
+    ev = keep[rows.rank]
+    last_slot = slot[rows.last_rank + 1]
+    last = last_slot > rows.lasts.spread(slot[rows.points.starts])
+    sizes = [np.diff(slot[rows.points.bounds]), rows.events.counts(ev), rows.lasts.counts(last)]
+    if live is not None:
+        sizes = [size[live] for size in sizes]
+    points, events, lasts = (_Segments.of_sizes(size) for size in sizes)
+    return _EventRows(
+        rank=slot[rows.rank[ev] + 1] - 1,
+        prev_slot=slot[rows.prev_slot[ev]],
+        dN=rows.dN[ev],
+        last_rank=last_slot[last] - 1,
+        m=int(slot[-1]),
+        points=points,
+        events=events,
+        lasts=lasts,
+    )
+
+
 def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
     """The rows of each group of ``d`` that has rows, as the segments of one
     batch cut from the pooled rows ``flat``.
 
-    A group's grid is the pooled grid points that its rows visit; a cumulative
-    sum over those points maps each pooled rank to the group's grid.  Rows,
-    their order and their counts are those of ``restrict_to_group(d, l)``.
-    Returns ``(rows, points, n, labels)``: the batch, the groups' grid points
-    end to end, and each segment's number of subjects and group label.
+    Each group's rows are laid on a copy of the pooled grid of its own, and
+    the batch is cut to the points each group visits: the group's grid.
+    Rows, their order and their counts are those of
+    ``restrict_to_group(d, l)``.  Returns ``(rows, points, n, labels)``: the
+    batch, the groups' grid points end to end, and each segment's number of
+    subjects and group label.
     """
     m = flat.m
     row_label = d.groups.repeat(d.sizes)
@@ -424,33 +421,26 @@ def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
     seg = (np.add.accumulate(has_rows, dtype=np.intp) - 1)[group]
     order = seg.argsort(kind="stable")
     kept, seg = kept[order], seg[order]
-    visit = seg * m + flat.rank[kept]
-    visited = np.zeros(labels.size * m, dtype=bool)
-    visited[visit] = True
-    on_grid = np.nonzero(visited)[0]
-    # index[seg * m + j]: pooled grid point j on the grids of the groups, end to end
-    index = np.add.accumulate(visited, dtype=np.intp) - 1
-    rank = index[visit]
+    rank = seg * m + flat.rank[kept]
     prev = flat.prev_rank[kept]
-    prev_slot = np.where(prev >= 0, index[seg * m + prev] + 1, 0)
     dN = flat.dN[kept]
     ev = dN > 0
     last = flat.is_last[kept]
-    last_rank = rank[last]
-    rows = _EventRows(
+    visited = np.zeros(labels.size * m, dtype=bool)
+    visited[rank] = True
+    on_copies = _EventRows(
         rank=rank[ev],
-        prev_slot=prev_slot[ev],
+        prev_slot=np.where(prev >= 0, seg * m + prev + 1, 0)[ev],
         dN=dN[ev],
-        last_rank=last_rank,
-        last_count=np.bincount(last_rank, minlength=on_grid.size).astype(float),
-        m=on_grid.size,
-        points=_Segments.of_sizes(np.bincount(on_grid // m, minlength=labels.size)),
+        last_rank=rank[last],
+        m=labels.size * m,
+        points=_Segments.of_sizes(np.full(labels.size, m)),
         events=_Segments.of_sizes(np.bincount(seg[ev], minlength=labels.size)),
         lasts=_Segments.of_sizes(np.bincount(seg[last], minlength=labels.size)),
     )
-    points = grid.points[on_grid % m]
+    points = np.tile(grid.points, labels.size)[visited]
     points.flags.writeable = False
-    return rows, points, np.array(d.group_sizes)[labels - 1], labels
+    return _cut(on_copies, visited), points, np.array(d.group_sizes)[labels - 1], labels
 
 
 def _increments(rows: _EventRows, u: np.ndarray) -> np.ndarray:
@@ -675,6 +665,12 @@ def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments
     return columns
 
 
+def _status(certified: bool, kkt: bool) -> str:
+    """Why a solve that ends at a point with these certificates ended (see
+    ``SolveDiagnostics``)."""
+    return "converged" if certified else "boundary-origin" if kkt else "stalled"
+
+
 def npmple(d: PanelDataset) -> StepEstimate:
     """Pseudo-likelihood maximizer: weighted isotonic regression of the
     per-grid-point mean cumulative counts, weighted by observation counts."""
@@ -724,8 +720,8 @@ def _support_rows(rows: _EventRows):
     point at or left of it in its segment, so its last visits fold into that
     point, or are dropped before the first one, where the value is 0.
     Returns ``(rows, support)`` with ``support`` a mask over the grid, or the
-    rows unchanged and None when every grid point is in the support.  A
-    segment without events keeps no point.
+    rows unchanged and None when every grid point is in the support.  The
+    segments without events, which have no support, are left out.
     """
     support = np.zeros(rows.m + 1, dtype=bool)
     support[rows.rank + 1] = True
@@ -733,26 +729,7 @@ def _support_rows(rows: _EventRows):
     support = support[1:]
     if support.all():
         return rows, None
-    # slot[j]: 1 + the support index of the support point at or left of grid
-    # point j, in the batch; the segment's offset when there is none
-    slot = np.cumsum(support)
-    points = _Segments(np.concatenate([[0], slot[rows.points.ends - 1]]))
-    last_slot = slot[rows.last_rank]
-    kept = last_slot > rows.lasts.spread(points.starts)
-    last_rank = last_slot[kept] - 1
-    m = int(slot[-1])
-    reduced = _EventRows(
-        rank=slot[rows.rank] - 1,
-        prev_slot=np.concatenate([[0], slot])[rows.prev_slot],
-        dN=rows.dN,
-        last_rank=last_rank,
-        last_count=np.bincount(last_rank, minlength=m).astype(float),
-        m=m,
-        points=points,
-        events=rows.events,
-        lasts=_Segments.of_sizes(rows.lasts.counts(kept)),
-    )
-    return reduced, support
+    return _cut(rows, support, rows.events.ends > rows.events.starts), support
 
 
 def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
@@ -784,8 +761,10 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
         ids, ll, rel_change, n = ([x for x, gone in zip(xs, done) if not gone] for xs in (ids, ll, rel_change, n))
         if not ids:
             return None
-        rows, kept, kept_rows = rows.take(~np.array(done))
-        u, du = u[kept], du[kept_rows]
+        live = ~np.array(done)
+        kept = rows.points.spread(live)
+        u, du = u[kept], du[rows.events.spread(live)]
+        rows = _cut(rows, kept, live)
         return kept
 
     for iterations in range(1, cfg.max_iterations + 1):
@@ -795,8 +774,7 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
             certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
             stop = [kkt and r < _REL_TOL for kkt, r in zip(kkt_ok, rel_change)]
             if any(stop):
-                status = ["converged" if ok else "boundary-origin" for ok in certs_ok]
-                kept = leave(stop, status, residual, iterations)
+                kept = leave(stop, list(map(_status, certs_ok, kkt_ok)), residual, iterations)
                 if kept is None:
                     break
                 g, c = g[kept], c[kept]
@@ -834,10 +812,7 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
             # the iterate returned decide
             g, _ = _score_and_weights(rows, du)
             certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
-            status = [
-                "converged" if ok else "boundary-origin" if kkt else "stalled" for ok, kkt in zip(certs_ok, kkt_ok)
-            ]
-            if leave(still, status, residual, iterations) is None:
+            if leave(still, list(map(_status, certs_ok, kkt_ok)), residual, iterations) is None:
                 break
     if ids:
         g, _ = _score_and_weights(rows, du)
@@ -866,17 +841,12 @@ def _solve(full: _EventRows, u0: np.ndarray, n: list[int], points: np.ndarray, c
     # no events: phi = -(last visits) . u is largest at u = 0, and the
     # certificates below give the status
     fits = [(np.zeros(0), 0.0, [0.0], "converged", np.inf, 0)] * len(full.points)
-    events = rows.points.ends > rows.points.starts
-    if events.any():
+    solving = np.flatnonzero(full.events.ends > full.events.starts).tolist()
+    if solving:
         if support is not None:
             u0 = u0[support]
         local = np.arange(1, rows.m + 1) - rows.points.spread(rows.points.starts)
-        u0 = u0 + _INIT_SLOPE_EPSILON * local
-        if not events.all():
-            rows, kept, _ = rows.take(events)
-            u0 = u0[kept]
-        solving = [s for s, has_events in enumerate(events.tolist()) if has_events]
-        for s, fit in zip(solving, _icm(rows, u0, [n[s] for s in solving], cfg)):
+        for s, fit in zip(solving, _icm(rows, u0 + _INIT_SLOPE_EPSILON * local, [n[s] for s in solving], cfg)):
             fits[s] = fit
     u = np.concatenate([fit[0] for fit in fits])
     if support is not None:
@@ -891,7 +861,7 @@ def _solve(full: _EventRows, u0: np.ndarray, n: list[int], points: np.ndarray, c
             if partial:
                 u_s, ll, trace, status, _, iterations = fits[s]
                 if status != "max-iterations":
-                    status = "converged" if certs_ok[s] else "boundary-origin" if kkt_ok[s] else "stalled"
+                    status = _status(certs_ok[s], kkt_ok[s])
                 fits[s] = (u_s, ll, trace, status, residual[s], iterations)
     seconds = time.perf_counter() - began
     return [

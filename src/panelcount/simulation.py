@@ -27,6 +27,7 @@ are numpy and click.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -143,9 +144,15 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        sizes = (("group size", s) for s in self.group_sizes)
+        for name, value in (("replications", self.replications), ("base_seed", self.base_seed), *sizes):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "group_sizes", tuple(int(s) for s in self.group_sizes))
         object.__setattr__(self, "weight_specs", tuple(self.weight_specs))
         object.__setattr__(self, "statistics", tuple(self.statistics))
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not (0 < self.alpha < 1):

@@ -340,6 +340,12 @@ class TestSimulateCommand:
         assert result.exit_code == 2
         assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
 
+    def test_negative_seed_exit_2(self, runner):
+        result = runner.invoke(main, ["simulate", "--n1", "5", "--n2", "5", "--reps", "2", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "error: base_seed must be >= 0, got -1" in result.output
+        assert "Traceback" not in result.output
+
 
     @pytest.mark.parametrize(
         "args, message",
@@ -384,6 +390,12 @@ class TestQqCommand:
         result = runner.invoke(main, ["qq", "--n", "10", "--reps", "2"])
         assert result.exit_code == 2
         assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
+
+    def test_negative_seed_exit_2(self, runner):
+        result = runner.invoke(main, ["qq", "--n", "10", "--reps", "2", "--seed", "-3"])
+        assert result.exit_code == 2
+        assert "error: base_seed must be >= 0, got -3" in result.output
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_nonconvergence_exit_3(self, runner, monkeypatch, threads):

@@ -181,6 +181,15 @@ class TestIcmConfig:
         with pytest.raises(ValueError):
             IcmConfig(fenchel_tol=0.0)
 
+    @pytest.mark.parametrize("limit", [2.5, True, "3"])
+    def test_rejects_a_limit_that_is_no_integer(self, limit):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            IcmConfig(max_iterations=limit)
+
+    def test_accepts_a_numpy_integer_limit(self):
+        d = PanelDataset.from_paths([path("a", 1, [1.0, 2.0], [1, 3]), path("b", 1, [2.0], [1])])
+        assert npmle(d, IcmConfig(max_iterations=np.int64(1)))[1].iterations == 1
+
 
 class TestNpmple:
     def test_monotone_raw_means_pass_through(self):
@@ -617,6 +626,74 @@ class TestGroupBatch:
         for diag, (_, want) in zip(fits.group_diags, solo_group_fits(d, TIGHT, fits.pooled)):
             assert diag == want
             assert replace(diag, seconds=diag.seconds + 1.0) == diag
+
+
+def batch_fields(rows):
+    """Every field of a batch of rows, the derived ``last_count`` and the
+    segments' bounds included."""
+    fields = {name: getattr(rows, name) for name in ("rank", "prev_slot", "dN", "last_rank", "last_count")}
+    fields.update({name: getattr(rows, name).bounds for name in ("points", "events", "lasts")})
+    return {**fields, "m": np.array(rows.m)}
+
+
+def segment_fields(rows, s):
+    """The fields of segment ``s`` of a batch, on the segment's own grid."""
+    (p0, p1), (e0, e1), (l0, l1) = rows.points.pairs[s], rows.events.pairs[s], rows.lasts.pairs[s]
+    prev_slot = rows.prev_slot[e0:e1]
+    return {
+        "rank": rows.rank[e0:e1] - p0,
+        "prev_slot": np.where(prev_slot > 0, prev_slot - p0, 0),
+        "dN": rows.dN[e0:e1],
+        "last_rank": rows.last_rank[l0:l1] - p0,
+        "last_count": rows.last_count[p0:p1],
+        "m": np.array(p1 - p0),
+    }
+
+
+def assert_same_fields(got, want):
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert value.dtype == want[name].dtype, name
+        np.testing.assert_array_equal(value, want[name], err_msg=name)
+
+
+def group_batch(d):
+    return estimators._group_rows(d, build_time_grid(d), flatten_observations(d))[0]
+
+
+class TestCut:
+    """``_cut``, the one cut of a batch of rows to a sub-batch."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_keeping_everything_changes_nothing(self, seed):
+        rows = group_batch(group_batch_dataset(seed))
+        everything = np.ones(rows.m, dtype=bool)
+        for live in (None, np.ones(len(rows.points), dtype=bool)):
+            assert_same_fields(batch_fields(estimators._cut(rows, everything, live)), batch_fields(rows))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_the_surviving_segments_are_the_batch_of_their_groups(self, seed):
+        d = group_batch_dataset(seed)
+        rows = group_batch(d)
+        live = np.random.default_rng(seed).random(d.k) < 0.5
+        if live.all() or not live.any():
+            live[0] = not live[0]
+        survivors = PanelDataset.from_paths([p for p in d.paths if live[p.group - 1]], k=d.k)
+        got = estimators._cut(rows, rows.points.spread(live), live)
+        assert_same_fields(batch_fields(got), batch_fields(group_batch(survivors)))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_the_support_of_a_batch_is_the_support_of_each_group(self, seed):
+        d = group_batch_dataset(seed)
+        rows, _ = estimators._support_rows(group_batch(d))
+        wants = []
+        for l in range(1, d.k + 1):
+            solo = estimators._event_rows(flatten_observations(restrict_to_group(d, l)))
+            if solo.dN.size:
+                wants.append(segment_fields(estimators._support_rows(solo)[0], 0))
+        assert len(rows.points) == len(wants)
+        for s, want in enumerate(wants):
+            assert_same_fields(segment_fields(rows, s), want)
 
 
 def test_solve_time_is_reported_and_not_compared(rng):

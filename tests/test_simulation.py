@@ -58,6 +58,28 @@ def small_cfg(**kw):
     return SimConfig(**defaults)
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(base_seed=-1), "base_seed must be >= 0, got -1"),
+            (dict(base_seed=1.5), "base_seed must be an integer, got 1.5"),
+            (dict(base_seed=True), "base_seed must be an integer, got True"),
+            (dict(replications=2.5), "replications must be an integer, got 2.5"),
+            (dict(group_sizes=(2.5, 3)), "group size must be an integer, got 2.5"),
+            (dict(group_sizes=(3, False)), "group size must be an integer, got False"),
+        ],
+    )
+    def test_rejects_seeds_and_counts_that_are_no_nonnegative_integers(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            small_cfg(**kw)
+
+    def test_numpy_integers_are_integers(self):
+        cfg = small_cfg(group_sizes=(np.int64(3), 4), base_seed=np.int64(0), replications=np.int32(2))
+        assert cfg.group_sizes == (3, 4)
+        assert type(cfg.group_sizes[0]) is int
+
+
 class TestTrueMean:
     def test_case1_groups(self):
         assert mean_for_group(1, 0.2, 1)(3.0) == 3.0

@@ -768,6 +768,35 @@ class TestSolveStatus:
         assert diag.fenchel_residual == residual
         assert diag.fenchel_residual == pytest.approx(9.908e-13, rel=1e-3)
 
+    def test_stop_rule_at_the_limit_ends_as_max_iterations(self, rng):
+        # the stop rule holds at the top of iteration j; a limit of j - 1
+        # ends on the same iterate, as max-iterations at j - 1
+        d = random_dataset(rng, 40)
+        est, diag = npmle(d)
+        j = diag.iterations
+        assert (diag.status, j) == ("converged", 4)
+        assert npmle(d, IcmConfig(max_iterations=j))[1] == diag
+        capped_est, capped = npmle(d, IcmConfig(max_iterations=j - 1))
+        assert (capped.status, capped.iterations) == ("max-iterations", j - 1)
+        assert capped_est.values.tobytes() == est.values.tobytes()
+        assert capped.loglik == diag.loglik
+        assert capped.loglik_trace == diag.loglik_trace
+        assert capped.fenchel_residual == diag.fenchel_residual
+
+    def test_fixed_point_at_the_limit_keeps_its_status(self):
+        # the dataset of test_fixed_point_status_certifies_the_returned_estimate,
+        # whose iterate stops moving in iteration j
+        rng = np.random.default_rng(582)
+        rng.integers(1, 40), rng.choice([0.1, 0.5, 1.0, 3.0]), rng.integers(2, 12)
+        d = random_dataset(rng, 28, k=1, max_time=10, rate=0.1)
+        cfg = IcmConfig(fenchel_tol=1e-12)
+        _, diag = npmle(d, cfg)
+        j = diag.iterations
+        assert (diag.status, j) == ("converged", 8)
+        assert npmle(d, replace(cfg, max_iterations=j))[1] == diag
+        _, capped = npmle(d, replace(cfg, max_iterations=j - 1))
+        assert (capped.status, capped.iterations) == ("max-iterations", j - 1)
+
 
 class TestWeightedScoreResidual:
     def test_zero_at_exact_interior_mle(self):

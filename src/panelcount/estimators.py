@@ -31,10 +31,12 @@ nondecreasing step functions on the pooled observation grid:
   Element-wise work and bincounts run once over the batch; sums, reversed
   cumulative sums, PAVA and the Newton solves run per segment, so each
   segment gets the bits of its solve alone.  Step halvings, the stop rule,
-  status and trace are each segment's own, and a segment that stops leaves
-  the batch.  ``_cut`` is the one place a batch is cut to a sub-batch: to
-  each group's grid, to the likelihood's support, and to the segments still
-  solving.
+  status and trace are each segment's own.  A segment leaves the batch at
+  one place, the top of an iteration: when it meets the stop rule, when the
+  iteration before left its iterate where it was (a numeric fixed point),
+  or on the pass after the iteration limit.  ``_cut`` is the one place a
+  batch is cut to a sub-batch: to each group's grid, to the likelihood's
+  support, and to the segments still solving.
 
   The NPMLE solves on the likelihood's support: the grid points that start
   or end a row with events (Wellner & Zhang 2000).  At any other point phi
@@ -515,7 +517,7 @@ def _merge(rows: _EventRows, won: list[bool], new, old):
     return np.where(rows.points.spread(won), new[0], old[0]), np.where(rows.events.spread(won), new[1], old[1])
 
 
-def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll, max_halvings: int):
+def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
     """One Newton step on the values of the current tie blocks of ``u``, in
     every segment.
 
@@ -571,7 +573,7 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll, max_halv
             dv[first:hi] = np.linalg.solve(neg_h[first:hi, first:hi], g_red[first:hi])
         except np.linalg.LinAlgError:
             solved[s] = False
-    return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), max_halvings, solved, blocks)
+    return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), solved, blocks)
 
 
 def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
@@ -586,7 +588,7 @@ def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
     return ok.tolist()
 
 
-def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, max_halvings: int, pending=None, blocks=None):
+def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, pending=None, blocks=None):
     """Move the tie-block values ``v`` of ``u`` (grid point i in block
     ``block_id[i]``) along the Newton step ``dv``, staying on the cone
     0 <= v_1 <= ... <= v_blocks and ascending, in each segment of ``rows``
@@ -599,7 +601,7 @@ def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, max_halvings: i
     floored as in ``_grad_curv``) is tried instead: the isotonic regression
     of v + dv, clipped at 0, which merges the blocks the step would cross.
     If that candidate gains nothing, the step halves from 1/2 until a
-    candidate on the cone gains, at most ``max_halvings`` times; every
+    candidate on the cone gains, at most ``_MAX_HALVINGS`` times; every
     segment still trying has the same step.  Returns ``(u, du, ll,
     polished)``; a segment where no candidate gains comes back unchanged.
     """
@@ -616,7 +618,7 @@ def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, max_halvings: i
     # a projection ends on the cone, so every first candidate lies on it
     trying = pending
     step = 1.0
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         if any(trying):
             cand = v_cand[block_id]
             du_cand = _increments(rows, cand)
@@ -652,14 +654,9 @@ def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments
     alpha = u - segments.before(u)
     eps_jump = 1e-10 * np.maximum(1.0, u[segments.ends - 1])
     two_sided = alpha > segments.spread(eps_jump)
-    top = segments.maxima(S).tolist()
-    at_jumps = segments.maxima(np.where(two_sided, -S, -np.inf)).tolist()
-    columns = ([], [], [])
-    for top_s, jumps_s, first_s, n_s in zip(top, at_jumps, S[segments.starts].tolist(), [n] if points is None else n):
-        kkt_residual = max(top_s, jumps_s) / n_s
-        residual = max(kkt_residual, -first_s / n_s)
-        for column, value in zip(columns, (residual <= tol, residual, kkt_residual <= tol)):
-            column.append(value)
+    kkt = np.maximum(segments.maxima(S), segments.maxima(np.where(two_sided, -S, -np.inf))) / n
+    residual = np.maximum(kkt, -S[segments.starts] / n)
+    columns = ((residual <= tol).tolist(), residual.tolist(), (kkt <= tol).tolist())
     if points is None:
         return tuple(column[0] for column in columns)
     return columns
@@ -675,12 +672,7 @@ def npmple(d: PanelDataset) -> StepEstimate:
     """Pseudo-likelihood maximizer: weighted isotonic regression of the
     per-grid-point mean cumulative counts, weighted by observation counts."""
     grid = build_time_grid(d)
-    flat = flatten_observations(d)
-    return _npmple_flat(grid, flat)
-
-
-def _npmple_flat(grid: TimeGrid, flat: FlatObservations) -> StepEstimate:
-    return StepEstimate(support=grid.points, values=_npmple_values(grid, flat))
+    return StepEstimate(support=grid.points, values=_npmple_values(grid, flatten_observations(d)))
 
 
 def _npmple_values(grid: TimeGrid, flat: FlatObservations) -> np.ndarray:
@@ -738,10 +730,16 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
 
     Each segment keeps its own line-search and block-step halvings, stop
     rule, status and trace, all read from its own values, so it follows the
-    path of its solve alone.  A segment that stops leaves the batch, and the
-    loop runs until the last one stops.  Per-segment scalars are Python
-    floats, whose arithmetic is numpy's.  Returns, per segment, ``(u, ll,
-    trace, status, residual, iterations)``.
+    path of its solve alone.  A segment leaves the batch only at the top of
+    an iteration, with the status of its certificates there, when either
+    it met the stop rule (the cone's conditions hold after an iteration that
+    gained less than ``_REL_TOL``), recorded at this iteration, or the
+    iteration before moved its iterate by nothing (a numeric fixed point),
+    recorded at that one.  The loop runs one pass past the limit, where
+    every segment still solving leaves as ``"max-iterations"`` unless it is
+    at a fixed point.  Per-segment scalars are Python floats, whose
+    arithmetic is numpy's.  Returns, per segment, ``(u, ll, trace, status,
+    residual, iterations)``.
     """
     out = [None] * len(rows.points)
     ids = list(range(len(rows.points)))
@@ -749,35 +747,29 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
     ll = _loglik(rows, u, du).tolist()
     traces = [[v] for v in ll]
     rel_change = [float("inf")] * len(ids)
-
-    def leave(done, status, residual, iterations):
-        """Record the segments that ``done`` marks and drop them from the
-        batch; returns the mask of the grid points kept, None when no
-        segment is left."""
-        nonlocal rows, u, du, ll, n, rel_change, ids
-        for s, (a, b) in enumerate(rows.points.pairs):
-            if done[s]:
-                out[ids[s]] = (u[a:b], ll[s], traces[ids[s]], status[s], residual[s], iterations)
-        ids, ll, rel_change, n = ([x for x, gone in zip(xs, done) if not gone] for xs in (ids, ll, rel_change, n))
-        if not ids:
-            return None
-        live = ~np.array(done)
-        kept = rows.points.spread(live)
-        u, du = u[kept], du[rows.events.spread(live)]
-        rows = _cut(rows, kept, live)
-        return kept
-
-    for iterations in range(1, cfg.max_iterations + 1):
+    still = [False] * len(ids)
+    for iterations in range(1, cfg.max_iterations + 2):
         g, c = _grad_curv(rows, du)
-        # the stop rule needs the certificates only once an iteration gains little
-        if any(r < _REL_TOL for r in rel_change):
+        extra = iterations > cfg.max_iterations
+        # the certificates are needed only where a segment can leave
+        if extra or any(still) or any(r < _REL_TOL for r in rel_change):
             certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
-            stop = [kkt and r < _REL_TOL for kkt, r in zip(kkt_ok, rel_change)]
-            if any(stop):
-                kept = leave(stop, list(map(_status, certs_ok, kkt_ok)), residual, iterations)
-                if kept is None:
-                    break
-                g, c = g[kept], c[kept]
+            done = [extra or s or (kkt and r < _REL_TOL) for s, kkt, r in zip(still, kkt_ok, rel_change)]
+            for s, (a, b) in enumerate(rows.points.pairs):
+                if done[s]:
+                    status = _status(certs_ok[s], kkt_ok[s]) if still[s] or not extra else "max-iterations"
+                    at = iterations - 1 if still[s] or extra else iterations
+                    out[ids[s]] = (u[a:b], ll[s], traces[ids[s]], status, residual[s], at)
+            if all(done):
+                break
+            if any(done):
+                live = ~np.array(done)
+                kept = rows.points.spread(live)
+                u, du, g, c = u[kept], du[rows.events.spread(live)], g[kept], c[kept]
+                rows = _cut(rows, kept, live)
+                ids, ll, rel_change, n = (
+                    [x for x, gone in zip(xs, done) if not gone] for xs in (ids, ll, rel_change, n)
+                )
         ll_start = ll
         x = np.maximum(_segmented_pava(u + g / c, c, rows.points), 0.0)
         u_start, du_start = u, du
@@ -798,7 +790,7 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
             if not any(pending):
                 break
             step /= 2.0
-        u, du, ll, polished = _newton_polish(rows, u, du, ll, _MAX_HALVINGS)
+        u, du, ll, polished = _newton_polish(rows, u, du, ll)
         ll = ll.tolist()
         for i, p, l in zip(ids, polished.tolist(), ll):
             if p:
@@ -807,17 +799,6 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
         shift = rows.points.maxima(np.abs(u - u_start)).tolist()
         last = u_start[rows.points.ends - 1].tolist()
         still = [not d > 1e-14 * max(1.0, t) for d, t in zip(shift, last)]
-        if any(still):
-            # numeric fixed point: nothing can improve, the certificates of
-            # the iterate returned decide
-            g, _ = _score_and_weights(rows, du)
-            certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
-            if leave(still, list(map(_status, certs_ok, kkt_ok)), residual, iterations) is None:
-                break
-    if ids:
-        g, _ = _score_and_weights(rows, du)
-        _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol, rows.points)
-        leave([True] * len(ids), ["max-iterations"] * len(ids), residual, cfg.max_iterations)
     return out
 
 

@@ -208,7 +208,8 @@ def _brackets(flat: FlatObservations, a, q, terminal):
     """Per-subject sums  sum_{j<K} a_j (q_{j+1} - q_j) + a_K (terminal - q_K).
 
     ``a`` and ``q`` are (rows,) or stacked (statistics x rows) arrays over the
-    subject-major rows of ``flat``; the result has one column per subject.
+    subject-major rows of ``flat``; the result has one column per subject
+    with visits.
     """
     q_next = np.where(flat.is_last, terminal, np.roll(q, -1, axis=-1))
     return np.add.reduceat(a * (q_next - q), np.flatnonzero(flat.is_first), axis=-1)
@@ -227,9 +228,10 @@ def _increments(d: PanelDataset, flat: FlatObservations, estimates):
 def _sigma2(flat: FlatObservations, a, den, eps_den):
     """sigma^2 under each row of ``a`` (a weight times the pooled values at
     the rows): the mean squared bracket, across subjects, of the ratios of
-    the observed increments to the pooled ones ``den``."""
+    the observed increments to the pooled ones ``den``.  A subject without
+    visits has a zero bracket."""
     q_obs = _increment_ratios(flat.dN, den, eps_den, counts=flat.dN)
-    return np.mean(_brackets(flat, a, q_obs, 1.0) ** 2, axis=-1)
+    return (_brackets(flat, a, q_obs, 1.0) ** 2).sum(axis=-1) / flat.n_subjects
 
 
 def sigma_hat_sq(d: PanelDataset, pooled: StepEstimate, w: WeightSpec | WeightFn) -> float:

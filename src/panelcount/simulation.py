@@ -106,7 +106,7 @@ class TrueMean:
     group: int
 
     def __post_init__(self):
-        if self.case not in (1, 2):
+        if isinstance(self.case, bool) or not isinstance(self.case, numbers.Integral) or self.case not in (1, 2):
             raise ValueError("case must be 1 or 2")
         if self.case == 2 and self.group == 2 and self.beta < 0:
             raise ValueError("case 2 requires beta >= 0")

@@ -77,7 +77,10 @@ class WeightFn:
 
 
 def _last_times(d: PanelDataset, group: int | None) -> np.ndarray:
-    lasts = d.times[np.cumsum(d.sizes) - 1]
+    # a subject without visits is at risk at no t > 0
+    visited = d.sizes > 0
+    lasts = np.zeros(d.n)
+    lasts[visited] = d.times[np.cumsum(d.sizes)[visited] - 1]
     if group is not None:
         if not (1 <= group <= d.k):
             raise ValueError(f"group {group} outside 1..{d.k}")

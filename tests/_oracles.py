@@ -25,9 +25,9 @@ from panelcount.estimators import (
     _increments,
     _loglik,
     _loglik_diff,
-    _npmple_flat,
     _score_and_weights,
     isotonic_regression,
+    npmple,
 )
 
 
@@ -271,7 +271,7 @@ def npmle_full_grid(d, cfg, start=None):
     count over its sum at the subjects' last visits.  Returns
     ``(StepEstimate, SolveDiagnostics)``."""
 
-    def newton_polish(rows, u, du, ll, max_halvings):
+    def newton_polish(rows, u, du, ll):
         jumps = u[1:] != u[:-1]
         block_id = np.concatenate([[0], np.cumsum(jumps)])
         n_blocks = int(block_id[-1]) + 1
@@ -291,7 +291,7 @@ def npmle_full_grid(d, cfg, start=None):
             dv[free] = np.linalg.solve(neg_h[free][:, free], g_red[free])
         except np.linalg.LinAlgError:
             return u, du, ll, False
-        return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), max_halvings)
+        return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h))
 
     grid = build_time_grid(d)
     flat = flatten_observations(d)
@@ -299,7 +299,7 @@ def npmle_full_grid(d, cfg, start=None):
     n = flat.n_subjects
     rows = _event_rows(flat)
     if start is None:
-        u = _npmple_flat(grid, flat).values
+        u = npmple(d).values
     else:
         u = np.array([step_at(start.support, start.values, t) for t in grid.points])
         u = u * (flat.dN.sum() / u[flat.rank[flat.is_last]].sum())
@@ -333,7 +333,7 @@ def npmle_full_grid(d, cfg, start=None):
         if accepted:
             u, du, ll = cand, du_cand, ll + gain
             trace.append(ll)
-        u, du, ll, polished = newton_polish(rows, u, du, ll, _MAX_HALVINGS)
+        u, du, ll, polished = newton_polish(rows, u, du, ll)
         if polished:
             trace.append(ll)
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))

@@ -785,14 +785,16 @@ class TestSolveStatus:
 
     def test_fixed_point_at_the_limit_keeps_its_status(self):
         # the dataset of test_fixed_point_status_certifies_the_returned_estimate,
-        # whose iterate stops moving in iteration j
+        # whose iterate stops moving in iteration j; j is 8 with the BLAS and
+        # SIMD kernels the golden digests were recorded with, and the path
+        # to the fixed point differs under others
         rng = np.random.default_rng(582)
         rng.integers(1, 40), rng.choice([0.1, 0.5, 1.0, 3.0]), rng.integers(2, 12)
         d = random_dataset(rng, 28, k=1, max_time=10, rate=0.1)
         cfg = IcmConfig(fenchel_tol=1e-12)
         _, diag = npmle(d, cfg)
         j = diag.iterations
-        assert (diag.status, j) == ("converged", 8)
+        assert diag.status == "converged"
         assert npmle(d, replace(cfg, max_iterations=j))[1] == diag
         _, capped = npmle(d, replace(cfg, max_iterations=j - 1))
         assert (capped.status, capped.iterations) == ("max-iterations", j - 1)

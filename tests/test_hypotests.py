@@ -96,6 +96,19 @@ class TestSigmaHatSq:
         for spec in MIXED:
             assert sigma_hat_sq(d, pooled, spec) == sigma_hat_sq(d, pooled, make_weight(d, spec))
 
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_subject_without_visits_adds_a_zero_bracket(self, rng, at):
+        d = random_dataset(rng, 4)
+        pooled, _ = npmle(d, TIGHT)
+        sizes = np.insert(d.sizes, at, 0)
+        ids = [*d.subject_ids]
+        ids.insert(at, "empty")
+        with_empty = PanelDataset.from_columns(d.times, d.counts, sizes, np.ones(5, dtype=int), ids)
+        # n grows from 4 to 5 and the sum of squared brackets stays
+        assert math.isclose(
+            sigma_hat_sq(with_empty, pooled, CONST), sigma_hat_sq(d, pooled, CONST) * 4 / 5, rel_tol=1e-14
+        )
+
 
 class TestIncrements:
     def test_grid_reading_equals_row_evaluation(self, rng):

@@ -36,7 +36,7 @@ def polish_matrix(monkeypatch, d, u):
     monkeypatch.setattr(np.linalg, "solve", spy)
     rows = estimators._event_rows(flatten_observations(d))
     du = estimators._increments(rows, u)
-    estimators._newton_polish(rows, u, du, estimators._loglik(rows, u), 30)
+    estimators._newton_polish(rows, u, du, estimators._loglik(rows, u))
     monkeypatch.undo()
     assert len(seen) == 1
     return seen[0]
@@ -121,7 +121,7 @@ def test_polish_moves_free_blocks_at_origin_boundary(rng):
     rows = estimators._event_rows(flatten_observations(d))
     ll = estimators._loglik(rows, u)
     cand, _, ll_new, polished = estimators._newton_polish(
-        rows, u, estimators._increments(rows, u), ll, 30
+        rows, u, estimators._increments(rows, u), ll
     )
     assert polished
     assert ll_new > ll
@@ -146,7 +146,7 @@ def polish_with_step(monkeypatch, d, u):
     rows = estimators._event_rows(flatten_observations(d))
     ll = estimators._loglik(rows, u)
     cand, _, ll_new, polished = estimators._newton_polish(
-        rows, u, estimators._increments(rows, u), ll, 30
+        rows, u, estimators._increments(rows, u), ll
     )
     monkeypatch.undo()
     assert polished and len(steps) == 1
@@ -202,9 +202,9 @@ def test_npmle_hands_the_polish_no_block_without_curvature(monkeypatch):
     seen = []
     polish = estimators._newton_polish
 
-    def spy(rows, u, du, ll, max_halvings):
+    def spy(rows, u, du, ll):
         seen.append(block_curvature(rows, u, du))
-        return polish(rows, u, du, ll, max_halvings)
+        return polish(rows, u, du, ll)
 
     monkeypatch.setattr(estimators, "_newton_polish", spy)
     d = continuous_dataset(3, 40)

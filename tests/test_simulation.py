@@ -107,6 +107,17 @@ class TestTrueMean:
         with pytest.raises(ValueError):
             TrueMean(case=3, beta=0.0, group=1)
 
+    @pytest.mark.parametrize("case", [True, 2.0, 1.0])
+    def test_case_must_be_an_integer(self, case):
+        with pytest.raises(ValueError, match="case must be 1 or 2"):
+            TrueMean(case=case, beta=0.0, group=1)
+        with pytest.raises(ValueError, match="case must be 1 or 2"):
+            small_cfg(case=case)
+
+    def test_numpy_integer_case(self):
+        assert TrueMean(case=np.int64(2), beta=1.0, group=2)(4.0) == 2.0
+        assert small_cfg(case=np.int64(2)).case == 2
+
 
 class TestSampleSubject:
     def test_path_shape_and_support(self, rng):

@@ -54,6 +54,23 @@ class TestRiskFraction:
         with pytest.raises(ValueError):
             risk_fraction(two_group_dataset, 5, 1.0)
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_subject_without_visits_is_never_at_risk(self, at):
+        # subjects with last visits at 2 and 3, and one without visits at
+        # position ``at``; it stays in n
+        times = [[1.0, 2.0], [1.0, 3.0]]
+        times.insert(at, [])
+        d = PanelDataset.from_columns(
+            np.concatenate(times),
+            np.zeros(4),
+            [len(t) for t in times],
+            [1, 1, 1],
+            ["x", "y", "z"],
+        )
+        assert risk_fraction(d, None, 2.5) == 1 / 3
+        assert risk_fraction(d, 1, 1.0) == 2 / 3
+        assert risk_fraction(d, None, 0.0) == 1.0
+
 
 class TestMakeWeight:
     def test_const_is_one(self, two_group_dataset):

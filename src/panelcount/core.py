@@ -3,7 +3,8 @@
 A subject's counting process is observed only at discrete visit times, as
 cumulative event counts.  This module holds the observation-path and dataset
 containers, the pooled time grid with its rank function, the nondecreasing
-step functions used by every estimator, and structural validation.
+step functions used by every estimator, and structural validation, which
+reads the same flat rows as the solver.
 
 A dataset is an immutable value, always stored as subject-major columns
 (every subject's visit times and counts in turn, with per-subject sizes,
@@ -169,7 +170,12 @@ class PanelDataset:
 
     @cached_property
     def _grid(self) -> "TimeGrid":
-        return TimeGrid(points=_readonly(np.unique(self.times)))
+        # The points of np.unique, NaNs collapsed to one, by sort and
+        # adjacent difference: np.unique imports numpy.ma on numpy 2.
+        t = np.sort(self.times)
+        distinct = np.ones(t.size, dtype=bool)
+        distinct[1:] = (t[1:] != t[:-1]) & ~np.isnan(t[:-1])
+        return TimeGrid(points=_readonly(t[distinct]))
 
     @cached_property
     def _flat(self) -> "FlatObservations":
@@ -255,60 +261,17 @@ class ValidationReport:
         return not self.errors
 
 
-def _path_errors(p: ObservationPath, k: int) -> list[str]:
-    sid = p.subject_id
-    errs = []
-    if p.times.size < 1:
-        errs.append(f"subject {sid}: no observations")
-        return errs
-    # NaN fails every ordering comparison below, so it must be caught first.
-    if not np.all(np.isfinite(p.times)):
-        errs.append(f"subject {sid}: non-finite observation time")
-    if not np.all(np.isfinite(p.counts)):
-        errs.append(f"subject {sid}: non-finite count")
-    if errs:
-        return errs
-    if p.times[0] <= 0:
-        errs.append(f"subject {sid}: first observation time must be positive")
-    if np.any(np.diff(p.times) <= 0):
-        errs.append(f"subject {sid}: times not strictly increasing")
-    if p.counts[0] < 0:
-        errs.append(f"subject {sid}: negative count")
-    if np.any(np.diff(p.counts) < 0):
-        errs.append(f"subject {sid}: counts decreasing")
-    if np.any(p.counts != np.round(p.counts)):
-        errs.append(f"subject {sid}: counts not integer-valued")
-    if not (1 <= p.group <= k):
-        errs.append(f"subject {sid}: group {p.group} outside 1..{k}")
-    return errs
-
-
-def _suspect_paths(d: PanelDataset) -> np.ndarray:
-    """Indices, in path order, of the paths that may break an invariant of
-    ``_path_errors``: a superset of the paths it reports, found in one pass
-    over the dataset's rows."""
-    suspect = ~((d.groups >= 1) & (d.groups <= d.k)) | (d.sizes == 0)
-    times, counts = d.times, d.counts
-    subj = np.repeat(np.arange(d.n), d.sizes)
-    # Each row against the row before it in its path, the origin (0, 0)
-    # before the first: this checks the first time > 0 and count >= 0 too.
-    is_first = np.ones(times.size, dtype=bool)
-    is_first[1:] = subj[1:] != subj[:-1]
-    prev_times = np.where(is_first, 0.0, np.roll(times, 1))
-    prev_counts = np.where(is_first, 0.0, np.roll(counts, 1))
-    bad = ~(np.isfinite(times) & np.isfinite(counts))
-    bad |= (times <= prev_times) | (counts < prev_counts) | (counts != np.round(counts))
-    suspect[subj[bad]] = True
-    return np.flatnonzero(suspect)
-
-
 def validate_dataset(d: PanelDataset) -> ValidationReport:
     """Check every structural invariant; violations are reported, not raised.
 
-    One vectorized pass over all rows finds the paths that may break an
-    invariant; ``_path_errors`` then words the errors of those paths alone,
-    in path order, so each message and its place in ``errors`` are those of
-    checking every path in turn.
+    The path rules read the dataset's flat rows (``flatten_observations``),
+    which the solver and the statistics share: each rule flags the rows that
+    break it, once over all rows, and the flags are reduced per subject.  A
+    row is checked against the row before it in its path by grid rank, so a
+    time tied with or below its predecessor has ``rank <= prev_rank``.  The
+    errors are worded path by path, in path order, each path's in the order
+    of its rules below.  An empty dataset is reported before any grid is
+    built.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -316,8 +279,38 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         errors.append("dataset has no paths")
     if d.k < 1:
         errors.append("dataset must have k >= 1 groups")
-    for i in _suspect_paths(d):
-        errors.extend(_path_errors(d.paths[i], d.k))
+    if d.n == 0:
+        return ValidationReport(errors=tuple(errors), warnings=())
+    # inf - inf among the increments of a non-finite path is reported, not warned
+    with np.errstate(invalid="ignore"):
+        flat = flatten_observations(d)
+    first, later = flat.is_first, ~flat.is_first
+    rules, row_flags = zip(
+        ("non-finite observation time", ~np.isfinite(flat.times)),
+        ("non-finite count", ~np.isfinite(flat.counts)),
+        ("first observation time must be positive", first & (flat.times <= 0)),
+        ("times not strictly increasing", later & (flat.rank <= flat.prev_rank)),
+        ("negative count", first & (flat.dN < 0)),
+        ("counts decreasing", later & (flat.dN < 0)),
+        ("counts not integer-valued", flat.counts != np.round(flat.counts)),
+    )
+    # a subject breaks a rule when the running count of its flagged rows grows
+    marked = np.zeros((len(rules), flat.times.size + 1), dtype=np.intp)
+    np.cumsum(row_flags, axis=1, out=marked[:, 1:])
+    ends = np.cumsum(d.sizes)
+    in_range = (d.groups >= 1) & (d.groups <= d.k)
+    flags = np.vstack((d.sizes == 0, marked[:, ends] > marked[:, ends - d.sizes], ~in_range))
+    # NaN fails every ordering comparison, so a path without observations or
+    # with a non-finite entry gets only those messages
+    flags[3:] &= ~flags[:3].any(axis=0)
+    rules = ("no observations", *rules, "group {group} outside 1..{k}")
+    groups = d.groups.tolist()
+    for i in np.flatnonzero(flags.any(axis=0)).tolist():
+        errors.extend(
+            f"subject {d.subject_ids[i]}: " + rule.format(group=groups[i], k=d.k)
+            for rule, broken in zip(rules, flags[:, i].tolist())
+            if broken
+        )
     if not errors:
         for l, n_l in enumerate(d.group_sizes, start=1):
             if n_l == 0:
@@ -326,7 +319,6 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         # Flat spots in the pooled increments undermine the bounded-below
         # increment assumption behind the variance estimates; flag them.
         grid = build_time_grid(d)
-        flat = flatten_observations(d)
         pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
         for t in grid.points[pooled_events == 0].tolist():
             warnings.append(

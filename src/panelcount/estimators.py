@@ -500,10 +500,7 @@ def _grad_curv(rows: _EventRows, du: np.ndarray):
     c += np.bincount(rows.prev_slot, weights=w, minlength=rows.m + 1)[1:]
     cmax = rows.points.maxima(c)
     c = np.maximum(c, rows.points.spread(_CURVATURE_FLOOR_RATIO * cmax))
-    flat = cmax <= 0
-    if flat.any():
-        c = np.where(rows.points.spread(flat), 1.0, c)
-    return g, c
+    return g, np.where(rows.points.spread(cmax <= 0), 1.0, c)
 
 
 def _merge(rows: _EventRows, won: list[bool], new, old):
@@ -527,8 +524,7 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
     (blocks x blocks) system is summed directly from the per-row weights,
     each row landing on the blocks of its two ends; no grid-level Hessian
     is formed.  No row joins two segments, so the batch's system is block
-    diagonal, and each segment's block of it is solved as its own system;
-    systems of one size are solved as one stack.
+    diagonal, and each segment's block of it is solved as its own system.
     A first block at the origin (value 0, on the boundary of the cone) keeps
     its value, and the system is solved over the other blocks; otherwise it
     is the full system.  On the likelihood's support (``_support_rows``)
@@ -559,15 +555,6 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
     dv = np.zeros(n_blocks)
     spans = [(lo if v[lo] > 0 else lo + 1, hi) for lo, hi in blocks.pairs]
     solved = [True] * len(spans)
-    if len(spans) > 1 and len({hi - first for first, hi in spans}) == 1:
-        # systems of one size solve as one stack: LAPACK solves each matrix
-        # of a stack as it solves the matrix alone
-        at = np.array([first for first, _ in spans])[:, None] + np.arange(spans[0][1] - spans[0][0])
-        try:
-            dv[at] = np.linalg.solve(neg_h[at[:, :, None], at[:, None, :]], g_red[at][:, :, None])[:, :, 0]
-            spans = []
-        except np.linalg.LinAlgError:
-            pass
     for s, (first, hi) in enumerate(spans):
         try:
             dv[first:hi] = np.linalg.solve(neg_h[first:hi, first:hi], g_red[first:hi])
@@ -581,19 +568,15 @@ def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
     0 <= v_1 <= ... <= v_blocks."""
     # ordered[i]: v_i >= v_{i-1}; a segment's first block is held only to 0
     ordered = np.concatenate((_FIRST, v[1:] >= v[:-1]))
-    ok = v[blocks.starts] >= 0
-    if not ordered.all():
-        ordered[blocks.starts] = True
-        ok &= np.logical_and.reduceat(ordered, blocks.starts)
-    return ok.tolist()
+    ordered[blocks.starts] = True
+    return ((v[blocks.starts] >= 0) & np.logical_and.reduceat(ordered, blocks.starts)).tolist()
 
 
-def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, pending=None, blocks=None):
+def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, pending: list[bool], blocks: _Segments):
     """Move the tie-block values ``v`` of ``u`` (grid point i in block
     ``block_id[i]``) along the Newton step ``dv``, staying on the cone
     0 <= v_1 <= ... <= v_blocks and ascending, in each segment of ``rows``
-    that ``pending`` marks (all when None); ``blocks`` are the segments'
-    runs of blocks, found from ``block_id`` when None.
+    that ``pending`` marks; ``blocks`` are the segments' runs of blocks.
 
     The full step is tried first when it stays on the cone.  When it would
     cross blocks or take the first below 0, its projection onto the cone in
@@ -605,10 +588,7 @@ def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, pending=None, b
     segment still trying has the same step.  Returns ``(u, du, ll,
     polished)``; a segment where no candidate gains comes back unchanged.
     """
-    if blocks is None:
-        blocks = _Segments(np.concatenate((block_id[rows.points.starts], [v.size])))
     ll = list(ll)
-    pending = [True] * len(blocks) if pending is None else list(pending)
     polished = [False] * len(blocks)
     v_cand = v + dv
     for (lo, hi), trying, ok in zip(blocks.pairs, pending, _in_cone(blocks, v_cand)):
@@ -636,7 +616,7 @@ def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, pending=None, b
     return u, du, np.array(ll), np.array(polished)
 
 
-def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments | None = None):
+def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments):
     """Cumulative-gradient stationarity, with S_l = sum_{j >= l} g_j.
 
     Returns ``(certified, residual, kkt)``.  ``residual`` is the largest
@@ -645,21 +625,17 @@ def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments
     the same test with l = 1 two-sided only when u_1 jumps above 0: the
     optimality conditions on the cone 0 <= u_1 <= ... <= u_m, which a
     maximizer at the origin boundary (u_1 = 0, S_1 < 0) meets while failing
-    ``certified``.  Given the segments of a batch as ``points`` and their
-    numbers of subjects as the list ``n``, each is a list with one entry per
-    segment, with S summed within the segment.
+    ``certified``.  ``points`` are the segments of the batch and ``n`` the
+    list of their numbers of subjects; each of the three is a list with one
+    entry per segment, with S summed within the segment.
     """
-    segments = _single(u.size) if points is None else points
-    S = segments.reversed_cumsums(g)
-    alpha = u - segments.before(u)
-    eps_jump = 1e-10 * np.maximum(1.0, u[segments.ends - 1])
-    two_sided = alpha > segments.spread(eps_jump)
-    kkt = np.maximum(segments.maxima(S), segments.maxima(np.where(two_sided, -S, -np.inf))) / n
-    residual = np.maximum(kkt, -S[segments.starts] / n)
-    columns = ((residual <= tol).tolist(), residual.tolist(), (kkt <= tol).tolist())
-    if points is None:
-        return tuple(column[0] for column in columns)
-    return columns
+    S = points.reversed_cumsums(g)
+    alpha = u - points.before(u)
+    eps_jump = 1e-10 * np.maximum(1.0, u[points.ends - 1])
+    two_sided = alpha > points.spread(eps_jump)
+    kkt = np.maximum(points.maxima(S), points.maxima(np.where(two_sided, -S, -np.inf))) / n
+    residual = np.maximum(kkt, -S[points.starts] / n)
+    return (residual <= tol).tolist(), residual.tolist(), (kkt <= tol).tolist()
 
 
 def _status(certified: bool, kkt: bool) -> str:

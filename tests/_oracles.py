@@ -26,6 +26,7 @@ from panelcount.estimators import (
     _loglik,
     _loglik_diff,
     _score_and_weights,
+    _single,
     isotonic_regression,
     npmple,
 )
@@ -261,6 +262,13 @@ def loglik_hessian_direct(d, u):
     return h
 
 
+def single_certificates(g, u, n, tol):
+    """``_certificates`` of one dataset of ``n`` subjects, a batch of one:
+    ``(certified, residual, kkt)``."""
+    (certified,), (residual,), (kkt,) = _certificates(g, u, [n], tol, _single(u.size))
+    return certified, residual, kkt
+
+
 def npmle_full_grid(d, cfg, start=None):
     """The NPMLE solved over every grid point: the modified ICM loop and its
     Newton polish as they were before the solve moved to the likelihood's
@@ -291,7 +299,7 @@ def npmle_full_grid(d, cfg, start=None):
             dv[free] = np.linalg.solve(neg_h[free][:, free], g_red[free])
         except np.linalg.LinAlgError:
             return u, du, ll, False
-        return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h))
+        return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), [True], _single(n_blocks))
 
     grid = build_time_grid(d)
     flat = flatten_observations(d)
@@ -313,7 +321,7 @@ def npmle_full_grid(d, cfg, start=None):
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         g, c = _grad_curv(rows, du)
-        certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
+        certs_ok, residual, kkt_ok = single_certificates(g, u, n, cfg.fenchel_tol)
         if kkt_ok and rel_change < _REL_TOL:
             status = "converged" if certs_ok else "boundary-origin"
             break
@@ -339,13 +347,13 @@ def npmle_full_grid(d, cfg, start=None):
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
         if not moved:
             g, _ = _score_and_weights(rows, du)
-            certs_ok, residual, kkt_ok = _certificates(g, u, n, cfg.fenchel_tol)
+            certs_ok, residual, kkt_ok = single_certificates(g, u, n, cfg.fenchel_tol)
             status = "converged" if certs_ok else "boundary-origin" if kkt_ok else "stalled"
             break
         rel_change = (ll - ll_start) / (1.0 + abs(ll_start))
     else:
         g, _ = _score_and_weights(rows, du)
-        _, residual, _ = _certificates(g, u, n, cfg.fenchel_tol)
+        _, residual, _ = single_certificates(g, u, n, cfg.fenchel_tol)
     estimate = StepEstimate(support=grid.points, values=np.maximum.accumulate(np.maximum(u, 0.0)))
     diag = SolveDiagnostics(
         iterations=iterations,

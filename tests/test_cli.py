@@ -52,6 +52,23 @@ def duplicated_group_file(tmp_path):
     return write_csv(tmp_path, "dup.csv", rows)
 
 
+@pytest.fixture
+def three_group_file(tmp_path):
+    rng = np.random.default_rng(3)
+    d = random_dataset(rng, 24, k=3, rate=1.4)
+    rows = [
+        f"{p.subject_id},{p.group},{t},{int(c)}"
+        for p in d.paths
+        for t, c in zip(p.times, p.counts)
+    ]
+    return write_csv(tmp_path, "three.csv", rows)
+
+
+@pytest.fixture
+def invalid_file(tmp_path):
+    return write_csv(tmp_path, "bad.csv", ["a,1,1,3", "a,1,2,2", "b,2,1,0"])
+
+
 class TestValidateCommand:
     def test_well_formed(self, runner, tmp_path):
         f = write_csv(tmp_path, "ok.csv", ["a,1,1,0", "a,1,2,3", "b,2,1.5,2"])
@@ -142,24 +159,31 @@ class TestEstimateCommand:
         assert "did not converge (boundary-origin)" in result.stderr
 
 
+    def test_invalid_file_exit_1_errors_on_stderr(self, runner, invalid_file):
+        result = runner.invoke(main, ["estimate", "--input", invalid_file])
+        assert result.exit_code == 1
+        assert result.stderr == "error: subject a: counts decreasing\n"
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "group, message", [("x", "error: bad group 'x'"), ("3", "error: group 3 outside 1..2")]
+    )
+    def test_bad_group_exit_2(self, runner, two_group_file, group, message):
+        result = runner.invoke(main, ["estimate", "--input", two_group_file, "--group", group])
+        assert result.exit_code == 2
+        assert message in result.output
+
+
 class TestTestCommand:
     def test_duplicated_groups_p_value_one(self, runner, duplicated_group_file):
         result = runner.invoke(main, ["test", "--input", duplicated_group_file, "--weight", "w1"])
         assert result.exit_code == 0
         assert "p = 1" in result.output
 
-    def test_three_group_u_df2(self, runner, tmp_path):
-        rng = np.random.default_rng(3)
-        d = random_dataset(rng, 24, k=3, rate=1.4)
-        rows = [
-            f"{p.subject_id},{p.group},{t},{int(c)}"
-            for p in d.paths
-            for t, c in zip(p.times, p.counts)
-        ]
-        f = write_csv(tmp_path, "three.csv", rows)
+    def test_three_group_u_df2(self, runner, three_group_file, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(
-            main, ["test", "--input", f, "--stat", "u", "--out", str(out)]
+            main, ["test", "--input", three_group_file, "--stat", "u", "--out", str(out)]
         )
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
@@ -175,6 +199,35 @@ class TestTestCommand:
         assert isinstance(report, Report)
         assert report_to_dict(report, payload["config"]) == payload
         assert 0.0 <= report.p_values["T1"] <= 1.0
+
+    def test_u_report_round_trip_keeps_covariance(self, runner, three_group_file, tmp_path):
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["test", "--input", three_group_file, "--stat", "u", "--out", str(out)]
+        )
+        assert result.exit_code == 0
+        payload = json.loads(out.read_text())
+        report = report_from_dict(payload)
+        assert len(report.covariance) == 3 and all(len(row) == 3 for row in report.covariance)
+        assert report_to_dict(report, payload["config"]) == payload
+
+    def test_v_statistic(self, runner, two_group_file):
+        result = runner.invoke(main, ["test", "--input", two_group_file, "--stat", "v"])
+        assert result.exit_code == 0
+        assert result.output.startswith("V-test: chi2 = ")
+        assert "df=1]" in result.output
+
+    def test_invalid_file_exit_1_errors_on_stderr(self, runner, invalid_file):
+        result = runner.invoke(main, ["test", "--input", invalid_file])
+        assert result.exit_code == 1
+        assert result.stderr == "error: subject a: counts decreasing\n"
+        assert result.stdout == ""
+
+    def test_one_group_exit_2(self, runner, tmp_path):
+        f = write_csv(tmp_path, "one_group.csv", ["a,1,1,1", "a,1,2,2", "b,1,1,0"])
+        result = runner.invoke(main, ["test", "--input", f, "--stat", "u"])
+        assert result.exit_code == 2
+        assert "error: testing requires k >= 2 groups" in result.output
 
     def test_report_carries_solver_status(self, runner, two_group_file, tmp_path):
         out = tmp_path / "report.json"
@@ -385,6 +438,11 @@ class TestQqCommand:
         assert result.exit_code == 2
         assert "error: replications must be >= 1" in result.output
 
+    def test_one_subject_exit_2(self, runner):
+        result = runner.invoke(main, ["qq", "--n", "1", "--reps", "2"])
+        assert result.exit_code == 2
+        assert "error: --n must be at least 2" in result.output
+
     def test_bad_thread_count_exit_2(self, runner, monkeypatch):
         monkeypatch.setenv("PCT_THREADS", "two")
         result = runner.invoke(main, ["qq", "--n", "10", "--reps", "2"])
@@ -521,6 +579,10 @@ class TestParseWeightSpec:
     def test_bad_group_range(self):
         with pytest.raises(DatasetFormatError):
             parse_weight_spec("group-risk:5", 2)
+
+    def test_group_not_an_integer(self):
+        with pytest.raises(DatasetFormatError, match="^bad group in weight 'group-risk:x'$"):
+            parse_weight_spec("group-risk:x", 2)
 
     @pytest.mark.parametrize("token", ["const:1", "pooled-risk:2", "complement:1"])
     def test_group_on_ungrouped_kind(self, token):

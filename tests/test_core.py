@@ -15,9 +15,37 @@ from panelcount import (
     restrict_to_group,
     validate_dataset,
 )
-from panelcount.core import FlatObservations, _path_errors, flatten_observations
+from panelcount.core import FlatObservations, ObservationPath, flatten_observations
 from panelcount.weights import _GROUPED_KINDS
 from conftest import path, random_dataset
+
+
+def _path_errors(p: ObservationPath, k: int) -> list[str]:
+    sid = p.subject_id
+    errs = []
+    if p.times.size < 1:
+        errs.append(f"subject {sid}: no observations")
+        return errs
+    # NaN fails every ordering comparison below, so it must be caught first.
+    if not np.all(np.isfinite(p.times)):
+        errs.append(f"subject {sid}: non-finite observation time")
+    if not np.all(np.isfinite(p.counts)):
+        errs.append(f"subject {sid}: non-finite count")
+    if errs:
+        return errs
+    if p.times[0] <= 0:
+        errs.append(f"subject {sid}: first observation time must be positive")
+    if np.any(np.diff(p.times) <= 0):
+        errs.append(f"subject {sid}: times not strictly increasing")
+    if p.counts[0] < 0:
+        errs.append(f"subject {sid}: negative count")
+    if np.any(np.diff(p.counts) < 0):
+        errs.append(f"subject {sid}: counts decreasing")
+    if np.any(p.counts != np.round(p.counts)):
+        errs.append(f"subject {sid}: counts not integer-valued")
+    if not (1 <= p.group <= k):
+        errs.append(f"subject {sid}: group {p.group} outside 1..{k}")
+    return errs
 
 
 def validate_path_by_path(d):
@@ -142,6 +170,31 @@ class TestValidateDataset:
         assert report.ok
         assert any("t=2" in w for w in report.warnings)
 
+    def test_each_path_worded_in_rule_order(self):
+        # a tie with the previous time, a negative first count before a
+        # decrease, and a non-finite path whose other faults go unreported
+        d = PanelDataset.from_paths(
+            [
+                path("a", 1, [1.0, 1.0, 2.0], [-1.0, 0.5, 0.0]),
+                path("b", 3, [0.0, 2.0], [0, 1]),
+                path("c", 0, [1.0, np.nan], [0, -1]),
+                path("d", 1, [], []),
+            ],
+            k=2,
+        )
+        errors = (
+            "subject a: times not strictly increasing",
+            "subject a: negative count",
+            "subject a: counts decreasing",
+            "subject a: counts not integer-valued",
+            "subject b: first observation time must be positive",
+            "subject b: group 3 outside 1..2",
+            "subject c: non-finite observation time",
+            "subject d: no observations",
+        )
+        assert validate_dataset(d).errors == errors
+        assert validate_path_by_path(d) == (errors, ())
+
     @settings(max_examples=300, deadline=None)
     @given(d=malformed_datasets())
     def test_same_report_as_path_by_path(self, d):
@@ -178,6 +231,14 @@ class TestBuildTimeGrid:
         grid = build_time_grid(d)
         assert np.all(np.diff(grid.points) > 0)
         assert grid.m <= sum(p.n_visits for p in d.paths)
+
+    def test_points_of_np_unique(self):
+        # ties across subjects, infinities and several NaNs, which collapse to one
+        times = [3.0, np.nan, 1.0, np.inf, 3.0, np.nan, -np.inf, 1.0, 2.5, np.nan]
+        d = PanelDataset.from_columns(times, np.zeros(10), [3, 4, 3], [1, 1, 1], ["a", "b", "c"])
+        points = build_time_grid(d).points
+        assert points.tobytes() == np.unique(d.times).tobytes()
+        assert np.isnan(points).sum() == 1
 
 
 class TestEvalStep:
@@ -223,6 +284,8 @@ class TestEvalStep:
             StepEstimate(support=[1.0, 2.0], values=[0.0, np.nan])
         with pytest.raises(ValueError):
             StepEstimate(support=[1.0, 2.0], values=[0.0, np.inf])
+        with pytest.raises(ValueError, match="^support and values must have equal positive length$"):
+            StepEstimate(support=[1.0, 2.0], values=[1.0])
 
 
 class TestRestrictToGroup:

@@ -140,6 +140,11 @@ class TestUStatistics:
         u = u_statistics(d, CONST, fits=fit_all(d, TIGHT))
         np.testing.assert_allclose(u, 0.0, atol=1e-7)
 
+    def test_one_weight_per_group(self, rng):
+        d = random_dataset(rng, 8, k=2, rate=1.3)
+        with pytest.raises(ValueError, match=r"^expected one weight per group \(2\), got 3$"):
+            u_statistics(d, [CONST] * 3)
+
     def test_matches_direct_formula(self, rng):
         d2 = random_dataset(rng, 14, k=2, rate=1.5)
         w = make_weight(d2, WeightSpec(WeightKind.POOLED_RISK))
@@ -287,6 +292,10 @@ class TestChi2Tests:
     def test_requires_multiple_groups(self, rng):
         with pytest.raises(ValueError):
             chi2_u_test(random_dataset(rng, 6, k=1), CONST)
+
+    def test_v_requires_multiple_groups(self, rng):
+        with pytest.raises(ValueError, match="^chi-square tests require k >= 2 groups$"):
+            chi2_v_test(random_dataset(rng, 6, k=1), CONST)
 
 
 class TestTwoSampleTests:

@@ -78,3 +78,29 @@ panelcount.run_power_study([cfg])
 print(sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules))
 """
     assert run_fresh(body) == "[]"
+
+
+# a two-group dataset written to CSV, read back, validated and fitted
+ANALYSIS_WORK = """
+import os, tempfile
+import panelcount as pc
+from panelcount.cli import read_dataset_csv, write_dataset_csv
+
+cfg = pc.SimConfig(beta=0.2, group_sizes=(20, 20), replications=1, base_seed=5)
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = os.path.join(tmp, "data.csv")
+    write_dataset_csv(pc.generate_dataset(cfg, 0), csv_path)
+    d = read_dataset_csv(csv_path)
+assert pc.validate_dataset(d).ok
+assert len(pc.fit_all(d).groups) == 2
+"""
+
+LOADED_MA = "print('numpy.ma' in sys.modules)"
+
+
+def test_study_and_analysis_load_no_numpy_ma():
+    # np.unique imports numpy.ma on numpy 2, about 0.7 MB of resident memory
+    # in every process; numpy 1.x may load it with numpy itself
+    with_numpy = run_fresh(f"import numpy\n{LOADED_MA}")
+    assert run_fresh(f"{STUDY_WORK}\n{LOADED_MA}") == with_numpy
+    assert run_fresh(f"{ANALYSIS_WORK}\n{LOADED_MA}") == with_numpy

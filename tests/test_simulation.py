@@ -74,6 +74,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=message):
             small_cfg(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(alpha=1), r"alpha must lie in \(0, 1\)"),
+            (dict(nu_mode="x"), "nu_mode must be 'fixed' or 'gamma'"),
+            (dict(group_sizes=(0, 5)), "group sizes must be positive"),
+        ],
+    )
+    def test_rejects_values_out_of_range(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_cfg(**kw)
+
     def test_numpy_integers_are_integers(self):
         cfg = small_cfg(group_sizes=(np.int64(3), 4), base_seed=np.int64(0), replications=np.int32(2))
         assert cfg.group_sizes == (3, 4)
@@ -113,6 +125,10 @@ class TestTrueMean:
             TrueMean(case=case, beta=0.0, group=1)
         with pytest.raises(ValueError, match="case must be 1 or 2"):
             small_cfg(case=case)
+
+    def test_case_2_needs_a_nonnegative_beta(self):
+        with pytest.raises(ValueError, match="^case 2 requires beta >= 0$"):
+            TrueMean(case=2, beta=-1, group=2)
 
     def test_numpy_integer_case(self):
         assert TrueMean(case=np.int64(2), beta=1.0, group=2)(4.0) == 2.0
@@ -302,6 +318,10 @@ class TestRunPowerStudy:
         with pytest.raises(ThreadCountError, match="PCT_THREADS must be an integer, got 'two'"):
             run_power_study([small_cfg(replications=2)])
 
+    def test_needs_a_statistic(self):
+        with pytest.raises(ValueError, match="^run_power_study needs at least one statistic$"):
+            run_power_study([small_cfg(statistics=())])
+
 
 class TestQqStudy:
     def test_shape_and_sorted(self):
@@ -314,6 +334,10 @@ class TestQqStudy:
     def test_requires_null(self):
         with pytest.raises(ValueError):
             qq_study(small_cfg(beta=0.1, replications=2), "t2")
+
+    def test_two_sample_statistics_only(self):
+        with pytest.raises(ValueError, match="^qq_study supports the two-sample statistics t1 and t2$"):
+            qq_study(small_cfg(replications=2), "chi2-u")
 
     def test_deterministic(self):
         cfg = small_cfg(replications=5, group_sizes=(15, 15))

@@ -50,6 +50,13 @@ class TestRiskFraction:
         d = PanelDataset.from_paths([path("a", 1, [3.0], [1])])
         assert risk_fraction(d, None, 3.0) == 1.0
 
+    @pytest.mark.parametrize("group", [None, 1, 2])
+    def test_array_is_the_scalar_calls(self, two_group_dataset, group):
+        t = np.array([0.0, 1.0, 3.0, 4.0, 5.0, 6.0])
+        out = risk_fraction(two_group_dataset, group, t)
+        assert isinstance(out, np.ndarray)
+        assert out.tolist() == [risk_fraction(two_group_dataset, group, x) for x in t.tolist()]
+
     def test_bad_group(self, two_group_dataset):
         with pytest.raises(ValueError):
             risk_fraction(two_group_dataset, 5, 1.0)

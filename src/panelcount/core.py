@@ -294,12 +294,11 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         ("counts decreasing", later & (flat.dN < 0)),
         ("counts not integer-valued", flat.counts != np.round(flat.counts)),
     )
-    # a subject breaks a rule when the running count of its flagged rows grows
-    marked = np.zeros((len(rules), flat.times.size + 1), dtype=np.intp)
-    np.cumsum(row_flags, axis=1, out=marked[:, 1:])
-    ends = np.cumsum(d.sizes)
-    in_range = (d.groups >= 1) & (d.groups <= d.k)
-    flags = np.vstack((d.sizes == 0, marked[:, ends] > marked[:, ends - d.sizes], ~in_range))
+    # each flagged row marks its rule broken for the subject that holds it
+    rule, row = np.divmod(np.flatnonzero(row_flags), flat.times.size)
+    broken = np.zeros((len(rules), d.n), dtype=bool)
+    broken[rule, np.searchsorted(np.cumsum(d.sizes), row, side="right")] = True
+    flags = np.vstack((d.sizes == 0, broken, ~((d.groups >= 1) & (d.groups <= d.k))))
     # NaN fails every ordering comparison, so a path without observations or
     # with a non-finite entry gets only those messages
     flags[3:] &= ~flags[:3].any(axis=0)

@@ -53,18 +53,6 @@ def duplicated_group_file(tmp_path):
 
 
 @pytest.fixture
-def three_group_file(tmp_path):
-    rng = np.random.default_rng(3)
-    d = random_dataset(rng, 24, k=3, rate=1.4)
-    rows = [
-        f"{p.subject_id},{p.group},{t},{int(c)}"
-        for p in d.paths
-        for t, c in zip(p.times, p.counts)
-    ]
-    return write_csv(tmp_path, "three.csv", rows)
-
-
-@pytest.fixture
 def invalid_file(tmp_path):
     return write_csv(tmp_path, "bad.csv", ["a,1,1,3", "a,1,2,2", "b,2,1,0"])
 
@@ -158,7 +146,6 @@ class TestEstimateCommand:
         assert "converged=False status=boundary-origin" in result.stderr
         assert "did not converge (boundary-origin)" in result.stderr
 
-
     def test_invalid_file_exit_1_errors_on_stderr(self, runner, invalid_file):
         result = runner.invoke(main, ["estimate", "--input", invalid_file])
         assert result.exit_code == 1
@@ -180,15 +167,27 @@ class TestTestCommand:
         assert result.exit_code == 0
         assert "p = 1" in result.output
 
-    def test_three_group_u_df2(self, runner, three_group_file, tmp_path):
+    def test_three_group_u_df2(self, runner, tmp_path):
+        rng = np.random.default_rng(3)
+        d = random_dataset(rng, 24, k=3, rate=1.4)
+        rows = [
+            f"{p.subject_id},{p.group},{t},{int(c)}"
+            for p in d.paths
+            for t, c in zip(p.times, p.counts)
+        ]
+        f = write_csv(tmp_path, "three.csv", rows)
         out = tmp_path / "report.json"
         result = runner.invoke(
-            main, ["test", "--input", three_group_file, "--stat", "u", "--out", str(out)]
+            main, ["test", "--input", f, "--stat", "u", "--out", str(out)]
         )
         assert result.exit_code == 0
         payload = json.loads(out.read_text())
         assert payload["df"] == 2
         assert payload["method"] == "U-test"
+        # the round trip keeps the 3 x 3 covariance
+        report = report_from_dict(payload)
+        assert [len(row) for row in report.covariance] == [3, 3, 3]
+        assert report_to_dict(report, payload["config"]) == payload
 
     def test_report_round_trip(self, runner, two_group_file, tmp_path):
         out = tmp_path / "report.json"
@@ -199,17 +198,6 @@ class TestTestCommand:
         assert isinstance(report, Report)
         assert report_to_dict(report, payload["config"]) == payload
         assert 0.0 <= report.p_values["T1"] <= 1.0
-
-    def test_u_report_round_trip_keeps_covariance(self, runner, three_group_file, tmp_path):
-        out = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["test", "--input", three_group_file, "--stat", "u", "--out", str(out)]
-        )
-        assert result.exit_code == 0
-        payload = json.loads(out.read_text())
-        report = report_from_dict(payload)
-        assert len(report.covariance) == 3 and all(len(row) == 3 for row in report.covariance)
-        assert report_to_dict(report, payload["config"]) == payload
 
     def test_v_statistic(self, runner, two_group_file):
         result = runner.invoke(main, ["test", "--input", two_group_file, "--stat", "v"])

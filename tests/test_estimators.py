@@ -797,6 +797,37 @@ class TestSolveStatus:
         assert (capped.status, capped.iterations) == ("max-iterations", j - 1)
 
 
+def drawn_dataset(s):
+    """Draw ``s`` of a stream of small one-group datasets: the size, the
+    event rate and the last visit time are drawn first, then the data."""
+    rng = np.random.default_rng(10_000 + s)
+    n = int(rng.integers(2, 30))
+    rate = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
+    max_time = int(rng.integers(2, 12))
+    return random_dataset(rng, n, k=1, max_time=max_time, rate=rate)
+
+
+class TestStepAcceptance:
+    """What each step does with a candidate that gains exactly 0: the ICM
+    step takes it, the Newton polish does not.  Every step taken adds one
+    entry to ``loglik_trace``."""
+
+    def test_polish_refuses_a_zero_gain(self):
+        # in one iteration every candidate of the polish gains exactly 0;
+        # taking the first would add a seventh entry
+        _, diag = npmle(drawn_dataset(16))
+        assert diag.status == "converged"
+        assert len(diag.loglik_trace) == 6
+
+    def test_icm_step_takes_a_zero_gain(self):
+        # only the ICM step can record a gain of 0; refusing it would leave
+        # eight entries
+        _, diag = npmle(drawn_dataset(567), IcmConfig(fenchel_tol=1e-12))
+        assert diag.status == "converged"
+        assert len(diag.loglik_trace) == 9
+        assert 0.0 in np.diff(diag.loglik_trace)
+
+
 class TestWeightedScoreResidual:
     def test_zero_at_exact_interior_mle(self):
         d = PanelDataset.from_paths([path("a", 1, [1.0, 2.0], [2, 5])])

@@ -17,6 +17,7 @@ row mask over the columns.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import compress
@@ -180,6 +181,11 @@ class PanelDataset:
     @cached_property
     def _flat(self) -> "FlatObservations":
         return _flatten(self, self._grid)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

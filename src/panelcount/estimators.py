@@ -65,7 +65,6 @@ exposes the weighted-sum corollary used as an end-to-end correctness check.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -77,6 +76,7 @@ from .core import (
     PanelDataset,
     StepEstimate,
     TimeGrid,
+    _is_integer,
     build_time_grid,
     eval_step,
     flatten_observations,
@@ -123,7 +123,7 @@ class IcmConfig:
     fenchel_tol: float = 1e-6
 
     def __post_init__(self):
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
+        if not _is_integer(self.max_iterations):
             raise ValueError("max_iterations must be an integer")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")

@@ -37,7 +37,6 @@ runtime dependencies are numpy and click.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -47,6 +46,7 @@ from .core import (
     FlatObservations,
     PanelDataset,
     StepEstimate,
+    _is_integer,
     build_time_grid,
     eval_step,
     flatten_observations,
@@ -419,7 +419,7 @@ def chisq_sf(x: float, df: int) -> float:
     logarithm (``math.lgamma``), so none overflows or underflows before it is
     negligible; the lower tail's later terms follow by the ratio h / c.
     """
-    if isinstance(df, bool) or not isinstance(df, numbers.Integral):
+    if not _is_integer(df):
         raise ValueError("df must be an integer")
     if df < 1:
         raise ValueError("df must be >= 1")

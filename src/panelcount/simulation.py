@@ -27,7 +27,6 @@ are numpy and click.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import partial
@@ -35,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import ObservationPath, PanelDataset
+from .core import ObservationPath, PanelDataset, _is_integer
 from .hypotests import (
     DegenerateCovarianceError,
     DegenerateVarianceError,
@@ -106,7 +105,7 @@ class TrueMean:
     group: int
 
     def __post_init__(self):
-        if isinstance(self.case, bool) or not isinstance(self.case, numbers.Integral) or self.case not in (1, 2):
+        if not _is_integer(self.case) or self.case not in (1, 2):
             raise ValueError("case must be 1 or 2")
         if self.case == 2 and self.group == 2 and self.beta < 0:
             raise ValueError("case 2 requires beta >= 0")
@@ -146,7 +145,7 @@ class SimConfig:
     def __post_init__(self):
         sizes = (("group size", s) for s in self.group_sizes)
         for name, value in (("replications", self.replications), ("base_seed", self.base_seed), *sizes):
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "group_sizes", tuple(int(s) for s in self.group_sizes))
         object.__setattr__(self, "weight_specs", tuple(self.weight_specs))

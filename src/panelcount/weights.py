@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import PanelDataset
+from .core import PanelDataset, _is_integer
 
 __all__ = ["WeightKind", "WeightSpec", "WeightFn", "risk_fraction", "make_weight"]
 
@@ -42,13 +42,16 @@ _GROUPED_KINDS = {
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Declarative choice of weight process; ``group`` for the grouped kinds
-    and for no other kind."""
+    """Declarative choice of weight process: a ``WeightKind`` or its value,
+    and an integer ``group`` for the grouped kinds and for no other kind."""
 
     kind: WeightKind
     group: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", WeightKind(self.kind))
+        if self.group is not None and not _is_integer(self.group):
+            raise ValueError(f"weight group must be an integer, got {self.group!r}")
         if self.kind in _GROUPED_KINDS and self.group is None:
             raise ValueError(f"weight kind {self.kind.value} requires a group index")
         if self.kind not in _GROUPED_KINDS and self.group is not None:
@@ -134,9 +137,8 @@ def make_weight(d: PanelDataset, spec: WeightSpec) -> WeightFn:
     y_1 = _risk_curve(d, 1)
     if kind is WeightKind.RISK_PRODUCT:
         return WeightFn(spec.name, lambda t: _safe_ratio(y_1(t) * y_l(t), pooled(t)))
-    if kind is WeightKind.COMPLEMENT_PRODUCT:
-        return WeightFn(
-            spec.name,
-            lambda t: _safe_ratio((1.0 - y_1(t)) * (1.0 - y_l(t)), 1.0 - pooled(t)),
-        )
-    raise ValueError(f"unknown weight kind: {kind!r}")
+    # the last kind, COMPLEMENT_PRODUCT
+    return WeightFn(
+        spec.name,
+        lambda t: _safe_ratio((1.0 - y_1(t)) * (1.0 - y_l(t)), 1.0 - pooled(t)),
+    )

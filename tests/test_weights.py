@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,25 @@ class TestMakeWeight:
     def test_names(self):
         assert WeightSpec(WeightKind.CONST).name == "const"
         assert WeightSpec(WeightKind.RISK_PRODUCT, 2).name == "risk-product:2"
+
+    def test_kind_given_by_its_value(self, two_group_dataset):
+        spec = WeightSpec("complement")
+        assert spec.kind is WeightKind.COMPLEMENT
+        assert spec == WeightSpec(WeightKind.COMPLEMENT)
+        assert spec.name == "complement"
+        assert make_weight(two_group_dataset, spec)(4.0) == 0.5
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'bogus' is not a valid WeightKind"):
+            WeightSpec("bogus")
+
+    @pytest.mark.parametrize("group", [1.5, True, "1"])
+    def test_group_not_an_integer_rejected(self, group):
+        with pytest.raises(ValueError, match=re.escape(f"weight group must be an integer, got {group!r}")):
+            WeightSpec(WeightKind.GROUP_RISK, group=group)
+
+    def test_numpy_integer_group(self):
+        assert WeightSpec(WeightKind.GROUP_RISK, group=np.int64(2)).name == "group-risk:2"
 
 
 class TestWeightInvariants:

@@ -319,6 +319,8 @@ def estimate(input_path, method, group, out):
 @click.option("--out", default=None, type=click.Path(), help="write the JSON report here")
 def test_command(input_path, weight, stat, alpha, out):
     """Run a k-sample test and print a one-line summary."""
+    if not 0 < alpha < 1:
+        _fail("error: alpha must lie in (0, 1)", 2)
     d = _load_valid_dataset(input_path)
     if d.k < 2:
         _fail("error: testing requires k >= 2 groups", 2)

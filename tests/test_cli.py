@@ -217,6 +217,15 @@ class TestTestCommand:
         assert result.exit_code == 2
         assert "error: testing requires k >= 2 groups" in result.output
 
+    @pytest.mark.parametrize("alpha", ["nan", "-3", "0", "1", "2"])
+    def test_alpha_outside_unit_interval_exit_2(self, runner, two_group_file, tmp_path, alpha):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["test", "--input", two_group_file, "--alpha", alpha, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: alpha must lie in (0, 1)\n"
+        assert result.stdout == ""
+        assert not out.exists()
+
     def test_report_carries_solver_status(self, runner, two_group_file, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["test", "--input", two_group_file, "--out", str(out)])

@@ -8,16 +8,20 @@ nondecreasing step functions on the pooled observation grid:
   cumulative counts, and
 * the full Poisson-likelihood maximizer (``npmle``), computed by a modified
   iterative convex minorant: diagonal-Newton working response, isotonic
-  projection, and a backtracking line search that enforces monotone ascent,
-  then a Newton step on the tie-block values.  Each solve gathers the rows
-  with events and the last-visit counts once; both steps read only those
-  (score and per-row curvature weights), and the increments of each
-  accepted iterate carry forward to the next score.  The Newton system is
-  summed at block level: its size is blocks x blocks, not m x m.
+  projection, and a line search toward that projection that enforces
+  monotone ascent, then a Newton step on the tie-block values.  Both steps
+  search the same way (``_ascend``): from the iterate toward a target on the
+  cone, first the target itself, then candidates half as far from the
+  iterate each time.  Each solve gathers the rows with events and the
+  last-visit counts once; both steps read only those (score and per-row
+  curvature weights), and the increments of each accepted iterate carry
+  forward to the next score.  The Newton system is summed at block level:
+  its size is blocks x blocks, not m x m.
   The Newton step holds a first block at the origin.  A Newton step that
   would cross blocks, or take the first below 0, is projected back onto the
-  cone, which merges the blocks it crosses; it is halved only when that
-  projection gains nothing.
+  cone, which merges the blocks it crosses, and the search runs toward that
+  projection.  The ICM step takes a candidate that loses nothing, the Newton
+  step only one that gains.
 
   A solve starts from the NPMPLE.  A group's solve in ``fit_all`` starts
   instead from the pooled NPMLE scaled by the c that maximizes phi along
@@ -97,11 +101,11 @@ __all__ = [
 
 # The solver's fixed rules: it stops once the cone's optimality conditions
 # hold and one iteration gains less than _REL_TOL of the log-likelihood
-# (relative); a line search halves its step at most _MAX_HALVINGS times; the
-# start is the NPMPLE, or for a group's solve the scaled pooled fit, plus
-# _INIT_SLOPE_EPSILON per grid index, which makes it strictly increasing;
-# and the diagonal curvature is floored at
-# _CURVATURE_FLOOR_RATIO times its largest entry.
+# (relative); the line search of both steps (_ascend) halves its step toward
+# the target at most _MAX_HALVINGS times; the start is the NPMPLE, or for a
+# group's solve the scaled pooled fit, plus _INIT_SLOPE_EPSILON per grid
+# index, which makes it strictly increasing; and the diagonal curvature is
+# floored at _CURVATURE_FLOOR_RATIO times its largest entry.
 _REL_TOL = 1e-8
 _MAX_HALVINGS = 30
 _INIT_SLOPE_EPSILON = 1e-4
@@ -503,15 +507,39 @@ def _grad_curv(rows: _EventRows, du: np.ndarray):
     return g, np.where(rows.points.spread(cmax <= 0), 1.0, c)
 
 
-def _merge(rows: _EventRows, won: list[bool], new, old):
-    """``(u, du)`` from ``new`` on the segments in ``won``, from ``old``
-    elsewhere."""
-    if all(won):
-        return new
-    if not any(won):
-        return old
-    won = np.array(won)
-    return np.where(rows.points.spread(won), new[0], old[0]), np.where(rows.events.spread(won), new[1], old[1])
+def _ascend(rows: _EventRows, u, du, ll, target: np.ndarray, pending: list[bool], strict: bool):
+    """The projected line search of the modified ICM (Jongbloed 1998): move
+    each segment of ``rows`` that ``pending`` marks from ``u`` toward
+    ``target``, both on the cone, without losing log-likelihood.
+
+    The candidates are target - (1 - s) (target - u) for s = 1, 1/2, ...,
+    at most ``_MAX_HALVINGS`` halvings; at s = 1 the candidate is ``target``
+    itself, ties and all.  Each segment takes its first candidate that gains
+    (``strict``) or loses nothing, and comes back unchanged when none does.
+    ``du`` and ``ll`` are the increments and per-segment log-likelihoods of
+    ``u``.  Returns ``(u, du, ll, moved)``, with ``ll`` and ``moved`` lists.
+    """
+    ll = list(ll)
+    moved = [False] * len(ll)
+    s = 1.0
+    for _ in range(_MAX_HALVINGS + 1):
+        cand = target - (1.0 - s) * (target - u)
+        du_cand = _increments(rows, cand)
+        gain = _loglik_diff(rows, cand, du_cand, u, du).tolist()
+        won = [p and (g > 0 if strict else g >= 0) for p, g in zip(pending, gain)]
+        if all(won):
+            u, du = cand, du_cand
+        elif any(won):
+            at = np.array(won)
+            u = np.where(rows.points.spread(at), cand, u)
+            du = np.where(rows.events.spread(at), du_cand, du)
+        ll = [l + g if w else l for l, g, w in zip(ll, gain, won)]
+        moved = [m or w for m, w in zip(moved, won)]
+        pending = [p and not w for p, w in zip(pending, won)]
+        if not any(pending):
+            break
+        s /= 2.0
+    return u, du, ll, moved
 
 
 def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
@@ -530,9 +558,9 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
     is the full system.  On the likelihood's support (``_support_rows``)
     every block of a feasible iterate ends a row with events, so each
     diagonal entry is positive.  ``_block_step`` keeps the blocks in order:
-    a step that would cross blocks is projected onto the cone, and halved
-    only when the projection gains nothing.  Returns ``(u, du, ll,
-    polished)``; a segment whose step fails comes back unchanged.
+    a step that would cross blocks is projected onto the cone, and the line
+    search runs toward that projection.  Returns ``(u, du, ll, polished)``;
+    a segment whose step fails comes back unchanged.
     """
     points = rows.points
     first_of_block = np.concatenate((_FIRST, u[1:] != u[:-1]))
@@ -574,45 +602,25 @@ def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
 
 def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, pending: list[bool], blocks: _Segments):
     """Move the tie-block values ``v`` of ``u`` (grid point i in block
-    ``block_id[i]``) along the Newton step ``dv``, staying on the cone
+    ``block_id[i]``) toward v + ``dv``, the Newton step, staying on the cone
     0 <= v_1 <= ... <= v_blocks and ascending, in each segment of ``rows``
     that ``pending`` marks; ``blocks`` are the segments' runs of blocks.
 
-    The full step is tried first when it stays on the cone.  When it would
-    cross blocks or take the first below 0, its projection onto the cone in
-    the metric of the block curvatures ``h`` (the Newton system's diagonal,
-    floored as in ``_grad_curv``) is tried instead: the isotonic regression
-    of v + dv, clipped at 0, which merges the blocks the step would cross.
-    If that candidate gains nothing, the step halves from 1/2 until a
-    candidate on the cone gains, at most ``_MAX_HALVINGS`` times; every
-    segment still trying has the same step.  Returns ``(u, du, ll,
-    polished)``; a segment where no candidate gains comes back unchanged.
+    The target is v + dv where that lies on the cone.  Where the step would
+    cross blocks or take the first below 0, the target is its projection
+    onto the cone in the metric of the block curvatures ``h`` (the Newton
+    system's diagonal, floored as in ``_grad_curv``): the isotonic
+    regression of v + dv, clipped at 0, which merges the blocks the step
+    would cross.  ``_ascend`` searches toward the target and takes only a
+    candidate that gains.  Returns ``(u, du, ll, polished)``; a segment where
+    no candidate gains comes back unchanged.
     """
-    ll = list(ll)
-    polished = [False] * len(blocks)
-    v_cand = v + dv
-    for (lo, hi), trying, ok in zip(blocks.pairs, pending, _in_cone(blocks, v_cand)):
+    target = v + dv
+    for (lo, hi), trying, ok in zip(blocks.pairs, pending, _in_cone(blocks, target)):
         if trying and not ok:
             h_s = np.maximum(h[lo:hi], _CURVATURE_FLOOR_RATIO * np.maximum.reduce(h[lo:hi]))
-            v_cand[lo:hi] = np.maximum(isotonic_regression(v_cand[lo:hi], h_s), 0.0)
-    # a projection ends on the cone, so every first candidate lies on it
-    trying = pending
-    step = 1.0
-    for _ in range(_MAX_HALVINGS + 1):
-        if any(trying):
-            cand = v_cand[block_id]
-            du_cand = _increments(rows, cand)
-            gain = _loglik_diff(rows, cand, du_cand, u, du).tolist()
-            won = [t and g > 0 for t, g in zip(trying, gain)]
-            u, du = _merge(rows, won, (cand, du_cand), (u, du))
-            ll = [l + g if w else l for l, g, w in zip(ll, gain, won)]
-            polished = [p or w for p, w in zip(polished, won)]
-            pending = [p and not w for p, w in zip(pending, won)]
-        if not any(pending):
-            break
-        step /= 2.0
-        v_cand = v + step * dv
-        trying = [p and ok for p, ok in zip(pending, _in_cone(blocks, v_cand))]
+            target[lo:hi] = np.maximum(isotonic_regression(target[lo:hi], h_s), 0.0)
+    u, du, ll, polished = _ascend(rows, u, du, ll, target[block_id], pending, True)
     return u, du, np.array(ll), np.array(polished)
 
 
@@ -704,18 +712,21 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
     """The modified ICM on every segment of ``rows`` at once, from the
     feasible start ``u``, each step followed by a Newton polish.
 
-    Each segment keeps its own line-search and block-step halvings, stop
-    rule, status and trace, all read from its own values, so it follows the
-    path of its solve alone.  A segment leaves the batch only at the top of
-    an iteration, with the status of its certificates there, when either
-    it met the stop rule (the cone's conditions hold after an iteration that
-    gained less than ``_REL_TOL``), recorded at this iteration, or the
-    iteration before moved its iterate by nothing (a numeric fixed point),
-    recorded at that one.  The loop runs one pass past the limit, where
-    every segment still solving leaves as ``"max-iterations"`` unless it is
-    at a fixed point.  Per-segment scalars are Python floats, whose
-    arithmetic is numpy's.  Returns, per segment, ``(u, ll, trace, status,
-    residual, iterations)``.
+    Both steps move by ``_ascend``: the ICM step toward the PAVA projection
+    of the working response, clipped at 0, taking a candidate that loses
+    nothing, and the polish toward its block target, taking only a gain.
+    Each segment keeps its own halvings of both searches, stop rule, status
+    and trace, all read from its own values, so it follows the path of its
+    solve alone; each step a segment takes adds one entry to its trace.  A
+    segment leaves the batch only at the top of an iteration, with the
+    status of its certificates there, when either it met the stop rule (the
+    cone's conditions hold after an iteration that gained less than
+    ``_REL_TOL``), recorded at this iteration, or the iteration before moved
+    its iterate by nothing (a numeric fixed point), recorded at that one.
+    The loop runs one pass past the limit, where every segment still solving
+    leaves as ``"max-iterations"`` unless it is at a fixed point.
+    Per-segment scalars are Python floats, whose arithmetic is numpy's.
+    Returns, per segment, ``(u, ll, trace, status, residual, iterations)``.
     """
     out = [None] * len(rows.points)
     ids = list(range(len(rows.points)))
@@ -748,29 +759,15 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
                 )
         ll_start = ll
         x = np.maximum(_segmented_pava(u + g / c, c, rows.points), 0.0)
-        u_start, du_start = u, du
-        step = 1.0
-        pending = [True] * len(ids)
-        for _ in range(_MAX_HALVINGS + 1):
-            cand = u_start + step * (x - u_start)
-            du_cand = _increments(rows, cand)
-            gain = _loglik_diff(rows, cand, du_cand, u_start, du_start).tolist()
-            won = [p and g >= 0 for p, g in zip(pending, gain)]
-            if any(won):
-                u, du = _merge(rows, won, (cand, du_cand), (u, du))
-                ll = [l0 + g if w else l for l0, l, g, w in zip(ll_start, ll, gain, won)]
-                for i, w, l in zip(ids, won, ll):
-                    if w:
-                        traces[i].append(l)
-                pending = [p and not w for p, w in zip(pending, won)]
-            if not any(pending):
-                break
-            step /= 2.0
-        u, du, ll, polished = _newton_polish(rows, u, du, ll)
+        u_start = u
+        u, du, ll_icm, stepped = _ascend(rows, u, du, ll, x, [True] * len(ids), False)
+        u, du, ll, polished = _newton_polish(rows, u, du, ll_icm)
         ll = ll.tolist()
-        for i, p, l in zip(ids, polished.tolist(), ll):
-            if p:
-                traces[i].append(l)
+        for i, a, l_a, b, l_b in zip(ids, stepped, ll_icm, polished.tolist(), ll):
+            if a:
+                traces[i].append(l_a)
+            if b:
+                traces[i].append(l_b)
         rel_change = [(l - l0) / (1.0 + abs(l0)) for l, l0 in zip(ll, ll_start)]
         shift = rows.points.maxima(np.abs(u - u_start)).tolist()
         last = u_start[rows.points.ends - 1].tolist()

@@ -113,7 +113,7 @@ def per_weight_pvalues(cfg, rep):
 # SolveDiagnostics (iterations, status, log-likelihood, Fenchel residual and
 # trace, as float64 bytes) and the replication's p-value matrix
 REPLICATION_DIGESTS = {
-    "power_2s": "da2eaed095551a83e9a22759602ce9b90480b1cb29f3883af671706926dc0c25",
+    "power_2s": "5f934395cd0109c6225ba1c0b01d3cfbc58066551607e2a29c1d51e5ed78b228",
     "chi2_k3": "9c611948daa77b3c19bc7951e2c1fa4cc4df826a17b7c9c0a8ad10a4b912de4a",
 }
 

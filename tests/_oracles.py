@@ -330,7 +330,9 @@ def npmle_full_grid(d, cfg, start=None):
         step = 1.0
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            cand = u + step * (x - u)
+            # the library's candidates (``_ascend``): x itself, then
+            # candidates half as far from u, in the same arithmetic
+            cand = x - (1.0 - step) * (x - u)
             du_cand = _increments(rows, cand)
             gain = _loglik_diff(rows, cand, du_cand, u, du)
             if gain >= 0:

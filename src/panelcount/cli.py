@@ -69,6 +69,11 @@ def read_dataset_csv(path: str) -> PanelDataset:
     skipped and do not count in the line numbers of error messages.  Each
     subject's rows are sorted by (time, count).
     """
+    return _read_rows(path)
+
+
+def _read_rows(path: str) -> PanelDataset:
+    """``read_dataset_csv`` as a loop over rows."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

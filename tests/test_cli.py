@@ -1,12 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from panelcount import PanelDataset, SimConfig, WeightKind, WeightSpec, run_power_study
 from panelcount.cli import (
     DatasetFormatError,
+    _read_rows,
     main,
     parse_weight_spec,
     read_dataset_csv,
@@ -16,6 +19,7 @@ from panelcount.cli import (
 )
 from panelcount.hypotests import TestReport as Report
 from conftest import path, random_dataset
+from test_pipeline import BAD_FIELDS, CONTINUOUS_TIMES, HALF_INTEGER_TIMES
 
 
 @pytest.fixture
@@ -559,6 +563,99 @@ class TestReadDatasetErrors:
         f = write_csv(tmp_path, "order.csv", ["2,1,a,1", "1,0,a,1"], header="time,count,subject,group")
         (p,) = read_dataset_csv(f).paths
         assert (p.subject_id, p.group, p.times.tolist(), p.counts.tolist()) == ("a", 1, [1.0, 2.0], [0.0, 1.0])
+
+
+def _field(draw, text):
+    """``text`` padded, then quoted where it must be and sometimes where it
+    need not be."""
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    text = draw(pad) + text + draw(pad)
+    if any(c in text for c in ',"\r\n') or draw(st.booleans()):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _number(draw, x):
+    return draw(st.sampled_from([repr(x), f"{x:.3f}", f"{x:e}", f"{x:.17g}"]))
+
+
+REQUIRED = ("subject", "group", "time", "count")
+# other columns, or a required one repeated so that its last copy is read
+EXTRA_COLUMNS = st.lists(st.sampled_from(["note", "x", "subject", "group", "time", "count"]), max_size=2)
+# ids with commas, doubled quotes and newlines; padded ids read as one id
+SUBJECT_IDS = st.text(alphabet='ab ,"\n', max_size=3)
+TIED_TIMES = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+
+
+@st.composite
+def dataset_texts(draw):
+    """CSV text of a dataset: columns permuted, repeated or extra; fields
+    padded and quoted; blank lines; LF or CRLF endings; rows interleaved
+    across subjects; perhaps a bad field, a subject in two groups or a row
+    short of a field."""
+    names = draw(st.permutations(list(REQUIRED) + draw(EXTRA_COLUMNS)))
+    column = {name: i for i, name in enumerate(names)}
+    rows = []
+    for subject in draw(st.lists(SUBJECT_IDS, min_size=1, max_size=5, unique_by=str.strip)):
+        group = draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(1, 4))):
+            time = draw(st.one_of(HALF_INTEGER_TIMES, CONTINUOUS_TIMES, TIED_TIMES))
+            count = draw(st.integers(0, 20))
+            values = {
+                "subject": subject,
+                "group": draw(st.sampled_from([str(group), f"{group}.0", f"{group}e0"])),
+                "time": _number(draw, time),
+                "count": draw(st.sampled_from([str(count), _number(draw, float(count))] + ["-0"] * (count == 0))),
+            }
+            rows.append(
+                [values[n] if column.get(n) == i and n in values else draw(SUBJECT_IDS) for i, n in enumerate(names)]
+            )
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(rows))
+        row[column[draw(st.sampled_from(REQUIRED))]] = draw(st.one_of(BAD_FIELDS, st.just("1_0"), st.just("nan")))
+    if draw(st.booleans()):
+        draw(st.sampled_from(rows))[column["group"]] = "4"
+    lines = [",".join(names)]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2))
+        fields = [_field(draw, f) for f in row]
+        if draw(st.integers(0, 9)) == 9:
+            fields.pop()
+        lines.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(read, path):
+    """The dataset ``read`` gives, with its columns' bytes, or its error."""
+    try:
+        d = read(path)
+    except DatasetFormatError as exc:
+        return str(exc)
+    return d.subject_ids, d.groups.tolist(), d.sizes.tolist(), d.k, d.times.tobytes(), d.counts.tobytes()
+
+
+@pytest.fixture(scope="module")
+def reader_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "data.csv"
+
+
+class TestReaderPaths:
+    """``_read_rows``, a loop over rows, is the oracle of ``read_dataset_csv``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=dataset_texts())
+    def test_equals_row_loop(self, reader_path, text):
+        reader_path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_dataset_csv, str(reader_path)) == _outcome(_read_rows, str(reader_path))
+
+    def test_header_only_no_warning(self, tmp_path):
+        f = write_csv(tmp_path, "header.csv", [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetFormatError, match="^file contains no data rows$"):
+                read_dataset_csv(f)
 
 
 class TestParseWeightSpec:

@@ -650,12 +650,34 @@ class TestReaderPaths:
         reader_path.write_bytes(text.encode("utf-8"))
         assert _outcome(read_dataset_csv, str(reader_path)) == _outcome(_read_rows, str(reader_path))
 
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1f"])
+    def test_number_padded_with_a_separator_unparseable(self, tmp_path, pad):
+        # numpy's parser skips this padding; Python's float() does not
+        f = write_csv(tmp_path, "pad.csv", ["a,1,1,0", f"a,1,{pad}2,1"])
+        with pytest.raises(DatasetFormatError, match="^line 3: unparseable row$"):
+            read_dataset_csv(f)
+
     def test_header_only_no_warning(self, tmp_path):
         f = write_csv(tmp_path, "header.csv", [])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DatasetFormatError, match="^file contains no data rows$"):
                 read_dataset_csv(f)
+
+
+class TestInputEncoding:
+    def test_byte_order_mark_ignored(self, tmp_path, two_group_file):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + open(two_group_file, "rb").read())
+        assert _outcome(read_dataset_csv, str(marked)) == _outcome(read_dataset_csv, two_group_file)
+
+    @pytest.mark.parametrize("args", [["validate"], ["estimate", "--input"], ["test", "--input"]])
+    def test_not_utf8_exit_2(self, runner, tmp_path, args):
+        f = tmp_path / "latin.csv"
+        f.write_bytes(b"subject,group,time,count\na\xff,1,1,0\n")
+        result = runner.invoke(main, args + [str(f)])
+        assert result.exit_code == 2
+        assert result.stderr == "error: file is not UTF-8 text\n"
 
 
 class TestParseWeightSpec:

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -668,7 +669,7 @@ class TestReaderPaths:
 class TestInputEncoding:
     def test_byte_order_mark_ignored(self, tmp_path, two_group_file):
         marked = tmp_path / "marked.csv"
-        marked.write_bytes(b"\xef\xbb\xbf" + open(two_group_file, "rb").read())
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(two_group_file).read_bytes())
         assert _outcome(read_dataset_csv, str(marked)) == _outcome(read_dataset_csv, two_group_file)
 
     @pytest.mark.parametrize("args", [["validate"], ["estimate", "--input"], ["test", "--input"]])

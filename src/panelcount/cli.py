@@ -81,11 +81,12 @@ def read_dataset_csv(path: str) -> PanelDataset:
     in a loop over rows with Python's ``float``: it names the offending
     line, or returns the dataset where ``float`` accepts a field that numpy
     does not (such as ``1_0``).  Both paths give the same dataset, bit for
-    bit.
+    bit, except on a field over the csv module's size limit (131,072
+    characters), which numpy reads and the loop rejects with its line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            columns = _columns(next(csv.reader(fh), []))
+            columns = _columns(csv.reader(fh))
             body = fh.read()
     except UnicodeDecodeError:
         raise DatasetFormatError("file is not UTF-8 text") from None
@@ -111,8 +112,13 @@ def read_dataset_csv(path: str) -> PanelDataset:
     return _read_rows(path)
 
 
-def _columns(header: list[str]) -> tuple[int, int, int, int]:
-    """The indices of the subject, group, time and count columns."""
+def _columns(reader) -> tuple[int, int, int, int]:
+    """The indices of the subject, group, time and count columns, read from
+    the header, the first row of the csv ``reader``."""
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise DatasetFormatError(f"line 1: {exc}") from None
     missing = [c for c in _REQUIRED_COLUMNS if c not in header]
     if missing:
         raise DatasetFormatError(f"missing header column(s): {', '.join(missing)}")
@@ -149,9 +155,9 @@ def _read_rows(path: str) -> PanelDataset:
     """``read_dataset_csv`` as a loop over rows, the reader's error path."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        i_subject, i_group, i_time, i_count = _columns(next(reader, []))
+        i_subject, i_group, i_time, i_count = _columns(reader)
         by_subject: dict[str, tuple[int, list]] = {}
-        for lineno, row in enumerate(filter(None, reader), start=2):
+        for lineno, row in _data_rows(reader):
             try:
                 subject = row[i_subject].strip()
                 group_raw = float(row[i_group])
@@ -181,6 +187,19 @@ def _read_rows(path: str) -> PanelDataset:
     return PanelDataset.from_columns(
         times=times, counts=counts, sizes=sizes, groups=groups, subject_ids=list(by_subject)
     )
+
+
+def _data_rows(reader):
+    """The rows of the csv ``reader`` that are not blank, numbered from line
+    2; a row it cannot read, such as one with a field over the csv module's
+    size limit, raises ``DatasetFormatError``."""
+    lineno = 1
+    try:
+        for row in filter(None, reader):
+            lineno += 1
+            yield lineno, row
+    except csv.Error as exc:
+        raise DatasetFormatError(f"line {lineno + 1}: {exc}") from None
 
 
 def write_dataset_csv(d: PanelDataset, path: str) -> None:

@@ -23,11 +23,15 @@ nondecreasing step functions on the pooled observation grid:
   projection.  The ICM step takes a candidate that loses nothing, the Newton
   step only one that gains.
 
-  A solve starts from the NPMPLE.  A group's solve in ``fit_all`` starts
-  instead from the pooled NPMLE scaled by the c that maximizes phi along
-  it, the group's own level under the pooled shape: under the null the
-  pooled fit is close to every group's, and the solve needs fewer
-  iterations from it.
+  A solve starts from the NPMPLE's tie blocks joined by lines: through the
+  origin and each block's midpoint, flat after the last.  A group's solve
+  in ``fit_all`` starts instead from the pooled NPMLE scaled by the c that
+  maximizes phi along it, the group's own level under the pooled shape:
+  under the null the pooled fit is close to every group's, and the solve
+  needs fewer iterations from it.  The Newton step follows only an ICM step
+  that took its PAVA target, so it sees at most the target's blocks; a
+  halved ICM candidate blends the target with a tie-free iterate and can
+  have a block per grid point.
 
   One loop (``_icm``) solves a batch of datasets, each a segment of the
   batch's arrays; a single dataset is a batch of one.  ``fit_all`` solves
@@ -102,10 +106,11 @@ __all__ = [
 # The solver's fixed rules: it stops once the cone's optimality conditions
 # hold and one iteration gains less than _REL_TOL of the log-likelihood
 # (relative); the line search of both steps (_ascend) halves its step toward
-# the target at most _MAX_HALVINGS times; the start is the NPMPLE, or for a
-# group's solve the scaled pooled fit, plus _INIT_SLOPE_EPSILON per grid
-# index, which makes it strictly increasing; and the diagonal curvature is
-# floored at _CURVATURE_FLOOR_RATIO times its largest entry.
+# the target at most _MAX_HALVINGS times; the start is the NPMPLE's blocks
+# joined by lines, or for a group's solve the scaled pooled fit, plus
+# _INIT_SLOPE_EPSILON per grid index, which makes it strictly increasing;
+# and the diagonal curvature is floored at _CURVATURE_FLOOR_RATIO times its
+# largest entry.
 _REL_TOL = 1e-8
 _MAX_HALVINGS = 30
 _INIT_SLOPE_EPSILON = 1e-4
@@ -517,10 +522,12 @@ def _ascend(rows: _EventRows, u, du, ll, target: np.ndarray, pending: list[bool]
     itself, ties and all.  Each segment takes its first candidate that gains
     (``strict``) or loses nothing, and comes back unchanged when none does.
     ``du`` and ``ll`` are the increments and per-segment log-likelihoods of
-    ``u``.  Returns ``(u, du, ll, moved)``, with ``ll`` and ``moved`` lists.
+    ``u``.  Returns ``(u, du, ll, taken)``: ``ll`` a list, and ``taken`` the
+    list of each segment's s, 1.0 where it took ``target`` itself and 0.0
+    where it took no candidate.
     """
     ll = list(ll)
-    moved = [False] * len(ll)
+    taken = [0.0] * len(ll)
     s = 1.0
     for _ in range(_MAX_HALVINGS + 1):
         cand = target - (1.0 - s) * (target - u)
@@ -534,12 +541,12 @@ def _ascend(rows: _EventRows, u, du, ll, target: np.ndarray, pending: list[bool]
             u = np.where(rows.points.spread(at), cand, u)
             du = np.where(rows.events.spread(at), du_cand, du)
         ll = [l + g if w else l for l, g, w in zip(ll, gain, won)]
-        moved = [m or w for m, w in zip(moved, won)]
+        taken = [s if w else t for t, w in zip(taken, won)]
         pending = [p and not w for p, w in zip(pending, won)]
         if not any(pending):
             break
         s /= 2.0
-    return u, du, ll, moved
+    return u, du, ll, taken
 
 
 def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
@@ -548,7 +555,10 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
 
     The diagonal-ICM step alone contracts slowly once the active set has
     stabilized; solving the reduced (block-level) Newton system drives the
-    stationarity residual to machine precision in a few steps.  The
+    stationarity residual to machine precision in a few steps.  ``_icm``
+    hands it only segments whose ICM step took its PAVA target, so a
+    segment's system has at most that target's blocks, not one per grid
+    point as a halved candidate can have (``_polish_where``).  The
     (blocks x blocks) system is summed directly from the per-row weights,
     each row landing on the blocks of its two ends; no grid-level Hessian
     is formed.  No row joins two segments, so the batch's system is block
@@ -591,6 +601,26 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
     return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), solved, blocks)
 
 
+def _polish_where(rows: _EventRows, u, du, ll: list[float], pending: list[bool]):
+    """``_newton_polish`` on the segments of ``rows`` that ``pending`` marks,
+    cut to a batch of their own when not all are; the others come back
+    unchanged and unpolished.  Returns ``(u, du, ll, polished)``, with
+    ``ll`` and ``polished`` lists."""
+    if all(pending):
+        u, du, ll, polished = _newton_polish(rows, u, du, ll)
+        return u, du, ll.tolist(), polished.tolist()
+    if not any(pending):
+        return u, du, ll, pending
+    live = np.array(pending)
+    kept, ev = rows.points.spread(live), rows.events.spread(live)
+    ll_p = [l for l, p in zip(ll, pending) if p]
+    u_p, du_p, ll_p, polished_p = _newton_polish(_cut(rows, kept, live), u[kept], du[ev], ll_p)
+    u, du = u.copy(), du.copy()
+    u[kept], du[ev] = u_p, du_p
+    ll_p, polished_p = iter(ll_p.tolist()), iter(polished_p.tolist())
+    return u, du, [next(ll_p) if p else l for l, p in zip(ll, pending)], [p and next(polished_p) for p in pending]
+
+
 def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
     """Whether each segment's block values ``v`` satisfy
     0 <= v_1 <= ... <= v_blocks."""
@@ -620,8 +650,8 @@ def _block_step(rows: _EventRows, u, du, ll, block_id, v, dv, h, pending: list[b
         if trying and not ok:
             h_s = np.maximum(h[lo:hi], _CURVATURE_FLOOR_RATIO * np.maximum.reduce(h[lo:hi]))
             target[lo:hi] = np.maximum(isotonic_regression(target[lo:hi], h_s), 0.0)
-    u, du, ll, polished = _ascend(rows, u, du, ll, target[block_id], pending, True)
-    return u, du, np.array(ll), np.array(polished)
+    u, du, ll, taken = _ascend(rows, u, du, ll, target[block_id], pending, True)
+    return u, du, np.array(ll), np.array(taken) > 0
 
 
 def _certificates(g: np.ndarray, u: np.ndarray, n, tol: float, points: _Segments):
@@ -663,6 +693,27 @@ def _npmple_values(grid: TimeGrid, flat: FlatObservations) -> np.ndarray:
     w = np.bincount(flat.rank, minlength=grid.m).astype(float)
     ybar = np.bincount(flat.rank, weights=flat.counts, minlength=grid.m) / w
     return np.maximum.accumulate(isotonic_regression(ybar, w))
+
+
+def _npmple_start(grid: TimeGrid, flat: FlatObservations) -> np.ndarray:
+    """The start of a solve without ``_start``: the NPMPLE's tie blocks
+    joined by lines, read at the grid points.  The lines pass through the
+    origin and through each block's value at the midpoint of its first and
+    last time; the start is flat after the last midpoint.
+
+    Each point is read as a weighted mean of the ends of its line, with the
+    weight of the right end its share of the way along, at most 1: a slope
+    over two close times could overflow."""
+    t = grid.points
+    v = _npmple_values(grid, flat)
+    first = np.concatenate((_FIRST, v[1:] != v[:-1]))
+    last = np.concatenate((first[1:], _FIRST))
+    x = np.concatenate((_ORIGIN, t[first] + 0.5 * (t[last] - t[first])))
+    y = np.concatenate((_ORIGIN, v[first]))
+    # the line from point j - 1 to point j holds t, or the last line past its end
+    j = np.minimum(np.searchsorted(x, t, side="right"), x.size - 1)
+    share = np.minimum((t - x[j - 1]) / (x[j] - x[j - 1]), 1.0)
+    return np.maximum.accumulate((1.0 - share) * y[j - 1] + share * y[j])
 
 
 def log_likelihood(d: PanelDataset, e: StepEstimate) -> float:
@@ -710,11 +761,16 @@ def _support_rows(rows: _EventRows):
 
 def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
     """The modified ICM on every segment of ``rows`` at once, from the
-    feasible start ``u``, each step followed by a Newton polish.
+    feasible start ``u``, each step that takes its target followed by a
+    Newton polish.
 
     Both steps move by ``_ascend``: the ICM step toward the PAVA projection
     of the working response, clipped at 0, taking a candidate that loses
     nothing, and the polish toward its block target, taking only a gain.
+    A segment polishes only in an iteration whose ICM step took that
+    projection itself (s = 1), so the polish sees the projection's blocks;
+    a segment whose ICM step halved or stood still goes on to the next
+    iteration unpolished.
     Each segment keeps its own halvings of both searches, stop rule, status
     and trace, all read from its own values, so it follows the path of its
     solve alone; each step a segment takes adds one entry to its trace.  A
@@ -760,11 +816,10 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
         ll_start = ll
         x = np.maximum(_segmented_pava(u + g / c, c, rows.points), 0.0)
         u_start = u
-        u, du, ll_icm, stepped = _ascend(rows, u, du, ll, x, [True] * len(ids), False)
-        u, du, ll, polished = _newton_polish(rows, u, du, ll_icm)
-        ll = ll.tolist()
-        for i, a, l_a, b, l_b in zip(ids, stepped, ll_icm, polished.tolist(), ll):
-            if a:
+        u, du, ll_icm, taken = _ascend(rows, u, du, ll, x, [True] * len(ids), False)
+        u, du, ll, polished = _polish_where(rows, u, du, ll_icm, [s == 1.0 for s in taken])
+        for i, a, l_a, b, l_b in zip(ids, taken, ll_icm, polished, ll):
+            if a > 0:
                 traces[i].append(l_a)
             if b:
                 traces[i].append(l_b)
@@ -844,16 +899,19 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig(), *, _start: StepEstimate
     non-convergence the best iterate is returned with ``converged=False``
     and a ``status`` that says why; no exception.
 
-    The solve starts from the NPMPLE, or, given a step estimate ``_start``,
-    from that estimate scaled to the dataset's level (``_scaled_start``).
-    The dataset is solved as a batch of one (``_icm``).
+    The solve starts from the NPMPLE's tie blocks joined by lines
+    (``_npmple_start``), or, given a step estimate ``_start``, from that
+    estimate scaled to the dataset's level (``_scaled_start``); either way
+    ``_INIT_SLOPE_EPSILON`` per support point is added.  The dataset is solved
+    as a batch of one (``_icm``), where the Newton polish follows only an
+    ICM step that took its PAVA target.
     """
     began = time.perf_counter()
     grid = build_time_grid(d)
     flat = flatten_observations(d)
     full = _event_rows(flat)
     if _start is None:
-        u0 = _npmple_values(grid, flat)
+        u0 = _npmple_start(grid, flat)
     else:
         u0 = _scaled_start(_start, grid.points, full)
     ((estimate, diag),) = _solve(full, u0, [flat.n_subjects], grid.points, cfg, began)

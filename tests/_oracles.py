@@ -25,10 +25,10 @@ from panelcount.estimators import (
     _increments,
     _loglik,
     _loglik_diff,
+    _npmple_start,
     _score_and_weights,
     _single,
     isotonic_regression,
-    npmple,
 )
 
 
@@ -272,12 +272,13 @@ def single_certificates(g, u, n, tol):
 def npmle_full_grid(d, cfg, start=None):
     """The NPMLE solved over every grid point: the modified ICM loop and its
     Newton polish as they were before the solve moved to the likelihood's
-    support, built on the library's per-row helpers.  The polish holds a
+    support, built on the library's per-row helpers.  The polish runs only
+    after an ICM step that took its PAVA target (``step == 1.0``), holds a
     first block at the origin and every block of zero curvature, and takes
     its step by the library's rule (``_block_step``).  The loop starts from
-    the NPMPLE, or from the step estimate ``start`` scaled by the total
-    count over its sum at the subjects' last visits.  Returns
-    ``(StepEstimate, SolveDiagnostics)``."""
+    the library's join of the NPMPLE's blocks (``_npmple_start``), or from
+    the step estimate ``start`` scaled by the total count over its sum at
+    the subjects' last visits.  Returns ``(StepEstimate, SolveDiagnostics)``."""
 
     def newton_polish(rows, u, du, ll):
         jumps = u[1:] != u[:-1]
@@ -307,7 +308,7 @@ def npmle_full_grid(d, cfg, start=None):
     n = flat.n_subjects
     rows = _event_rows(flat)
     if start is None:
-        u = npmple(d).values
+        u = _npmple_start(grid, flat)
     else:
         u = np.array([step_at(start.support, start.values, t) for t in grid.points])
         u = u * (flat.dN.sum() / u[flat.rank[flat.is_last]].sum())
@@ -343,9 +344,10 @@ def npmle_full_grid(d, cfg, start=None):
         if accepted:
             u, du, ll = cand, du_cand, ll + gain
             trace.append(ll)
-        u, du, ll, polished = newton_polish(rows, u, du, ll)
-        if polished:
-            trace.append(ll)
+        if accepted and step == 1.0:
+            u, du, ll, polished = newton_polish(rows, u, du, ll)
+            if polished:
+                trace.append(ll)
         moved = np.max(np.abs(u - u_start)) > 1e-14 * max(1.0, float(u_start[-1]))
         if not moved:
             g, _ = _score_and_weights(rows, du)

@@ -681,6 +681,28 @@ class TestInputEncoding:
         assert result.stderr == "error: file is not UTF-8 text\n"
 
 
+class TestFieldOverTheCsvLimit:
+    """A field longer than the csv module's limit, 131,072 characters, is an
+    error of its line, not a traceback."""
+
+    LONG = "x" * 200_000
+
+    @pytest.mark.parametrize("args", [["validate"], ["estimate", "--input"], ["test", "--input"]])
+    def test_in_the_header_exit_2(self, runner, tmp_path, args):
+        f = write_csv(tmp_path, "long.csv", ["a,1,1,0"], header=f"subject,group,time,count,{self.LONG}")
+        result = runner.invoke(main, args + [f])
+        assert result.exit_code == 2
+        assert result.stderr == "error: line 1: field larger than field limit (131072)\n"
+
+    @pytest.mark.parametrize("args", [["validate"], ["estimate", "--input"], ["test", "--input"]])
+    def test_in_a_data_row_exit_2(self, runner, tmp_path, args):
+        # no number: the row loop reads the file, and the blank line is not counted
+        f = write_csv(tmp_path, "long.csv", ["a,1,1,0", "", f"a,1,{self.LONG},1"])
+        result = runner.invoke(main, args + [f])
+        assert result.exit_code == 2
+        assert result.stderr == "error: line 3: field larger than field limit (131072)\n"
+
+
 class TestParseWeightSpec:
     def test_aliases(self):
         assert parse_weight_spec("w1", 2).kind is WeightKind.CONST

@@ -546,6 +546,22 @@ class TestGroupBatch:
             "some segments end at the iteration limit",
         }
 
+    def test_the_draws_include_batches_where_only_some_groups_polish(self, monkeypatch):
+        """A group whose ICM step halved skips the polish while the others
+        polish, as the segments of a cut batch (``_polish_where``)."""
+        splits = []
+        polish_where = estimators._polish_where
+
+        def spy(rows, u, du, ll, pending):
+            splits.append(any(pending) and not all(pending))
+            return polish_where(rows, u, du, ll, pending)
+
+        monkeypatch.setattr(estimators, "_polish_where", spy)
+        for seed in range(24):
+            d = group_batch_dataset(seed)
+            estimators._group_npmles(d, npmle(d)[0], IcmConfig())
+        assert any(splits)
+
     @pytest.mark.parametrize("seed", range(24))
     def test_segments_are_the_rows_of_each_group(self, seed):
         d = group_batch_dataset(seed)
@@ -797,35 +813,39 @@ class TestSolveStatus:
         assert (capped.status, capped.iterations) == ("max-iterations", j - 1)
 
 
-def drawn_dataset(s):
-    """Draw ``s`` of a stream of small one-group datasets: the size, the
-    event rate and the last visit time are drawn first, then the data."""
-    rng = np.random.default_rng(10_000 + s)
-    n = int(rng.integers(2, 30))
-    rate = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
-    max_time = int(rng.integers(2, 12))
-    return random_dataset(rng, n, k=1, max_time=max_time, rate=rate)
-
-
 class TestStepAcceptance:
     """What each step does with a candidate that gains exactly 0: the ICM
-    step takes it, the Newton polish does not.  Every step taken adds one
-    entry to ``loglik_trace``."""
+    step (``_ascend`` with ``strict=False``) takes it, the Newton polish
+    (``strict=True``) does not."""
+
+    @staticmethod
+    def zero_gain_move():
+        """Rows, an iterate and a target that moves it only at time 2, where
+        no row with events starts or ends and no subject's last visit falls:
+        every candidate between the two gains exactly 0."""
+        d = PanelDataset.from_paths(
+            [path("a", 1, [1.0, 3.0], [1, 2]), path("b", 1, [2.0, 3.0], [0, 0])]
+        )
+        rows = estimators._event_rows(flatten_observations(d))
+        u = np.array([1.0, 1.5, 2.0])
+        target = np.array([1.0, 1.75, 2.0])
+        du = estimators._increments(rows, u)
+        ll = estimators._loglik(rows, u, du)
+        cand = target - 0.0 * (target - u)
+        assert estimators._loglik_diff(rows, cand, estimators._increments(rows, cand), u, du).tolist() == [0.0]
+        return rows, u, du, ll, target
 
     def test_polish_refuses_a_zero_gain(self):
-        # in one iteration every candidate of the polish gains exactly 0;
-        # taking the first would add a seventh entry
-        _, diag = npmle(drawn_dataset(16))
-        assert diag.status == "converged"
-        assert len(diag.loglik_trace) == 6
+        rows, u, du, ll, target = self.zero_gain_move()
+        got, _, got_ll, taken = estimators._ascend(rows, u, du, ll, target, [True], True)
+        assert taken == [0.0]
+        assert got.tobytes() == u.tobytes() and got_ll == ll.tolist()
 
     def test_icm_step_takes_a_zero_gain(self):
-        # only the ICM step can record a gain of 0; refusing it would leave
-        # eight entries
-        _, diag = npmle(drawn_dataset(567), IcmConfig(fenchel_tol=1e-12))
-        assert diag.status == "converged"
-        assert len(diag.loglik_trace) == 9
-        assert 0.0 in np.diff(diag.loglik_trace)
+        rows, u, du, ll, target = self.zero_gain_move()
+        got, _, got_ll, taken = estimators._ascend(rows, u, du, ll, target, [True], False)
+        assert taken == [1.0]
+        assert got.tobytes() == target.tobytes() and got_ll == ll.tolist()
 
 
 class TestWeightedScoreResidual:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from panelcount import IcmConfig, PanelDataset, npmle
+from panelcount import IcmConfig, PanelDataset, npmle, npmple
 from panelcount.core import build_time_grid, flatten_observations
 from panelcount import estimators
 from conftest import TIGHT, path, random_dataset
@@ -246,3 +246,104 @@ def test_npmle_memory_stays_below_grid_squared():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def blocks_of(u):
+    return 1 + int(np.count_nonzero(u[1:] != u[:-1]))
+
+
+def solver_steps(monkeypatch, d, most_blocks=2000):
+    """The steps of ``npmle(d)`` in order: ``("icm", s, blocks)`` for each
+    ICM step, with the s it took (0.0 for none) and its target's number of
+    tie blocks, and ``("polish", blocks)`` for each Newton polish, with the
+    number of tie blocks it was handed.  A polish handed more than
+    ``most_blocks`` blocks fails the test before it builds its dense
+    system, (blocks + 1)^2 floats."""
+    steps = []
+    ascend, polish = estimators._ascend, estimators._newton_polish
+
+    def ascend_spy(rows, u, du, ll, target, pending, strict):
+        out = ascend(rows, u, du, ll, target, pending, strict)
+        if not strict:
+            (s,) = out[3]
+            steps.append(("icm", s, blocks_of(target)))
+        return out
+
+    def polish_spy(rows, u, du, ll):
+        steps.append(("polish", blocks_of(u)))
+        assert steps[-1][1] <= most_blocks, f"a polish handed {steps[-1][1]} blocks"
+        return polish(rows, u, du, ll)
+
+    monkeypatch.setattr(estimators, "_ascend", ascend_spy)
+    monkeypatch.setattr(estimators, "_newton_polish", polish_spy)
+    _, diag = npmle(d)
+    monkeypatch.undo()
+    return steps, diag
+
+
+class TestPolishRule:
+    """The Newton polish runs only after an ICM step that took its PAVA
+    target, so it is never handed more blocks than that target has."""
+
+    def test_no_polish_after_a_halved_icm_step(self, monkeypatch):
+        # m is about 3300; the first two ICM steps of this solve halve
+        steps, _ = solver_steps(monkeypatch, continuous_dataset(20090415, 600))
+        icm = [step for step in steps if step[0] == "icm"]
+        assert any(0.0 < s < 1.0 for _, s, _ in icm)
+        for before, after in zip(steps, steps[1:]):
+            if after[0] == "polish":
+                assert before[:2] == ("icm", 1.0)
+        assert sum(step[0] == "polish" for step in steps) == sum(s == 1.0 for _, s, _ in icm)
+
+    @pytest.mark.parametrize("args", [(3, 40), (20090415, 200), (20090415, 600), (20090415, 6000)])
+    def test_no_polish_system_has_more_blocks_than_its_icm_target(self, monkeypatch, args):
+        steps, _ = solver_steps(monkeypatch, continuous_dataset(*args))
+        polishes = [(before, after) for before, after in zip(steps, steps[1:]) if after[0] == "polish"]
+        assert polishes
+        for (_, _, target_blocks), (_, blocks) in polishes:
+            assert blocks <= target_blocks
+
+    def test_continuous_times_at_n_6000_need_no_large_system(self, monkeypatch):
+        # m is about 33,000; a polish of a halved ICM candidate was handed
+        # 26,045 blocks here, a dense system of 5.4 GB
+        d = continuous_dataset(20090415, 6000)
+        steps, diag = solver_steps(monkeypatch, d, most_blocks=999)
+        assert diag.status == "boundary-origin"
+        assert any(step[0] == "polish" for step in steps)
+
+
+def test_start_joins_the_npmple_blocks_by_lines(monkeypatch):
+    # NPMPLE: 5/3 on the block {1, 2} (midpoint 1.5), 6 at 4, and 7.5 on
+    # {5, 6} (midpoint 5.5); every grid point is in the support
+    d = PanelDataset.from_paths(
+        [
+            path("a", 1, [1.0, 2.0, 4.0], [2, 2, 6]),
+            path("b", 1, [2.0, 5.0], [1, 8]),
+            path("c", 1, [6.0], [7]),
+        ]
+    )
+    np.testing.assert_allclose(npmple(d).values, [5 / 3, 5 / 3, 6.0, 7.5, 7.5], rtol=1e-15)
+    # (0, 0) to (1.5, 5/3) to (4, 6) to (5.5, 7.5), then flat
+    want = [10 / 9, 5 / 3 + 0.2 * (6 - 5 / 3), 6.0, 7.0, 7.5]
+    starts = []
+    icm = estimators._icm
+
+    def spy(rows, u, n, cfg):
+        starts.append(u.copy())
+        return icm(rows, u, n, cfg)
+
+    monkeypatch.setattr(estimators, "_icm", spy)
+    npmle(d)
+    (u0,) = starts
+    np.testing.assert_allclose(u0 - estimators._INIT_SLOPE_EPSILON * np.arange(1, 6), want, rtol=1e-14)
+
+
+def test_start_over_nearly_equal_times_is_finite():
+    # the line from the origin to the first block's midpoint, 1.1e-313,
+    # has a slope above the largest float
+    d = PanelDataset.from_paths(
+        [path("s0", 1, [5e-324, 0.5], [1, 2]), path("s1", 1, [2.2250738585e-313], [0])]
+    )
+    est, diag = npmle(d)
+    assert np.all(np.isfinite(est.values))
+    assert np.isfinite(diag.loglik)

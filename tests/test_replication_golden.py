@@ -113,8 +113,8 @@ def per_weight_pvalues(cfg, rep):
 # SolveDiagnostics (iterations, status, log-likelihood, Fenchel residual and
 # trace, as float64 bytes) and the replication's p-value matrix
 REPLICATION_DIGESTS = {
-    "power_2s": "5f934395cd0109c6225ba1c0b01d3cfbc58066551607e2a29c1d51e5ed78b228",
-    "chi2_k3": "9c611948daa77b3c19bc7951e2c1fa4cc4df826a17b7c9c0a8ad10a4b912de4a",
+    "power_2s": "2a60d0ad39678bddbea7c8eb5018c26607f1becc03890e079aa6cf43b12663f5",
+    "chi2_k3": "6e8d1ad8e09f3b4895e65abbd34bc3ee1fb33866cebe6c31c826751f8baad6be",
 }
 
 

@@ -71,7 +71,7 @@ def report_digest():
     return h.hexdigest()
 
 
-REPORT_DIGEST = "655fc8f3253e525695945bb511e2dcf7c75b568eb007446b22680bf09b55c249"
+REPORT_DIGEST = "03ff732257e9c249635028b9379238b91b478331b19e55b98463bc6e5fe814f5"
 
 
 def test_reports_match_digest():

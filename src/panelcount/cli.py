@@ -407,7 +407,8 @@ def estimate(input_path, method, group, out):
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--weight", default="w1", help="w1..w4 or kind[:group] keyword")
 @click.option("--stat", type=click.Choice(["u", "v", "t12"]), default="t12")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=float, default=0.05, show_default=True,
+              help="only echoed into the --out report's config; changes no statistic, p-value or decision")
 @click.option("--out", default=None, type=click.Path(), help="write the JSON report here")
 def test_command(input_path, weight, stat, alpha, out):
     """Run a k-sample test and print a one-line summary."""
@@ -515,7 +516,9 @@ def simulate(ctx, case, beta, n1, n2, sizes, nu, reps, seed, weights, stats, alp
 @click.option("--stat", type=click.Choice(["t1", "t2"]), default="t2")
 @click.option("--out", default="-", help="output CSV path ('-' for stdout)")
 def qq(n, reps, seed, stat, out):
-    """Null quantile pairs of a two-sample statistic vs the standard normal."""
+    """Null quantile pairs of a two-sample statistic vs the standard normal.
+
+    Failed replications are left out of the table and counted on stderr."""
     if n < 2:
         _fail("error: --n must be at least 2", 2)
     try:
@@ -532,8 +535,7 @@ def qq(n, reps, seed, stat, out):
     except ValueError as exc:
         _fail(f"error: {exc}", 2)
     try:
-        with _test_errors():
-            table = qq_study(cfg, statistic=stat)
+        table, failures = qq_study(cfg, statistic=stat)
     except ThreadCountError as exc:
         _fail(f"error: {exc}", 2)
     _write_csv(
@@ -541,6 +543,10 @@ def qq(n, reps, seed, stat, out):
         ["theoretical", "empirical"],
         ([repr(float(theo)), repr(float(emp))] for theo, emp in table),
     )
+    if len(table) < reps:
+        causes = ", ".join(f"{cause} {count}" for cause, count in failures.items() if count)
+        failed = f"{reps - len(table)} of {reps} replications failed ({causes})"
+        click.echo(f"warning: {failed}; the table has the other {len(table)}", err=True)
     sys.exit(0)
 
 

@@ -83,7 +83,8 @@ class SolverConvergenceError(RuntimeError):
         self.diagnostics = diagnostics
 
     def __reduce__(self):
-        # pickled with its diagnostics, as a worker process sends it back
+        # pickled with its diagnostics: the default reduction would rebuild it
+        # from the message alone, which __init__ refuses
         return type(self), (str(self), self.diagnostics)
 
 

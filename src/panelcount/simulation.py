@@ -17,8 +17,8 @@ A replication fits its NPMLEs once, gets U, V and sigma^2 for every
 weight from one call of the statistic kernel in ``hypotests``, and reads
 the p-values of every weight with one call of the tests' reader per
 method; they equal those of the public tests run one weight at a time.  A
-replication that fails is excluded from the rejection fractions and
-counted by cause (``FAILURE_CAUSES``).
+replication that fails is excluded from the rejection fractions and the QQ
+table alike, and counted by cause (``FAILURE_CAUSES``).
 
 Chi-square p-values come from ``hypotests.chisq_sf`` and ``qq_study``'s
 normal quantiles from ``statistics.NormalDist``: the runtime dependencies
@@ -311,11 +311,11 @@ def _public_test(method: str):
     return chi2_u_test if method == "U-test" else chi2_v_test
 
 
-def _replication_worker(args):
-    """A replication's p-value matrix, or the cause name of its failure."""
-    cfg, rep = args
+def _replication_worker(job, compute=_replication_pvalues):
+    """``compute(cfg, rep)`` of a job ``(cfg, rep)``, by default the
+    replication's p-value matrix, or the cause name of its failure."""
     try:
-        return _replication_pvalues(cfg, rep)
+        return compute(*job)
     except tuple(FAILURE_CAUSES) as exc:
         return FAILURE_CAUSES[type(exc)]
 
@@ -328,53 +328,36 @@ def _thread_count() -> int:
         raise ThreadCountError(f"PCT_THREADS must be an integer, got {raw!r}") from None
 
 
-# Set in each worker process of a parallel map; see ``_map_replications``.
-_stop_event = None
-
 # The process pool class, imported by the first parallel map
 # (``_map_replications``).
 ProcessPoolExecutor = None
 
 
-def _init_worker(stop) -> None:
-    global _stop_event
-    _stop_event = stop
-
-
-def _unless_stopped(worker, job):
-    """``worker(job)``, or None once the parent has seen a replication fail."""
-    if _stop_event.is_set():
-        return None
-    return worker(job)
-
-
 def _map_replications(cfg: SimConfig, worker):
     """``worker`` over every replication of ``cfg``, in order, on
-    ``PCT_THREADS`` processes but no more than there are replications.  A
-    failure raises as soon as every earlier replication has returned, as in
-    a serial run: ``Executor.map`` then drops the chunks no worker holds, and
-    the stop event makes the held chunks skip their remaining replications."""
+    ``PCT_THREADS`` processes but no more than there are replications."""
     global ProcessPoolExecutor
     jobs = [(cfg, rep) for rep in range(cfg.replications)]
     threads = min(_thread_count(), cfg.replications)
     if threads > 1:
         # imported here so that importing panelcount or a serial run does not
         # pay for the process pool
-        import multiprocessing
-
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
-        stop = multiprocessing.Event()
-        with ProcessPoolExecutor(
-            max_workers=threads, initializer=_init_worker, initargs=(stop,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, cfg.replications // (8 * threads))
-            try:
-                return list(pool.map(partial(_unless_stopped, worker), jobs, chunksize=chunk))
-            except BaseException:
-                stop.set()
-                raise
+            return list(pool.map(worker, jobs, chunksize=chunk))
     return [worker(job) for job in jobs]
+
+
+def _run_replications(cfg: SimConfig, compute):
+    """``compute(cfg, rep)`` over every replication of ``cfg``: the values of
+    the replications that did not fail, in order, and the number of failures
+    of each cause, in ``FAILURE_CAUSES`` order."""
+    results = _map_replications(cfg, partial(_replication_worker, compute=compute))
+    failed = [r for r in results if isinstance(r, str)]
+    causes = {cause: failed.count(cause) for cause in FAILURE_CAUSES.values()}
+    return [r for r in results if not isinstance(r, str)], causes
 
 
 def run_power_study(cfgs) -> list[PowerRow]:
@@ -387,11 +370,8 @@ def run_power_study(cfgs) -> list[PowerRow]:
     for cfg in cfgs:
         if not cfg.statistics:
             raise ValueError("run_power_study needs at least one statistic")
-        results = _map_replications(cfg, _replication_worker)
-        failed = [r for r in results if isinstance(r, str)]
-        causes = {cause: failed.count(cause) for cause in FAILURE_CAUSES.values()}
-        valid = [r for r in results if not isinstance(r, str)]
-        failures = len(failed)
+        valid, causes = _run_replications(cfg, _replication_pvalues)
+        failures = sum(causes.values())
         rejections = np.zeros((len(cfg.statistics), len(cfg.weight_specs)), dtype=int)
         if valid:
             rejections = np.sum([r < cfg.alpha for r in valid], axis=0)
@@ -421,25 +401,26 @@ def run_power_study(cfgs) -> list[PowerRow]:
     return rows
 
 
-def _qq_worker(args):
-    cfg, rep = args
-    d = generate_dataset(cfg, rep)
-    report = two_sample_tests(d, cfg.weight_specs[0])
+def _qq_statistic(cfg: SimConfig, rep: int) -> float:
+    """Replication ``rep``'s ``cfg.statistics[0]`` under ``cfg.weight_specs[0]``."""
+    report = two_sample_tests(generate_dataset(cfg, rep), cfg.weight_specs[0])
     return report.statistics[cfg.statistics[0].upper()]
 
 
-def qq_study(cfg: SimConfig, statistic: str = "t2") -> np.ndarray:
+def qq_study(cfg: SimConfig, statistic: str = "t2") -> tuple[np.ndarray, dict[str, int]]:
     """Null replicate values of a two-sample statistic against standard-normal
-    quantiles; returns an (R, 2) array (theoretical, ordered empirical)."""
+    quantiles; returns an (R, 2) array (theoretical, ordered empirical) over
+    the R replications that did not fail, and the failures by cause."""
     if cfg.beta != 0.0:
         raise ValueError("qq_study requires the null design beta = 0")
     if statistic not in ("t1", "t2"):
         raise ValueError("qq_study supports the two-sample statistics t1 and t2")
     cfg = replace(cfg, weight_specs=cfg.weight_specs[:1], statistics=(statistic,))
-    values = np.sort(np.asarray(_map_replications(cfg, _qq_worker), dtype=float))
+    values, failures = _run_replications(cfg, _qq_statistic)
+    values = np.sort(np.asarray(values, dtype=float))
     # imported here so that importing panelcount does not pay for the statistics module
     from statistics import NormalDist
 
-    r = cfg.replications
+    r = values.size
     theoretical = np.array([NormalDist().inv_cdf((i - 0.5) / r) for i in range(1, r + 1)])
-    return np.column_stack([theoretical, values])
+    return np.column_stack([theoretical, values]), failures

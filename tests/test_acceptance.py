@@ -111,7 +111,9 @@ def qq_table():
         replications=REPS, base_seed=SEED + 60, weight_specs=(W1,),
         statistics=("t2",),
     )
-    return qq_study(cfg, "t2")
+    table, failures = qq_study(cfg, "t2")
+    assert sum(failures.values()) == 0, failures
+    return table
 
 
 @pytest.mark.slow

@@ -458,19 +458,43 @@ class TestQqCommand:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_nonconvergence_exit_3(self, runner, monkeypatch, threads):
-        # 2+2 subjects: a group 2 solve ends at the origin boundary; with
-        # two workers the error comes back from a worker process
+    def test_nonconvergence_excluded_and_counted(self, runner, monkeypatch, threads):
+        # 2+2 subjects: solves that end at the origin boundary and degenerate
+        # statistics; with two workers the counts come back from worker processes
         monkeypatch.setenv("PCT_THREADS", threads)
         result = runner.invoke(main, ["qq", "--n", "4", "--reps", "40", "--seed", "0"])
-        assert result.exit_code == 3
-        assert "error: group 2 NPMLE did not converge (boundary-origin)" in result.output
-        assert "Traceback" not in result.output
+        assert result.exit_code == 0
+        assert result.stderr == (
+            "warning: 21 of 40 replications failed (solver_convergence 14, "
+            "increment_mismatch 7); the table has the other 19\n"
+        )
+        lines = result.stdout.splitlines()
+        assert lines[0] == "theoretical,empirical"
+        assert len(lines) == 20
 
-    def test_degenerate_statistic_exit_4(self, runner):
+    def test_degenerate_statistic_excluded_and_counted(self, runner):
+        # replication 1 is the first to fail, on a pooled increment beneath its floor
         result = runner.invoke(main, ["qq", "--n", "8", "--reps", "60", "--seed", "1"])
-        assert result.exit_code == 4
-        assert "error: pooled increment beneath floor" in result.output
+        assert result.exit_code == 0
+        assert result.stderr == (
+            "warning: 15 of 60 replications failed (solver_convergence 11, "
+            "increment_mismatch 4); the table has the other 45\n"
+        )
+        assert len(result.stdout.splitlines()) == 46
+
+    def test_every_replication_failed_header_only(self, runner):
+        result = runner.invoke(main, ["qq", "--n", "2", "--reps", "3", "--seed", "11"])
+        assert result.exit_code == 0
+        assert result.stdout == "theoretical,empirical\n"
+        assert result.stderr == (
+            "warning: 3 of 3 replications failed (solver_convergence 1, "
+            "increment_mismatch 2); the table has the other 0\n"
+        )
+
+    def test_no_failure_no_warning(self, runner):
+        result = runner.invoke(main, ["qq", "--n", "24", "--reps", "6", "--seed", "2"])
+        assert result.exit_code == 0
+        assert result.stderr == ""
 
 
 class TestUnwritableOutput:

@@ -531,7 +531,7 @@ class TestStatisticInvariants:
 
 class TestSolverConvergenceError:
     def test_pickle_round_trip_keeps_diagnostics(self, rng):
-        # a worker process sends the error back to its parent pickled
+        # the error pickles as a library value, diagnostics and all
         d = random_dataset(rng, 20, k=2)
         with pytest.raises(SolverConvergenceError) as raised:
             fit_all(d, IcmConfig(max_iterations=1))

@@ -1,7 +1,4 @@
 import math
-import os
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,16 +28,6 @@ def failure_causes(row):
         row.degenerate_covariance,
         row.degenerate_variance,
     )
-
-
-def fail_first_record_rest(job):
-    """Fails on replication 0; every other replication takes 20 ms and leaves
-    a file named after it in the directory ``$RAN_DIR``."""
-    _, rep = job
-    if rep == 0:
-        raise RuntimeError("replication 0 failed")
-    time.sleep(0.02)
-    (Path(os.environ["RAN_DIR"]) / str(rep)).touch()
 
 
 def small_cfg(**kw):
@@ -326,8 +313,9 @@ class TestRunPowerStudy:
 class TestQqStudy:
     def test_shape_and_sorted(self):
         cfg = small_cfg(replications=8, group_sizes=(15, 15))
-        table = qq_study(cfg, "t2")
+        table, failures = qq_study(cfg, "t2")
         assert table.shape == (8, 2)
+        assert sum(failures.values()) == 0
         assert np.all(np.diff(table[:, 1]) >= 0)
         assert np.all(np.diff(table[:, 0]) > 0)
 
@@ -341,33 +329,38 @@ class TestQqStudy:
 
     def test_deterministic(self):
         cfg = small_cfg(replications=5, group_sizes=(15, 15))
-        np.testing.assert_array_equal(qq_study(cfg, "t2"), qq_study(cfg, "t2"))
+        np.testing.assert_array_equal(qq_study(cfg, "t2")[0], qq_study(cfg, "t2")[0])
 
     def test_parallel_matches_serial(self, monkeypatch):
         cfg = small_cfg(replications=6, group_sizes=(15, 15))
-        serial = qq_study(cfg, "t1")
+        serial, _ = qq_study(cfg, "t1")
         monkeypatch.setenv("PCT_THREADS", "2")
-        np.testing.assert_array_equal(qq_study(cfg, "t1"), serial)
+        np.testing.assert_array_equal(qq_study(cfg, "t1")[0], serial)
+
+    def test_failures_counted_by_cause_as_in_the_power_study(self, monkeypatch):
+        # 2+2 subjects: about half of the replications fail
+        cfg = small_cfg(group_sizes=(2, 2), replications=40, base_seed=0)
+        (row,) = run_power_study([cfg])
+        table, failures = qq_study(cfg, "t2")
+        assert tuple(failures.values()) == failure_causes(row) == (14, 7, 0, 0)
+        assert list(failures) == list(simulation.FAILURE_CAUSES.values())
+        assert table.shape == (19, 2)
+        assert np.all(np.diff(table[:, 1]) >= 0)
+        # the theoretical quantiles are those of 19 points
+        assert table[0, 0] == pytest.approx(-table[-1, 0]) == pytest.approx(-1.9379, abs=1e-4)
+        monkeypatch.setenv("PCT_THREADS", "2")
+        parallel, parallel_failures = qq_study(cfg, "t2")
+        np.testing.assert_array_equal(parallel, table)
+        assert parallel_failures == failures
 
 
 class TestMapReplications:
-    def test_failure_stops_remaining_replications(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("RAN_DIR", str(tmp_path))
-        monkeypatch.setenv("PCT_THREADS", "2")
-        cfg = small_cfg(replications=400)
-        with pytest.raises(RuntimeError, match="replication 0 failed"):
-            simulation._map_replications(cfg, fail_first_record_rest)
-        # 16 chunks of 25: without the stop, the chunks held by the workers
-        # when replication 0 fails (100 replications) run to their end.
-        assert len(list(tmp_path.iterdir())) < 25
-
     def test_no_more_processes_than_replications(self, monkeypatch):
         started = []
 
         class SerialExecutor:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers):
                 started.append(max_workers)
-                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -379,7 +372,6 @@ class TestMapReplications:
                 return map(fn, iterable)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialExecutor)
-        monkeypatch.setattr(simulation, "_stop_event", None)
         monkeypatch.setenv("PCT_THREADS", "64")
         for reps in (3, 1):
             result = simulation._map_replications(small_cfg(replications=reps), lambda job: job[1])

@@ -17,7 +17,6 @@ from dataclasses import asdict, fields
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from .core import (
     PanelDataset,
@@ -407,13 +406,9 @@ def estimate(input_path, method, group, out):
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--weight", default="w1", help="w1..w4 or kind[:group] keyword")
 @click.option("--stat", type=click.Choice(["u", "v", "t12"]), default="t12")
-@click.option("--alpha", type=float, default=0.05, show_default=True,
-              help="only echoed into the --out report's config; changes no statistic, p-value or decision")
 @click.option("--out", default=None, type=click.Path(), help="write the JSON report here")
-def test_command(input_path, weight, stat, alpha, out):
+def test_command(input_path, weight, stat, out):
     """Run a k-sample test and print a one-line summary."""
-    if not 0 < alpha < 1:
-        _fail("error: alpha must lie in (0, 1)", 2)
     d = _load_valid_dataset(input_path)
     if d.k < 2:
         _fail("error: testing requires k >= 2 groups", 2)
@@ -439,7 +434,7 @@ def test_command(input_path, weight, stat, alpha, out):
     if out:
         payload = report_to_dict(
             report,
-            config_echo={"input": input_path, "weight": weight, "stat": stat, "alpha": alpha},
+            config_echo={"input": input_path, "weight": weight, "stat": stat},
         )
         with _output(out) as fh:
             json.dump(payload, fh, indent=2)
@@ -447,15 +442,8 @@ def test_command(input_path, weight, stat, alpha, out):
     sys.exit(0)
 
 
-def _parse_sizes(ctx: click.Context, text: str) -> tuple[int, ...]:
-    """Group sizes from ``simulate --sizes``; ``--n1``/``--n2`` may not be given too."""
-    given = [
-        f"--{name}"
-        for name in ("n1", "n2")
-        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT
-    ]
-    if given:
-        raise ValueError(f"--sizes cannot be combined with {'/'.join(given)}")
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    """Group sizes from ``simulate --sizes``."""
     try:
         sizes = tuple(int(tok) for tok in text.split(","))
     except ValueError:
@@ -468,9 +456,8 @@ def _parse_sizes(ctx: click.Context, text: str) -> tuple[int, ...]:
 @main.command()
 @click.option("--case", type=click.IntRange(1, 2), default=1, show_default=True)
 @click.option("--beta", type=float, default=0.0, show_default=True)
-@click.option("--n1", type=int, default=50, show_default=True)
-@click.option("--n2", type=int, default=50, show_default=True)
-@click.option("--sizes", help="comma-separated group sizes, e.g. 50,50,50 (instead of --n1/--n2)")
+@click.option("--sizes", default="50,50", show_default=True,
+              help="comma-separated group sizes, one per group")
 @click.option("--nu", type=click.Choice(["fixed", "gamma"]), default="fixed")
 @click.option("--reps", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -478,11 +465,10 @@ def _parse_sizes(ctx: click.Context, text: str) -> tuple[int, ...]:
 @click.option("--stat", "stats", default="t2", help="comma-separated: t1,t2,chi2-u,chi2-v")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--out", default="-", help="output CSV path ('-' for stdout)")
-@click.pass_context
-def simulate(ctx, case, beta, n1, n2, sizes, nu, reps, seed, weights, stats, alpha, out):
+def simulate(case, beta, sizes, nu, reps, seed, weights, stats, alpha, out):
     """Monte Carlo size/power study; one CSV row per (statistic, weight)."""
     try:
-        group_sizes = (n1, n2) if sizes is None else _parse_sizes(ctx, sizes)
+        group_sizes = _parse_sizes(sizes)
         specs = tuple(parse_weight_spec(tok, len(group_sizes)) for tok in weights.split(","))
         cfg = SimConfig(
             case=case,
@@ -516,7 +502,8 @@ def simulate(ctx, case, beta, n1, n2, sizes, nu, reps, seed, weights, stats, alp
 @click.option("--stat", type=click.Choice(["t1", "t2"]), default="t2")
 @click.option("--out", default="-", help="output CSV path ('-' for stdout)")
 def qq(n, reps, seed, stat, out):
-    """Null quantile pairs of a two-sample statistic vs the standard normal.
+    """Null quantile pairs of the --stat statistic, under weight w1, vs the
+    standard normal.
 
     Failed replications are left out of the table and counted on stderr."""
     if n < 2:
@@ -535,7 +522,7 @@ def qq(n, reps, seed, stat, out):
     except ValueError as exc:
         _fail(f"error: {exc}", 2)
     try:
-        table, failures = qq_study(cfg, statistic=stat)
+        table, failures = qq_study(cfg)
     except ThreadCountError as exc:
         _fail(f"error: {exc}", 2)
     _write_csv(

@@ -2,9 +2,9 @@
 
 A subject's counting process is observed only at discrete visit times, as
 cumulative event counts.  This module holds the observation-path and dataset
-containers, the pooled time grid with its rank function, the nondecreasing
-step functions used by every estimator, and structural validation, which
-reads the same flat rows as the solver.
+containers, the pooled time grid, the nondecreasing step functions used by
+every estimator, and structural validation, which reads the same flat rows
+as the solver.
 
 A dataset is an immutable value, always stored as subject-major columns
 (every subject's visit times and counts in turn, with per-subject sizes,
@@ -202,18 +202,13 @@ def _labels(groups) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Pooled distinct observation times t_1 < ... < t_m with their rank map."""
+    """Pooled distinct observation times t_1 < ... < t_m."""
 
     points: np.ndarray
 
     @property
     def m(self) -> int:
         return self.points.size
-
-    @cached_property
-    def rank(self) -> dict[float, int]:
-        """Observed time -> 1-based index, built on first read."""
-        return {float(t): s for s, t in enumerate(self.points, start=1)}
 
 
 @dataclass(frozen=True)
@@ -277,7 +272,9 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
     time tied with or below its predecessor has ``rank <= prev_rank``.  The
     errors are worded path by path, in path order, each path's in the order
     of its rules below.  An empty dataset is reported before any grid is
-    built.
+    built.  A dataset without errors gets at most one warning: the number of
+    grid gaps (t_{s-1}, t_s] on which the pooled events are zero, and the
+    first such gap's end.
     """
     errors: list[str] = []
     warnings: list[str] = []
@@ -325,9 +322,11 @@ def validate_dataset(d: PanelDataset) -> ValidationReport:
         # increment assumption behind the variance estimates; flag them.
         grid = build_time_grid(d)
         pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
-        for t in grid.points[pooled_events == 0].tolist():
+        flat_ends = grid.points[pooled_events == 0]
+        if flat_ends.size:
             warnings.append(
-                f"no pooled events on the inter-observation gap ending at t={t:g}"
+                f"no pooled events on {flat_ends.size} of the {grid.m} inter-observation "
+                f"gaps, the first ending at t={flat_ends[0]:g}"
             )
     return ValidationReport(errors=tuple(errors), warnings=tuple(warnings))
 

@@ -96,6 +96,15 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", f])
         assert result.exit_code == 2
 
+    def test_one_warning_for_every_gap_without_pooled_events(self, runner, tmp_path):
+        f = write_csv(tmp_path, "gaps.csv", ["a,1,1,0", "a,1,2,0", "b,2,1.5,2", "b,2,3,2"])
+        result = runner.invoke(main, ["validate", f])
+        assert result.exit_code == 0
+        assert result.output == (
+            "warning: no pooled events on 3 of the 4 inter-observation gaps, the first ending at t=1\n"
+            "OK: 2 subjects in 2 group(s)\n"
+        )
+
 
 class TestEstimateCommand:
     def test_single_subject_npmle_equals_counts(self, runner, tmp_path):
@@ -222,12 +231,19 @@ class TestTestCommand:
         assert result.exit_code == 2
         assert "error: testing requires k >= 2 groups" in result.output
 
-    @pytest.mark.parametrize("alpha", ["nan", "-3", "0", "1", "2"])
-    def test_alpha_outside_unit_interval_exit_2(self, runner, two_group_file, tmp_path, alpha):
+    def test_report_config_echoes_the_options(self, runner, two_group_file, tmp_path):
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["test", "--input", two_group_file, "--alpha", alpha, "--out", str(out)])
+        result = runner.invoke(main, ["test", "--input", two_group_file, "--stat", "v", "--out", str(out)])
+        assert result.exit_code == 0
+        assert json.loads(out.read_text())["config"] == {"input": two_group_file, "weight": "w1", "stat": "v"}
+
+    def test_alpha_is_no_option_exit_2(self, runner, two_group_file, tmp_path):
+        # no statistic, p-value or decision depends on a level
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["test", "--input", two_group_file, "--alpha", "0.05", "--out", str(out)])
         assert result.exit_code == 2
-        assert result.stderr == "error: alpha must lie in (0, 1)\n"
+        # click words it "No such option: --alpha" or "No such option '--alpha'"
+        assert "No such option" in result.stderr and "--alpha" in result.stderr
         assert result.stdout == ""
         assert not out.exists()
 
@@ -289,7 +305,7 @@ class TestSimulateCommand:
         result = runner.invoke(
             main,
             [
-                "simulate", "--case", "1", "--beta", "0", "--n1", "12", "--n2", "12",
+                "simulate", "--case", "1", "--beta", "0", "--sizes", "12,12",
                 "--reps", "1", "--seed", "7", "--out", str(out),
             ],
         )
@@ -301,7 +317,7 @@ class TestSimulateCommand:
 
     def test_deterministic(self, runner, tmp_path):
         args = [
-            "simulate", "--n1", "10", "--n2", "10", "--reps", "2", "--seed", "3",
+            "simulate", "--sizes", "10,10", "--reps", "2", "--seed", "3",
             "--weights", "w1,w4", "--stat", "t1,t2",
         ]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -314,8 +330,8 @@ class TestSimulateCommand:
         # every column, float formatting, group sizes, suspect and failure causes
         out = tmp_path / "sim.csv"
         args = [
-            "simulate", "--case", "2", "--beta", "1.5", "--nu", "gamma", "--n1", "5",
-            "--n2", "4", "--reps", "12", "--seed", "99", "--weights", "w1,w4",
+            "simulate", "--case", "2", "--beta", "1.5", "--nu", "gamma", "--sizes", "5,4",
+            "--reps", "12", "--seed", "99", "--weights", "w1,w4",
             "--stat", "t1,t2,chi2-u", "--alpha", "0.2", "--out", str(out),
         ]
         assert runner.invoke(main, args).exit_code == 0
@@ -331,13 +347,20 @@ class TestSimulateCommand:
             b"2,1.5,5+4,gamma,12,99,0.2,chi2-u,complement,5,5,0.7142857142857143,1,2,3,0,0\r\n"
         )
 
+    def test_default_sizes_are_50_50(self, runner):
+        args = ["simulate", "--reps", "2", "--seed", "3", "--out", "-"]
+        default = runner.invoke(main, args)
+        assert default.exit_code == 0
+        assert default.stdout_bytes == runner.invoke(main, args + ["--sizes", "50,50"]).stdout_bytes
+        assert default.stdout.splitlines()[1].split(",")[2] == "50+50"
+
     def test_bad_stat_exit_2(self, runner):
         result = runner.invoke(main, ["simulate", "--stat", "bogus", "--reps", "1"])
         assert result.exit_code == 2
 
     def test_failures_by_cause_columns(self, runner, tmp_path):
         out = tmp_path / "sim.csv"
-        args = ["simulate", "--n1", "4", "--n2", "4", "--reps", "12", "--seed", "99"]
+        args = ["simulate", "--sizes", "4,4", "--reps", "12", "--seed", "99"]
         assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
         header, row = [line.split(",") for line in out.read_text().strip().splitlines()]
         assert header[-4:] == [
@@ -374,8 +397,9 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["--sizes", "5,5,5", "--n1", "5"], "error: --sizes cannot be combined with --n1"),
-            (["--n2", "5", "--sizes", "5,5"], "error: --sizes cannot be combined with --n2"),
+            # group sizes are set by --sizes alone
+            (["--n1", "5"], "No such option"),
+            (["--n2", "5"], "No such option"),
             (["--sizes", "5,x"], "error: --sizes takes comma-separated positive integers, got '5,x'"),
             (["--sizes", "5,0,5"], "error: --sizes takes comma-separated positive integers"),
             (["--sizes", "5,2.5"], "error: --sizes takes comma-separated positive integers"),
@@ -391,12 +415,12 @@ class TestSimulateCommand:
 
     def test_bad_thread_count_exit_2(self, runner, monkeypatch):
         monkeypatch.setenv("PCT_THREADS", "two")
-        result = runner.invoke(main, ["simulate", "--n1", "5", "--n2", "5", "--reps", "2"])
+        result = runner.invoke(main, ["simulate", "--sizes", "5,5", "--reps", "2"])
         assert result.exit_code == 2
         assert "error: PCT_THREADS must be an integer, got 'two'" in result.output
 
     def test_negative_seed_exit_2(self, runner):
-        result = runner.invoke(main, ["simulate", "--n1", "5", "--n2", "5", "--reps", "2", "--seed", "-1"])
+        result = runner.invoke(main, ["simulate", "--sizes", "5,5", "--reps", "2", "--seed", "-1"])
         assert result.exit_code == 2
         assert "error: base_seed must be >= 0, got -1" in result.output
         assert "Traceback" not in result.output
@@ -410,7 +434,7 @@ class TestSimulateCommand:
         ],
     )
     def test_bad_beta_exit_2(self, runner, args, message):
-        result = runner.invoke(main, ["simulate", "--reps", "1", "--n1", "3", "--n2", "3", *args])
+        result = runner.invoke(main, ["simulate", "--reps", "1", "--sizes", "3,3", *args])
         assert result.exit_code == 2
         assert message in result.output
 
@@ -503,7 +527,7 @@ class TestUnwritableOutput:
         [
             ["estimate", "--input", "DATA"],
             ["test", "--input", "DATA"],
-            ["simulate", "--n1", "5", "--n2", "5", "--reps", "1"],
+            ["simulate", "--sizes", "5,5", "--reps", "1"],
             ["qq", "--n", "10", "--reps", "1"],
         ],
         ids=["estimate", "test", "simulate", "qq"],

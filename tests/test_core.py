@@ -50,7 +50,7 @@ def _path_errors(p: ObservationPath, k: int) -> list[str]:
 
 def validate_path_by_path(d):
     """``validate_dataset`` defined path by path: ``_path_errors`` over every
-    path in order, then the empty-group checks, then the pooled-gap warnings."""
+    path in order, then the empty-group checks, then the pooled-gap warning."""
     errors = []
     warnings = []
     if d.n == 0:
@@ -67,9 +67,11 @@ def validate_path_by_path(d):
         grid = build_time_grid(d)
         flat = flatten_observations(d)
         pooled_events = np.bincount(flat.rank, weights=flat.dN, minlength=grid.m)
-        for ell in np.flatnonzero(pooled_events == 0):
+        flat_gaps = np.flatnonzero(pooled_events == 0)
+        if flat_gaps.size:
             warnings.append(
-                f"no pooled events on the inter-observation gap ending at t={grid.points[ell]:g}"
+                f"no pooled events on {flat_gaps.size} of the {grid.m} inter-observation "
+                f"gaps, the first ending at t={grid.points[flat_gaps[0]]:g}"
             )
     return tuple(errors), tuple(warnings)
 
@@ -170,6 +172,14 @@ class TestValidateDataset:
         assert report.ok
         assert any("t=2" in w for w in report.warnings)
 
+    def test_zero_event_gaps_warned_once(self):
+        d = PanelDataset.from_paths(
+            [path("a", 1, [1.0, 2.0, 4.0], [1, 1, 3]), path("b", 1, [3.0, 5.0], [0, 0])]
+        )
+        assert validate_dataset(d).warnings == (
+            "no pooled events on 3 of the 5 inter-observation gaps, the first ending at t=2",
+        )
+
     def test_each_path_worded_in_rule_order(self):
         # a tie with the previous time, a negative first count before a
         # decrease, and a non-finite path whose other faults go unreported
@@ -209,7 +219,8 @@ class TestBuildTimeGrid:
         )
         grid = build_time_grid(d)
         assert grid.points.tolist() == [1.0, 3.0, 4.0]
-        assert grid.rank[3.0] == 2
+        # each visit's 0-based index on the grid
+        assert flatten_observations(d).rank.tolist() == [0, 1, 1, 2]
 
     def test_single_observation(self):
         grid = build_time_grid(PanelDataset.from_paths([path("a", 1, [2.0], [1])]))

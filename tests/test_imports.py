@@ -53,7 +53,7 @@ rows = pc.run_power_study([t12, chi2])
 assert len(rows) == 6 and sum(row.failures for row in rows) < 24
 qq = pc.SimConfig(beta=0.0, group_sizes=(10, 10), replications=4, base_seed=5,
                   weight_specs=(pc.WeightSpec(pc.WeightKind.CONST),), statistics=("t2",))
-table, failures = pc.qq_study(qq, "t2")
+table, failures = pc.qq_study(qq)
 assert table.shape == (4, 2) and sum(failures.values()) == 0
 """
 

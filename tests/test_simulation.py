@@ -313,7 +313,7 @@ class TestRunPowerStudy:
 class TestQqStudy:
     def test_shape_and_sorted(self):
         cfg = small_cfg(replications=8, group_sizes=(15, 15))
-        table, failures = qq_study(cfg, "t2")
+        table, failures = qq_study(cfg)
         assert table.shape == (8, 2)
         assert sum(failures.values()) == 0
         assert np.all(np.diff(table[:, 1]) >= 0)
@@ -321,27 +321,32 @@ class TestQqStudy:
 
     def test_requires_null(self):
         with pytest.raises(ValueError):
-            qq_study(small_cfg(beta=0.1, replications=2), "t2")
+            qq_study(small_cfg(beta=0.1, replications=2))
 
     def test_two_sample_statistics_only(self):
-        with pytest.raises(ValueError, match="^qq_study supports the two-sample statistics t1 and t2$"):
-            qq_study(small_cfg(replications=2), "chi2-u")
+        with pytest.raises(ValueError, match=r"^qq_study takes one two-sample statistic, t1 or t2, got \('chi2-u',\)$"):
+            qq_study(small_cfg(replications=2, statistics=("chi2-u",)))
+
+    @pytest.mark.parametrize("statistics", [("t1", "t2"), ()])
+    def test_statistic_read_from_cfg_alone(self, statistics):
+        with pytest.raises(ValueError, match="^qq_study takes one two-sample statistic, t1 or t2"):
+            qq_study(small_cfg(replications=2, statistics=statistics))
 
     def test_deterministic(self):
         cfg = small_cfg(replications=5, group_sizes=(15, 15))
-        np.testing.assert_array_equal(qq_study(cfg, "t2")[0], qq_study(cfg, "t2")[0])
+        np.testing.assert_array_equal(qq_study(cfg)[0], qq_study(cfg)[0])
 
     def test_parallel_matches_serial(self, monkeypatch):
-        cfg = small_cfg(replications=6, group_sizes=(15, 15))
-        serial, _ = qq_study(cfg, "t1")
+        cfg = small_cfg(replications=6, group_sizes=(15, 15), statistics=("t1",))
+        serial, _ = qq_study(cfg)
         monkeypatch.setenv("PCT_THREADS", "2")
-        np.testing.assert_array_equal(qq_study(cfg, "t1")[0], serial)
+        np.testing.assert_array_equal(qq_study(cfg)[0], serial)
 
     def test_failures_counted_by_cause_as_in_the_power_study(self, monkeypatch):
         # 2+2 subjects: about half of the replications fail
         cfg = small_cfg(group_sizes=(2, 2), replications=40, base_seed=0)
         (row,) = run_power_study([cfg])
-        table, failures = qq_study(cfg, "t2")
+        table, failures = qq_study(cfg)
         assert tuple(failures.values()) == failure_causes(row) == (14, 7, 0, 0)
         assert list(failures) == list(simulation.FAILURE_CAUSES.values())
         assert table.shape == (19, 2)
@@ -349,7 +354,7 @@ class TestQqStudy:
         # the theoretical quantiles are those of 19 points
         assert table[0, 0] == pytest.approx(-table[-1, 0]) == pytest.approx(-1.9379, abs=1e-4)
         monkeypatch.setenv("PCT_THREADS", "2")
-        parallel, parallel_failures = qq_study(cfg, "t2")
+        parallel, parallel_failures = qq_study(cfg)
         np.testing.assert_array_equal(parallel, table)
         assert parallel_failures == failures
 

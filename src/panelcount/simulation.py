@@ -13,12 +13,14 @@ of an immutable ``PanelDataset``; no per-subject path object is built.  Its
 ``sample_subject`` draws from the same stream: both make their draws through
 one helper.
 
-A replication fits its NPMLEs once, gets U, V and sigma^2 for every
-weight from one call of the statistic kernel in ``hypotests``, and reads
-the p-values of every weight with one call of the tests' reader per
-method; they equal those of the public tests run one weight at a time.  A
-replication that fails is excluded from the rejection fractions and the QQ
-table alike, and counted by cause (``FAILURE_CAUSES``).
+Both studies read a replication one way (``_replication_reading``): one
+fit of the NPMLEs, one call of the statistic kernel in ``hypotests`` for U,
+V and sigma^2 of every weight, and one call of the tests' reader per method
+for the statistics and p-values, equal to those of the public tests run one
+weight at a time.  The power study counts rejections from the p-values, the
+QQ study sorts the statistics.  For either study a failing replication is
+replayed through the public tests, excluded and counted by cause
+(``FAILURE_CAUSES``).
 
 Chi-square p-values come from ``hypotests.chisq_sf`` and ``qq_study``'s
 normal quantiles from ``statistics.NormalDist``: the runtime dependencies
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -154,6 +155,8 @@ class SimConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not self.weight_specs:
+            raise ValueError("weight_specs must hold at least one weight")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         if self.nu_mode not in ("fixed", "gamma"):
@@ -280,28 +283,26 @@ def generate_dataset(cfg: SimConfig, replication_index: int) -> PanelDataset:
     )
 
 
-def _replication_pvalues(cfg: SimConfig, replication_index: int) -> np.ndarray:
-    """p-value matrix of one replication, shape (statistics, weights).
-
-    One statistic-kernel call gives U, V and sigma^2 for every weight, and
-    one call of the public tests' reader (``_read``) per method reads the
-    p-values of every weight, so T1 and T2 share a reading.  A failure is
-    replayed through the public tests, one weight at a time in weight-major
-    order as they run, until one raises; callers of the public tests, the
-    benchmark's tracer among them, see it there.
+def _replication_reading(cfg: SimConfig, replication_index: int) -> np.ndarray:
+    """Statistics and p-values of one replication, shape (2, statistics,
+    weights), from one statistic-kernel call and one call of the tests'
+    reader (``_read``) per method, so T1 and T2 share a reading.  A failure
+    is replayed through the public tests, one weight at a time in
+    weight-major order as they run, until one raises; callers of the public
+    tests, the benchmark's tracer among them, see it there.
     """
     d = generate_dataset(cfg, replication_index)
     fits = fit_all(d)
     stats = [_STATISTICS[stat] for stat in cfg.statistics]
     try:
         _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, fits)
-        p_values = {m: _read(m, d, u, v, sigma2)[1] for m in dict.fromkeys(m for m, _ in stats)}
+        readings = {m: _read(m, d, u, v, sigma2)[:2] for m in dict.fromkeys(m for m, _ in stats)}
     except _STATISTIC_ERRORS:
         for spec in cfg.weight_specs:
             for method, _ in stats:
                 _public_test(method)(d, spec, fits=fits)
         raise
-    return np.array([p_values[method][key] for method, key in stats])
+    return np.array([[readings[method][part][key] for method, key in stats] for part in (0, 1)])
 
 
 def _public_test(method: str):
@@ -311,11 +312,11 @@ def _public_test(method: str):
     return chi2_u_test if method == "U-test" else chi2_v_test
 
 
-def _replication_worker(job, compute=_replication_pvalues):
-    """``compute(cfg, rep)`` of a job ``(cfg, rep)``, by default the
-    replication's p-value matrix, or the cause name of its failure."""
+def _replication_worker(job):
+    """The reading of a job ``(cfg, rep)`` (``_replication_reading``), or the
+    cause name of its failure."""
     try:
-        return compute(*job)
+        return _replication_reading(*job)
     except tuple(FAILURE_CAUSES) as exc:
         return FAILURE_CAUSES[type(exc)]
 
@@ -350,14 +351,15 @@ def _map_replications(cfg: SimConfig, worker):
     return [worker(job) for job in jobs]
 
 
-def _run_replications(cfg: SimConfig, compute):
-    """``compute(cfg, rep)`` over every replication of ``cfg``: the values of
-    the replications that did not fail, in order, and the number of failures
-    of each cause, in ``FAILURE_CAUSES`` order."""
-    results = _map_replications(cfg, partial(_replication_worker, compute=compute))
+def _run_replications(cfg: SimConfig):
+    """Every replication of ``cfg``: the readings of those that did not fail,
+    in order, stacked to shape (R, 2, statistics, weights), and the number
+    of failures of each cause, in ``FAILURE_CAUSES`` order."""
+    results = _map_replications(cfg, _replication_worker)
     failed = [r for r in results if isinstance(r, str)]
     causes = {cause: failed.count(cause) for cause in FAILURE_CAUSES.values()}
-    return [r for r in results if not isinstance(r, str)], causes
+    valid = [r for r in results if not isinstance(r, str)]
+    return np.reshape(valid, (-1, 2, len(cfg.statistics), len(cfg.weight_specs))), causes
 
 
 def run_power_study(cfgs) -> list[PowerRow]:
@@ -370,12 +372,10 @@ def run_power_study(cfgs) -> list[PowerRow]:
     for cfg in cfgs:
         if not cfg.statistics:
             raise ValueError("run_power_study needs at least one statistic")
-        valid, causes = _run_replications(cfg, _replication_pvalues)
+        readings, causes = _run_replications(cfg)
         failures = sum(causes.values())
-        rejections = np.zeros((len(cfg.statistics), len(cfg.weight_specs)), dtype=int)
-        if valid:
-            rejections = np.sum([r < cfg.alpha for r in valid], axis=0)
-        n_valid = len(valid)
+        rejections = (readings[:, 1] < cfg.alpha).sum(axis=0)
+        n_valid = len(readings)
         suspect = failures > 0.01 * cfg.replications
         for s_idx, stat in enumerate(cfg.statistics):
             for w_idx, spec in enumerate(cfg.weight_specs):
@@ -401,24 +401,20 @@ def run_power_study(cfgs) -> list[PowerRow]:
     return rows
 
 
-def _qq_statistic(cfg: SimConfig, rep: int) -> float:
-    """Replication ``rep``'s ``cfg.statistics[0]`` under ``cfg.weight_specs[0]``."""
-    report = two_sample_tests(generate_dataset(cfg, rep), cfg.weight_specs[0])
-    return report.statistics[cfg.statistics[0].upper()]
-
-
 def qq_study(cfg: SimConfig) -> tuple[np.ndarray, dict[str, int]]:
     """Null replicate values of the two-sample statistic ``cfg.statistics``,
-    which must be ``("t1",)`` or ``("t2",)``, under ``cfg.weight_specs[0]``,
-    against standard-normal quantiles; returns an (R, 2) array (theoretical,
-    ordered empirical) over the R replications that did not fail, and the
-    failures by cause."""
+    which must be ``("t1",)`` or ``("t2",)``, under the one weight of
+    ``cfg.weight_specs``, against standard-normal quantiles; returns an
+    (R, 2) array (theoretical, ordered empirical) over the R replications
+    that did not fail, and the failures by cause."""
     if cfg.beta != 0.0:
         raise ValueError("qq_study requires the null design beta = 0")
     if cfg.statistics not in (("t1",), ("t2",)):
         raise ValueError(f"qq_study takes one two-sample statistic, t1 or t2, got {cfg.statistics}")
-    values, failures = _run_replications(cfg, _qq_statistic)
-    values = np.sort(np.asarray(values, dtype=float))
+    if len(cfg.weight_specs) != 1:
+        raise ValueError(f"qq_study takes one weight, got {len(cfg.weight_specs)}")
+    readings, failures = _run_replications(cfg)
+    values = np.sort(readings[:, 0, 0, 0])
     # imported here so that importing panelcount does not pay for the statistics module
     from statistics import NormalDist
 

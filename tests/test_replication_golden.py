@@ -3,10 +3,10 @@
 The simulated datasets are pinned by SHA-256 digests of their contents, so a
 change to the generator that alters the random stream fails here, not as a
 drift in the acceptance tables.  Another digest pins the p-values and every
-solve's diagnostics of the benchmark designs' replications.  The p-value
-matrix of a replication must be exactly what the public test functions give
-one weight at a time, and a failing replication must raise the error those
-functions raise first.
+solve's diagnostics of the benchmark designs' replications.  The statistics
+and p-values of a replication must be exactly what the public test
+functions give one weight at a time, and a failing replication must raise
+the error those functions raise first.
 """
 
 import hashlib
@@ -91,27 +91,28 @@ def mc_cfg(design, group_size=50, base_seed=20090415, replications=20, **kw):
     )
 
 
-def per_weight_pvalues(cfg, rep):
-    """The p-value matrix from the public tests, one weight and statistic at
-    a time, in weight-major order."""
+def per_weight_reading(cfg, rep):
+    """The statistics and p-values from the public tests, shape (2,
+    statistics, weights), one weight and statistic at a time, in
+    weight-major order."""
     d = generate_dataset(cfg, rep)
     fits = fit_all(d)
-    out = np.empty((len(cfg.statistics), len(cfg.weight_specs)))
+    out = np.empty((2, len(cfg.statistics), len(cfg.weight_specs)))
     for w_idx, spec in enumerate(cfg.weight_specs):
         for s_idx, stat in enumerate(cfg.statistics):
             if stat in ("t1", "t2"):
-                p = two_sample_tests(d, spec, fits=fits).p_values[stat.upper()]
+                report, key = two_sample_tests(d, spec, fits=fits), stat.upper()
             elif stat == "chi2-u":
-                p = chi2_u_test(d, spec, fits=fits).p_values["chi2"]
+                report, key = chi2_u_test(d, spec, fits=fits), "chi2"
             else:
-                p = chi2_v_test(d, spec, fits=fits).p_values["chi2"]
-            out[s_idx, w_idx] = p
+                report, key = chi2_v_test(d, spec, fits=fits), "chi2"
+            out[:, s_idx, w_idx] = report.statistics[key], report.p_values[key]
     return out
 
 
 # sha256 over replications 0-19 of each benchmark design: every solve's
 # SolveDiagnostics (iterations, status, log-likelihood, Fenchel residual and
-# trace, as float64 bytes) and the replication's p-value matrix
+# trace, as float64 bytes) and the p-value part of the replication's reading
 REPLICATION_DIGESTS = {
     "power_2s": "2a60d0ad39678bddbea7c8eb5018c26607f1becc03890e079aa6cf43b12663f5",
     "chi2_k3": "6e8d1ad8e09f3b4895e65abbd34bc3ee1fb33866cebe6c31c826751f8baad6be",
@@ -134,7 +135,7 @@ def replication_digest(cfg, replications):
         if isinstance(result, str):
             h.update(result.encode())
         else:
-            h.update(np.ascontiguousarray(result, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(result[1], dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -146,10 +147,11 @@ def test_replications_match_digest(design):
 
 @pytest.mark.parametrize("design", ["power_2s", "chi2_k3"])
 def test_replication_pvalues_equal_per_weight_tests(design):
+    # the statistics part as well as the p-values
     cfg = mc_cfg(design)
     for rep in range(cfg.replications):
         np.testing.assert_array_equal(
-            simulation._replication_pvalues(cfg, rep), per_weight_pvalues(cfg, rep)
+            simulation._replication_reading(cfg, rep), per_weight_reading(cfg, rep)
         )
 
 
@@ -175,9 +177,9 @@ def test_failing_replication_raises_the_per_weight_error(statistics, rep, error)
         statistics=statistics,
     )
     with pytest.raises(error):
-        per_weight_pvalues(cfg, rep)
+        per_weight_reading(cfg, rep)
     with pytest.raises(error):
-        simulation._replication_pvalues(cfg, rep)
+        simulation._replication_reading(cfg, rep)
 
 
 def fits_by_paths(d):

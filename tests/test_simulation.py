@@ -14,6 +14,7 @@ from panelcount import (
     qq_study,
     run_power_study,
     sample_subject,
+    two_sample_tests,
     validate_dataset,
 )
 from panelcount import simulation
@@ -67,6 +68,7 @@ class TestSimConfig:
             (dict(alpha=1), r"alpha must lie in \(0, 1\)"),
             (dict(nu_mode="x"), "nu_mode must be 'fixed' or 'gamma'"),
             (dict(group_sizes=(0, 5)), "group sizes must be positive"),
+            (dict(weight_specs=()), "weight_specs must hold at least one weight"),
         ],
     )
     def test_rejects_values_out_of_range(self, kw, message):
@@ -331,6 +333,31 @@ class TestQqStudy:
     def test_statistic_read_from_cfg_alone(self, statistics):
         with pytest.raises(ValueError, match="^qq_study takes one two-sample statistic, t1 or t2"):
             qq_study(small_cfg(replications=2, statistics=statistics))
+
+    def test_one_weight_only(self):
+        weights = (CONST, WeightSpec(WeightKind.COMPLEMENT))
+        with pytest.raises(ValueError, match="^qq_study takes one weight, got 2$"):
+            qq_study(small_cfg(replications=2, weight_specs=weights))
+
+    @pytest.mark.parametrize("stat", ["t1", "t2"])
+    def test_equals_the_public_two_sample_test(self, stat):
+        # the public test run on each replication: the table holds, bit for
+        # bit, the statistics of the calls that return, and the failure
+        # counts are the causes of the calls that raise
+        cfg = SimConfig(group_sizes=(10, 10), replications=300, base_seed=1, statistics=(stat,))
+        (weight,) = cfg.weight_specs
+        values, raised = [], []
+        for rep in range(cfg.replications):
+            try:
+                report = two_sample_tests(generate_dataset(cfg, rep), weight)
+            except tuple(simulation.FAILURE_CAUSES) as exc:
+                raised.append(simulation.FAILURE_CAUSES[type(exc)])
+            else:
+                values.append(report.statistics[stat.upper()])
+        table, failures = qq_study(cfg)
+        assert table[:, 1].tobytes() == np.sort(values).tobytes()
+        assert failures == {cause: raised.count(cause) for cause in simulation.FAILURE_CAUSES.values()}
+        assert raised, "no replication fails, so the failure path goes unchecked"
 
     def test_deterministic(self):
         cfg = small_cfg(replications=5, group_sizes=(15, 15))

@@ -42,9 +42,12 @@ nondecreasing step functions on the pooled observation grid:
   status and trace are each segment's own.  A segment leaves the batch at
   one place, the top of an iteration: when it meets the stop rule, when the
   iteration before left its iterate where it was (a numeric fixed point),
-  or on the pass after the iteration limit.  ``_cut`` is the one place a
-  batch is cut to a sub-batch: to each group's grid, to the likelihood's
-  support, and to the segments still solving.
+  or on the pass after the iteration limit.  One rule covers every segment
+  that takes no part in a step: a cut of the batch is permanent, and a step
+  that some segments sit out takes a mask (``pending``).  ``_cut`` makes
+  every cut, to each group's grid, to the likelihood's support and to the
+  segments still solving, and a segment left without a point leaves the
+  batch there.
 
   The NPMLE solves on the likelihood's support: the grid points that start
   or end a row with events (Wellner & Zhang 2000).  At any other point phi
@@ -377,16 +380,16 @@ def _event_rows(flat: FlatObservations) -> _EventRows:
     )
 
 
-def _cut(rows: _EventRows, keep: np.ndarray, live: np.ndarray | None = None) -> _EventRows:
-    """The segments of ``rows`` that ``live`` marks (all when None) as a
-    batch of their own, on the grid points that ``keep`` marks.
+def _cut(rows: _EventRows, keep: np.ndarray) -> _EventRows:
+    """``rows`` on the grid points that ``keep`` marks, as a batch of the
+    segments that keep a point; a segment that keeps none leaves the batch.
 
-    ``keep`` marks no point of a segment that ``live`` leaves out, and every
-    event row of the other segments starts and ends at kept points.  A last
-    visit moves to the kept point at or left of it in its segment, and is
-    dropped when there is none.  Every cut of a batch to a sub-batch goes
-    through here: to each group's grid (``_group_rows``), to the likelihood's
-    support (``_support_rows``) and to the segments still solving (``_icm``).
+    Every event row of a segment that keeps a point starts and ends at kept
+    points.  A last visit moves to the kept point at or left of it in its
+    segment, and is dropped when there is none.  Every cut of a batch goes
+    through here, and is permanent: to each group's grid (``_group_rows``),
+    to the likelihood's support (``_support_rows``) and to the segments
+    still solving (``_icm``).
     """
     # slot[j + 1]: 1 + the index of the kept point at or left of grid point
     # j, with slot 0 the origin; slot[start] counts the points kept before a
@@ -396,10 +399,11 @@ def _cut(rows: _EventRows, keep: np.ndarray, live: np.ndarray | None = None) -> 
     ev = keep[rows.rank]
     last_slot = slot[rows.last_rank + 1]
     last = last_slot > rows.lasts.spread(slot[rows.points.starts])
-    sizes = [np.diff(slot[rows.points.bounds]), rows.events.counts(ev), rows.lasts.counts(last)]
-    if live is not None:
-        sizes = [size[live] for size in sizes]
-    points, events, lasts = (_Segments.of_sizes(size) for size in sizes)
+    kept = np.diff(slot[rows.points.bounds])
+    live = kept > 0
+    points, events, lasts = (
+        _Segments.of_sizes(size[live]) for size in (kept, rows.events.counts(ev), rows.lasts.counts(last))
+    )
     return _EventRows(
         rank=slot[rows.rank[ev] + 1] - 1,
         prev_slot=slot[rows.prev_slot[ev]],
@@ -413,23 +417,23 @@ def _cut(rows: _EventRows, keep: np.ndarray, live: np.ndarray | None = None) -> 
 
 
 def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
-    """The rows of each group of ``d`` that has rows, as the segments of one
-    batch cut from the pooled rows ``flat``.
+    """The rows of each group 1..k of ``d``, as the k segments of one batch
+    cut from the pooled rows ``flat``; a ValueError names the lowest group
+    without rows.
 
     Each group's rows are laid on a copy of the pooled grid of its own, and
     the batch is cut to the points each group visits: the group's grid.
     Rows, their order and their counts are those of
-    ``restrict_to_group(d, l)``.  Returns ``(rows, points, n, labels)``: the
-    batch, the groups' grid points end to end, and each segment's number of
-    subjects and group label.
+    ``restrict_to_group(d, l)``.  Returns ``(rows, points, n)``: the batch,
+    the groups' grid points end to end, and each group's number of subjects.
     """
-    m = flat.m
+    m, k = flat.m, d.k
     row_label = d.groups.repeat(d.sizes)
-    kept = np.nonzero((row_label >= 1) & (row_label <= d.k))[0]
-    group = row_label[kept].astype(int) - 1
-    has_rows = np.bincount(group, minlength=d.k) > 0
-    labels = np.nonzero(has_rows)[0] + 1
-    seg = (np.add.accumulate(has_rows, dtype=np.intp) - 1)[group]
+    kept = np.nonzero((row_label >= 1) & (row_label <= k))[0]
+    seg = row_label[kept].astype(int) - 1
+    has_rows = np.bincount(seg, minlength=k) > 0
+    if not has_rows.all():
+        raise ValueError(f"group {int(np.argmin(has_rows)) + 1} has no observations")
     order = seg.argsort(kind="stable")
     kept, seg = kept[order], seg[order]
     rank = seg * m + flat.rank[kept]
@@ -437,21 +441,21 @@ def _group_rows(d: PanelDataset, grid: TimeGrid, flat: FlatObservations):
     dN = flat.dN[kept]
     ev = dN > 0
     last = flat.is_last[kept]
-    visited = np.zeros(labels.size * m, dtype=bool)
+    visited = np.zeros(k * m, dtype=bool)
     visited[rank] = True
     on_copies = _EventRows(
         rank=rank[ev],
         prev_slot=np.where(prev >= 0, seg * m + prev + 1, 0)[ev],
         dN=dN[ev],
         last_rank=rank[last],
-        m=labels.size * m,
-        points=_Segments.of_sizes(np.full(labels.size, m)),
-        events=_Segments.of_sizes(np.bincount(seg[ev], minlength=labels.size)),
-        lasts=_Segments.of_sizes(np.bincount(seg[last], minlength=labels.size)),
+        m=k * m,
+        points=_Segments.of_sizes(np.full(k, m)),
+        events=_Segments.of_sizes(np.bincount(seg[ev], minlength=k)),
+        lasts=_Segments.of_sizes(np.bincount(seg[last], minlength=k)),
     )
-    points = np.tile(grid.points, labels.size)[visited]
+    points = np.tile(grid.points, k)[visited]
     points.flags.writeable = False
-    return _cut(on_copies, visited), points, np.array(d.group_sizes)[labels - 1], labels
+    return _cut(on_copies, visited), points, list(d.group_sizes)
 
 
 def _increments(rows: _EventRows, u: np.ndarray) -> np.ndarray:
@@ -549,31 +553,35 @@ def _ascend(rows: _EventRows, u, du, ll, target: np.ndarray, pending: list[bool]
     return u, du, ll, taken
 
 
-def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
+def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll, pending: list[bool]):
     """One Newton step on the values of the current tie blocks of ``u``, in
-    every segment.
+    each segment that ``pending`` marks.
 
     The diagonal-ICM step alone contracts slowly once the active set has
     stabilized; solving the reduced (block-level) Newton system drives the
     stationarity residual to machine precision in a few steps.  ``_icm``
-    hands it only segments whose ICM step took its PAVA target, so a
+    marks only segments whose ICM step took its PAVA target, so a
     segment's system has at most that target's blocks, not one per grid
-    point as a halved candidate can have (``_polish_where``).  The
-    (blocks x blocks) system is summed directly from the per-row weights,
-    each row landing on the blocks of its two ends; no grid-level Hessian
-    is formed.  No row joins two segments, so the batch's system is block
-    diagonal, and each segment's block of it is solved as its own system.
+    point as a halved candidate can have.  A segment that sits out counts as
+    one block and solves nothing, so it adds one row and column to the
+    system.  The (blocks x blocks) system is summed directly from the
+    per-row weights, each row landing on the blocks of its two ends; no
+    grid-level Hessian is formed.  No row joins two segments, so the batch's
+    system is block diagonal, and each segment's block of it is solved as
+    its own system: a segment gets the bits of its polish alone.
     A first block at the origin (value 0, on the boundary of the cone) keeps
     its value, and the system is solved over the other blocks; otherwise it
     is the full system.  On the likelihood's support (``_support_rows``)
     every block of a feasible iterate ends a row with events, so each
     diagonal entry is positive.  ``_block_step`` keeps the blocks in order:
     a step that would cross blocks is projected onto the cone, and the line
-    search runs toward that projection.  Returns ``(u, du, ll, polished)``;
-    a segment whose step fails comes back unchanged.
+    search runs toward that projection.  Returns ``(u, du, ll, polished)``
+    as arrays; a segment that sits out or whose step fails comes back
+    unchanged and unpolished.
     """
     points = rows.points
     first_of_block = np.concatenate((_FIRST, u[1:] != u[:-1]))
+    first_of_block &= points.spread(np.array(pending))
     first_of_block[points.starts] = True
     block_id = np.add.accumulate(first_of_block, dtype=np.intp) - 1
     n_blocks = int(block_id[-1]) + 1
@@ -591,34 +599,15 @@ def _newton_polish(rows: _EventRows, u: np.ndarray, du: np.ndarray, ll):
     neg_h = neg_h.reshape(size, size)[1:, 1:]
     v = u[first_of_block]
     dv = np.zeros(n_blocks)
-    spans = [(lo if v[lo] > 0 else lo + 1, hi) for lo, hi in blocks.pairs]
-    solved = [True] * len(spans)
-    for s, (first, hi) in enumerate(spans):
-        try:
-            dv[first:hi] = np.linalg.solve(neg_h[first:hi, first:hi], g_red[first:hi])
-        except np.linalg.LinAlgError:
-            solved[s] = False
+    solved = list(pending)
+    for s, (lo, hi) in enumerate(blocks.pairs):
+        if solved[s]:
+            first = lo if v[lo] > 0 else lo + 1
+            try:
+                dv[first:hi] = np.linalg.solve(neg_h[first:hi, first:hi], g_red[first:hi])
+            except np.linalg.LinAlgError:
+                solved[s] = False
     return _block_step(rows, u, du, ll, block_id, v, dv, np.diagonal(neg_h), solved, blocks)
-
-
-def _polish_where(rows: _EventRows, u, du, ll: list[float], pending: list[bool]):
-    """``_newton_polish`` on the segments of ``rows`` that ``pending`` marks,
-    cut to a batch of their own when not all are; the others come back
-    unchanged and unpolished.  Returns ``(u, du, ll, polished)``, with
-    ``ll`` and ``polished`` lists."""
-    if all(pending):
-        u, du, ll, polished = _newton_polish(rows, u, du, ll)
-        return u, du, ll.tolist(), polished.tolist()
-    if not any(pending):
-        return u, du, ll, pending
-    live = np.array(pending)
-    kept, ev = rows.points.spread(live), rows.events.spread(live)
-    ll_p = [l for l, p in zip(ll, pending) if p]
-    u_p, du_p, ll_p, polished_p = _newton_polish(_cut(rows, kept, live), u[kept], du[ev], ll_p)
-    u, du = u.copy(), du.copy()
-    u[kept], du[ev] = u_p, du_p
-    ll_p, polished_p = iter(ll_p.tolist()), iter(polished_p.tolist())
-    return u, du, [next(ll_p) if p else l for l, p in zip(ll, pending)], [p and next(polished_p) for p in pending]
 
 
 def _in_cone(blocks: _Segments, v: np.ndarray) -> list[bool]:
@@ -756,7 +745,7 @@ def _support_rows(rows: _EventRows):
     support = support[1:]
     if support.all():
         return rows, None
-    return _cut(rows, support, rows.events.ends > rows.events.starts), support
+    return _cut(rows, support), support
 
 
 def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
@@ -769,16 +758,18 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
     nothing, and the polish toward its block target, taking only a gain.
     A segment polishes only in an iteration whose ICM step took that
     projection itself (s = 1), so the polish sees the projection's blocks;
-    a segment whose ICM step halved or stood still goes on to the next
-    iteration unpolished.
+    a segment whose ICM step halved or stood still sits out the polish (the
+    mask ``pending``) and goes on to the next iteration unpolished.  The
+    polish runs only in an iteration where some segment polishes.
     Each segment keeps its own halvings of both searches, stop rule, status
     and trace, all read from its own values, so it follows the path of its
     solve alone; each step a segment takes adds one entry to its trace.  A
-    segment leaves the batch only at the top of an iteration, with the
-    status of its certificates there, when either it met the stop rule (the
-    cone's conditions hold after an iteration that gained less than
-    ``_REL_TOL``), recorded at this iteration, or the iteration before moved
-    its iterate by nothing (a numeric fixed point), recorded at that one.
+    segment leaves the batch for good (``_cut``) only at the top of an
+    iteration, with the status of its certificates there, when either it
+    met the stop rule (the cone's conditions hold after an iteration that
+    gained less than ``_REL_TOL``), recorded at this iteration, or the
+    iteration before moved its iterate by nothing (a numeric fixed point),
+    recorded at that one.
     The loop runs one pass past the limit, where every segment still solving
     leaves as ``"max-iterations"`` unless it is at a fixed point.
     Per-segment scalars are Python floats, whose arithmetic is numpy's.
@@ -809,7 +800,7 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
                 live = ~np.array(done)
                 kept = rows.points.spread(live)
                 u, du, g, c = u[kept], du[rows.events.spread(live)], g[kept], c[kept]
-                rows = _cut(rows, kept, live)
+                rows = _cut(rows, kept)
                 ids, ll, rel_change, n = (
                     [x for x, gone in zip(xs, done) if not gone] for xs in (ids, ll, rel_change, n)
                 )
@@ -817,7 +808,12 @@ def _icm(rows: _EventRows, u: np.ndarray, n: list[int], cfg: IcmConfig):
         x = np.maximum(_segmented_pava(u + g / c, c, rows.points), 0.0)
         u_start = u
         u, du, ll_icm, taken = _ascend(rows, u, du, ll, x, [True] * len(ids), False)
-        u, du, ll, polished = _polish_where(rows, u, du, ll_icm, [s == 1.0 for s in taken])
+        pending = [s == 1.0 for s in taken]
+        if any(pending):
+            u, du, ll, polished = _newton_polish(rows, u, du, ll_icm, pending)
+            ll, polished = ll.tolist(), polished.tolist()
+        else:
+            ll, polished = ll_icm, pending
         for i, a, l_a, b, l_b in zip(ids, taken, ll_icm, polished, ll):
             if a > 0:
                 traces[i].append(l_a)
@@ -919,23 +915,18 @@ def npmle(d: PanelDataset, cfg: IcmConfig = IcmConfig(), *, _start: StepEstimate
 
 
 def _group_npmles(d: PanelDataset, start: StepEstimate, cfg: IcmConfig):
-    """The NPMLE of each group of ``d``, all solved as the segments of one
+    """The NPMLE of each group of ``d``, all solved as the k segments of one
     batch (``_group_rows``), each from ``start`` scaled to its group's level.
 
     Each group's estimate and diagnostics are those of
     ``npmle(restrict_to_group(d, l), cfg, _start=start)``, except that
     ``seconds`` is the wall time of the whole batch.  Returns one
-    ``(StepEstimate, SolveDiagnostics)`` per group label 1..k, None for a
-    group without rows.
+    ``(StepEstimate, SolveDiagnostics)`` per group label 1..k.  A group
+    without rows raises a ValueError before any group is solved.
     """
     began = time.perf_counter()
-    full, points, n, labels = _group_rows(d, build_time_grid(d), flatten_observations(d))
-    fits = [None] * d.k
-    if labels.size:
-        u0 = _scaled_start(start, points, full)
-        for l, fit in zip(labels.tolist(), _solve(full, u0, n.tolist(), points, cfg, began)):
-            fits[l - 1] = fit
-    return fits
+    full, points, n = _group_rows(d, build_time_grid(d), flatten_observations(d))
+    return _solve(full, _scaled_start(start, points, full), n, points, cfg, began)
 
 
 def weighted_score_residual(d: PanelDataset, e: StepEstimate, phi) -> float:

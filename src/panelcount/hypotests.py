@@ -150,9 +150,10 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
     scaled to the group's level (see ``estimators``).  Each group's estimate
     and diagnostics are, bit for bit, those of
     ``npmle(restrict_to_group(d, l), cfg, _start=pooled)``, except that its
-    ``seconds`` is the wall time of the whole batch.  A failing group raises
-    for the lowest label.  With one group its rows are the pooled rows, and
-    the pooled fit is the group's."""
+    ``seconds`` is the wall time of the whole batch.  A group without
+    observations raises a ValueError for the lowest label before any group
+    is solved, and a failing group raises for the lowest label.  With one
+    group its rows are the pooled rows, and the pooled fit is the group's."""
     pooled, pooled_diag = npmle(d, cfg)
     if not pooled_diag.converged:
         raise SolverConvergenceError(
@@ -163,8 +164,6 @@ def fit_all(d: PanelDataset, cfg: IcmConfig = IcmConfig()) -> FitBundle:
     else:
         fits = _group_npmles(d, pooled, cfg)
     for l, fit in enumerate(fits, start=1):
-        if fit is None:
-            raise ValueError(f"group {l} has no observations")
         if not fit[1].converged:
             raise SolverConvergenceError(f"group {l} NPMLE did not converge ({fit[1].status})", fit[1])
     return FitBundle(

@@ -155,6 +155,8 @@ class SimConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not self.group_sizes:
+            raise ValueError("group_sizes must hold at least one group")
         if not self.weight_specs:
             raise ValueError("weight_specs must hold at least one weight")
         if not (0 < self.alpha < 1):
@@ -164,6 +166,9 @@ class SimConfig:
         if any(s < 1 for s in self.group_sizes):
             raise ValueError("group sizes must be positive")
         k = len(self.group_sizes)
+        for spec in self.weight_specs:
+            if spec.group is not None and not (1 <= spec.group <= k):
+                raise ValueError(f"weight group {spec.group} outside 1..{k}")
         for stat in self.statistics:
             if stat not in _STATISTICS:
                 raise ValueError(f"unknown statistic {stat!r}")

@@ -39,6 +39,27 @@ def random_dataset(rng, n_subjects, k=1, max_time=10, rate=1.0):
     return PanelDataset.from_paths(paths, k=k)
 
 
+def tied_iterate(rows, rng):
+    """A feasible iterate on each segment of the solver's rows ``rows``,
+    with the fewest tie blocks.
+
+    A segment's first block, at 0, holds the origin.  A new block starts,
+    with a random rise, only at a grid point that ends a row with events
+    starting in the current block.  So a row with events leads from each
+    block into the next, and each segment's block Newton system less its
+    first block is positive definite."""
+    latest_start = np.full(rows.m, -1)
+    np.maximum.at(latest_start, rows.rank, rows.prev_slot)
+    steps = np.zeros(rows.m)
+    for a, b in rows.points.pairs:
+        block_start = 0  # padded slot of the current block's first point, 0 the origin
+        for j in range(a, b):
+            if latest_start[j] >= block_start:
+                steps[j] = rng.uniform(0.2, 2.0)
+                block_start = j + 1
+    return np.concatenate([np.cumsum(steps[a:b]) for a, b in rows.points.pairs])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)

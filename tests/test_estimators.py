@@ -24,7 +24,7 @@ from panelcount import (
 )
 from panelcount import estimators
 from panelcount.core import flatten_observations
-from conftest import TIGHT, path, random_dataset
+from conftest import TIGHT, path, random_dataset, tied_iterate
 from _oracles import (
     brute_force_npmle,
     isotonic_brute_force,
@@ -547,16 +547,16 @@ class TestGroupBatch:
         }
 
     def test_the_draws_include_batches_where_only_some_groups_polish(self, monkeypatch):
-        """A group whose ICM step halved skips the polish while the others
-        polish, as the segments of a cut batch (``_polish_where``)."""
+        """A group whose ICM step halved sits out the polish while the
+        others polish (``_newton_polish``'s mask)."""
         splits = []
-        polish_where = estimators._polish_where
+        polish = estimators._newton_polish
 
         def spy(rows, u, du, ll, pending):
             splits.append(any(pending) and not all(pending))
-            return polish_where(rows, u, du, ll, pending)
+            return polish(rows, u, du, ll, pending)
 
-        monkeypatch.setattr(estimators, "_polish_where", spy)
+        monkeypatch.setattr(estimators, "_newton_polish", spy)
         for seed in range(24):
             d = group_batch_dataset(seed)
             estimators._group_npmles(d, npmle(d)[0], IcmConfig())
@@ -565,10 +565,10 @@ class TestGroupBatch:
     @pytest.mark.parametrize("seed", range(24))
     def test_segments_are_the_rows_of_each_group(self, seed):
         d = group_batch_dataset(seed)
-        rows, points, n, labels = estimators._group_rows(d, build_time_grid(d), flatten_observations(d))
-        assert labels.tolist() == list(range(1, d.k + 1))
-        for s, l in enumerate(labels.tolist()):
-            g = restrict_to_group(d, l)
+        rows, points, n = estimators._group_rows(d, build_time_grid(d), flatten_observations(d))
+        assert len(rows.points) == len(n) == d.k
+        for s in range(d.k):
+            g = restrict_to_group(d, s + 1)
             want = estimators._event_rows(flatten_observations(g))
             (p0, p1), (e0, e1), (l0, l1) = rows.points.pairs[s], rows.events.pairs[s], rows.lasts.pairs[s]
             prev_slot = rows.prev_slot[e0:e1]
@@ -609,12 +609,22 @@ class TestGroupBatch:
         assert str(raised.value) == "group 2 NPMLE did not converge (boundary-origin)"
         assert raised.value.diagnostics == solo[1][1]
 
-    def test_group_without_subjects_named(self):
+    def test_group_without_subjects_named(self, monkeypatch):
         d = PanelDataset.from_paths(
             [path("a", 1, [1.0, 2.0], [1, 3]), path("b", 3, [1.0, 2.0], [2, 2])], k=3
         )
-        with pytest.raises(ValueError, match="group 2 has no observations"):
+        batches = []
+        icm = estimators._icm
+
+        def spy(rows, u, n, cfg):
+            batches.append(len(rows.points))
+            return icm(rows, u, n, cfg)
+
+        monkeypatch.setattr(estimators, "_icm", spy)
+        with pytest.raises(ValueError, match="^group 2 has no observations$"):
             fit_all(d)
+        # raised before the group batch: only the pooled solve ran
+        assert batches == [1]
 
     @pytest.mark.parametrize("sizes", [[2, 0], [0, 2]])
     @pytest.mark.parametrize("groups", [[1, 2], [2, 1]])
@@ -624,11 +634,9 @@ class TestGroupBatch:
         )
         empty = groups[sizes.index(0)]
         pooled, _ = npmle(d)
-        fits = estimators._group_npmles(d, pooled, IcmConfig())
-        assert fits[empty - 1] is None
-        (est, diag), (want_est, want) = fits[2 - empty], npmle(restrict_to_group(d, 3 - empty), _start=pooled)
-        assert est.values.tobytes() == want_est.values.tobytes() and diag == want
-        with pytest.raises(ValueError, match=f"group {empty} has no observations"):
+        with pytest.raises(ValueError, match=f"^group {empty} has no observations$"):
+            estimators._group_npmles(d, pooled, IcmConfig())
+        with pytest.raises(ValueError, match=f"^group {empty} has no observations$"):
             fit_all(d)
 
     def test_each_group_reports_the_batch_time(self):
@@ -675,14 +683,13 @@ def group_batch(d):
 
 
 class TestCut:
-    """``_cut``, the one cut of a batch of rows to a sub-batch."""
+    """``_cut``, the one way a batch of rows is cut, for good."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_keeping_everything_changes_nothing(self, seed):
         rows = group_batch(group_batch_dataset(seed))
         everything = np.ones(rows.m, dtype=bool)
-        for live in (None, np.ones(len(rows.points), dtype=bool)):
-            assert_same_fields(batch_fields(estimators._cut(rows, everything, live)), batch_fields(rows))
+        assert_same_fields(batch_fields(estimators._cut(rows, everything)), batch_fields(rows))
 
     @pytest.mark.parametrize("seed", range(24))
     def test_the_surviving_segments_are_the_batch_of_their_groups(self, seed):
@@ -691,8 +698,12 @@ class TestCut:
         live = np.random.default_rng(seed).random(d.k) < 0.5
         if live.all() or not live.any():
             live[0] = not live[0]
-        survivors = PanelDataset.from_paths([p for p in d.paths if live[p.group - 1]], k=d.k)
-        got = estimators._cut(rows, rows.points.spread(live), live)
+        # the surviving groups relabeled 1..k'
+        label = np.cumsum(live)
+        survivors = PanelDataset.from_paths(
+            [replace(p, group=int(label[p.group - 1])) for p in d.paths if live[p.group - 1]], k=int(label[-1])
+        )
+        got = estimators._cut(rows, rows.points.spread(live))
         assert_same_fields(batch_fields(got), batch_fields(group_batch(survivors)))
 
     @pytest.mark.parametrize("seed", range(24))
@@ -707,6 +718,47 @@ class TestCut:
         assert len(rows.points) == len(wants)
         for s, want in enumerate(wants):
             assert_same_fields(segment_fields(rows, s), want)
+
+
+class TestPolishMask:
+    """A segment that ``pending`` leaves out sits out the Newton polish and
+    comes back unchanged; the others get, bit for bit, their polish as a
+    batch of their own."""
+
+    @pytest.mark.parametrize("pending", [[True, False], [False, True]], ids=["first", "second"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_segment_polishes_as_if_cut_alone(self, monkeypatch, seed, pending):
+        rng = np.random.default_rng(seed)
+        rows, _ = estimators._support_rows(group_batch(random_dataset(rng, 30, k=2)))
+        assert len(rows.points) == 2
+        u = tied_iterate(rows, rng)
+        du = estimators._increments(rows, u)
+        ll = estimators._loglik(rows, u, du)
+        blocks = []
+        block_step = estimators._block_step
+
+        def spy(*args):
+            blocks.append([hi - lo for lo, hi in args[-1].pairs])
+            return block_step(*args)
+
+        monkeypatch.setattr(estimators, "_block_step", spy)
+        got_u, got_du, got_ll, polished = estimators._newton_polish(rows, u, du, ll, pending)
+        monkeypatch.undo()
+        s = pending.index(True)
+        # the segment that sits out adds one block to the Newton system
+        assert blocks[0][1 - s] == 1
+        points, events = rows.points.of == s, rows.events.of == s
+        want_u, want_du, want_ll, want_polished = estimators._newton_polish(
+            estimators._cut(rows, points), u[points], du[events], ll[[s]], [True]
+        )
+        assert want_polished.tolist() == [True]
+        assert got_u[points].tobytes() == want_u.tobytes()
+        assert got_du[events].tobytes() == want_du.tobytes()
+        assert got_ll[s] == want_ll[0] and polished[s]
+        # the segment that sits out
+        assert got_u[~points].tobytes() == u[~points].tobytes()
+        assert got_du[~events].tobytes() == du[~events].tobytes()
+        assert got_ll[1 - s] == ll[1 - s] and not polished[1 - s]
 
 
 def test_solve_time_is_reported_and_not_compared(rng):

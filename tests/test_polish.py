@@ -8,7 +8,7 @@ import pytest
 from panelcount import IcmConfig, PanelDataset, npmle, npmple
 from panelcount.core import build_time_grid, flatten_observations
 from panelcount import estimators
-from conftest import TIGHT, path, random_dataset
+from conftest import TIGHT, path, random_dataset, tied_iterate
 from _oracles import isotonic_brute_force, loglik_direct, loglik_hessian_direct
 
 
@@ -36,30 +36,10 @@ def polish_matrix(monkeypatch, d, u):
     monkeypatch.setattr(np.linalg, "solve", spy)
     rows = estimators._event_rows(flatten_observations(d))
     du = estimators._increments(rows, u)
-    estimators._newton_polish(rows, u, du, estimators._loglik(rows, u))
+    estimators._newton_polish(rows, u, du, estimators._loglik(rows, u), [True])
     monkeypatch.undo()
     assert len(seen) == 1
     return seen[0]
-
-
-def origin_iterate(d, rng):
-    """A feasible iterate at the origin boundary with the fewest blocks.
-
-    The first block, at 0, holds the origin.  A new block starts, with a
-    random rise, only at a grid point that ends a row with events starting
-    in the current block.  So a row with events leads from each block into
-    the next, and the block Newton system less the first block is positive
-    definite."""
-    rows = estimators._event_rows(flatten_observations(d))
-    latest_start = np.full(rows.m, -1)
-    np.maximum.at(latest_start, rows.rank, rows.prev_slot)
-    steps = np.zeros(rows.m)
-    block_start = 0  # padded slot of the current block's first point, 0 the origin
-    for j, start in enumerate(latest_start):
-        if start >= block_start:
-            steps[j] = rng.uniform(0.2, 2.0)
-            block_start = j + 1
-    return np.cumsum(steps)
 
 
 def dense_block_reduction(d, u):
@@ -105,7 +85,7 @@ class TestBlockNewtonSystem:
 
     def test_continuous_times_with_ties(self, monkeypatch, rng):
         d = continuous_dataset(3, 40)
-        u = origin_iterate(d, rng)
+        u = tied_iterate(estimators._event_rows(flatten_observations(d)), rng)
         assert 1 + np.count_nonzero(np.diff(u)) < u.size
         # the first block sits at 0: the solve holds exactly that one
         assert u[0] == 0.0
@@ -116,12 +96,12 @@ def test_polish_moves_free_blocks_at_origin_boundary(rng):
     # an iterate with u_1 = 0: a step on the first block could push it
     # below 0; holding it still gives an ascent step
     d = continuous_dataset(3, 40)
-    u = origin_iterate(d, rng)
-    assert u[0] == 0.0
     rows = estimators._event_rows(flatten_observations(d))
+    u = tied_iterate(rows, rng)
+    assert u[0] == 0.0
     ll = estimators._loglik(rows, u)
     cand, _, ll_new, polished = estimators._newton_polish(
-        rows, u, estimators._increments(rows, u), ll
+        rows, u, estimators._increments(rows, u), ll, [True]
     )
     assert polished
     assert ll_new > ll
@@ -146,7 +126,7 @@ def polish_with_step(monkeypatch, d, u):
     rows = estimators._event_rows(flatten_observations(d))
     ll = estimators._loglik(rows, u)
     cand, _, ll_new, polished = estimators._newton_polish(
-        rows, u, estimators._increments(rows, u), ll
+        rows, u, estimators._increments(rows, u), ll, [True]
     )
     monkeypatch.undo()
     assert polished and len(steps) == 1
@@ -202,9 +182,9 @@ def test_npmle_hands_the_polish_no_block_without_curvature(monkeypatch):
     seen = []
     polish = estimators._newton_polish
 
-    def spy(rows, u, du, ll):
+    def spy(rows, u, du, ll, pending):
         seen.append(block_curvature(rows, u, du))
-        return polish(rows, u, du, ll)
+        return polish(rows, u, du, ll, pending)
 
     monkeypatch.setattr(estimators, "_newton_polish", spy)
     d = continuous_dataset(3, 40)
@@ -269,10 +249,10 @@ def solver_steps(monkeypatch, d, most_blocks=2000):
             steps.append(("icm", s, blocks_of(target)))
         return out
 
-    def polish_spy(rows, u, du, ll):
+    def polish_spy(rows, u, du, ll, pending):
         steps.append(("polish", blocks_of(u)))
         assert steps[-1][1] <= most_blocks, f"a polish handed {steps[-1][1]} blocks"
-        return polish(rows, u, du, ll)
+        return polish(rows, u, du, ll, pending)
 
     monkeypatch.setattr(estimators, "_ascend", ascend_spy)
     monkeypatch.setattr(estimators, "_newton_polish", polish_spy)

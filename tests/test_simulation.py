@@ -69,6 +69,9 @@ class TestSimConfig:
             (dict(nu_mode="x"), "nu_mode must be 'fixed' or 'gamma'"),
             (dict(group_sizes=(0, 5)), "group sizes must be positive"),
             (dict(weight_specs=()), "weight_specs must hold at least one weight"),
+            (dict(group_sizes=(), statistics=()), "group_sizes must hold at least one group"),
+            (dict(weight_specs=(WeightSpec(WeightKind.GROUP_RISK, 0),)), r"weight group 0 outside 1\.\.2"),
+            (dict(weight_specs=(WeightSpec(WeightKind.GROUP_RISK, 3),)), r"weight group 3 outside 1\.\.2"),
         ],
     )
     def test_rejects_values_out_of_range(self, kw, message):

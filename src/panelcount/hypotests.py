@@ -6,7 +6,9 @@ mean function and the per-group ones.  ``u_statistics`` compares each group
 against the pooled estimate, ``v_statistics`` contrasts group 1 with each
 other group.  Their limiting covariances depend only on the group sizes and
 a common per-subject variance that ``sigma_hat_sq`` estimates, giving
-chi-square tests for k groups and standard-normal tests for k = 2.
+chi-square tests for k groups and standard-normal tests for k = 2.  T1 and
+T2 divide U_1 and V_1 by the root of entry [0, 0] of ``covariance_u`` and
+``covariance_v``, so T1^2 and T2^2 are the k = 2 U-test and V-test chi^2.
 
 U, V and the variance are all sums over subjects of one bracket,
 sum_j W(t_j) Lambda(t_j) (q_{j+1} - q_j), closed by a terminal constant,
@@ -93,7 +95,7 @@ class DegenerateCovarianceError(RuntimeError):
 
 
 class DegenerateVarianceError(RuntimeError):
-    """A two-sample variance estimate is zero."""
+    """A two-sample variance estimate is not positive."""
 
 
 class IncrementMismatchError(RuntimeError):
@@ -322,15 +324,14 @@ def _read(method: str, d: PanelDataset, u, v, sigma2):
     """``(statistics, p_values, variance, covariance)`` of ``method`` for a
     stack of W weight sets, read from the kernel's U (W x k), V (W x (k-1))
     and sigma^2 (W x k): dicts by name of W values each, and the W
-    covariance matrices or None.  "two-sample-T12" (k = 2) gives T1 from U
-    and T2 from V; "U-test" and "V-test" give the chi-square form of the
-    first k-1 components of U, or of V.  A degenerate variance or covariance
-    of any set raises."""
+    covariance matrices or None.  "U-test" and "V-test" give the chi-square
+    form of the first k-1 components of U, or of V; "two-sample-T12" (k = 2)
+    gives T1 = U_1 / sqrt(cov_U[0, 0]) and T2 = V_1 / sqrt(cov_V[0, 0]), whose
+    squares are those chi^2.  Any set's degenerate variance or covariance raises."""
+    variance = {f"sigma{l}_sq": s for l, s in enumerate(sigma2.T, start=1)}
     if method == "two-sample-T12":
-        (n1, n2), n = d.group_sizes, d.n
-        s1, s2 = sigma2[:, 0], sigma2[:, 1]
-        var_u = (math.sqrt(n1 / n) - math.sqrt(n / n1)) ** 2 * s1 + (n2 / n) * s2
-        var_v = (n / n1) * s1 + (n / n2) * s2
+        var_u = covariance_u(d.group_sizes, sigma2)[:, 0, 0]
+        var_v = covariance_v(d.group_sizes, sigma2)[:, 0, 0]
         if np.any(var_u <= 0) or np.any(var_v <= 0):
             raise DegenerateVarianceError("degenerate variance")
         sd_u, sd_v = np.sqrt(var_u), np.sqrt(var_v)
@@ -338,8 +339,7 @@ def _read(method: str, d: PanelDataset, u, v, sigma2):
         p_values = {
             name: [2.0 * normal_sf(abs(t)) for t in ts.tolist()] for name, ts in statistics.items()
         }
-        variance = {"sigma_U": sd_u, "sigma_V": sd_v, "sigma1_sq": s1, "sigma2_sq": s2}
-        return statistics, p_values, variance, None
+        return statistics, p_values, {"sigma_U": sd_u, "sigma_V": sd_v, **variance}, None
     if method == "U-test":
         cov = covariance_u(d.group_sizes, sigma2)
         vec, mat = u[:, :-1], cov[:, :-1, :-1]
@@ -352,7 +352,6 @@ def _read(method: str, d: PanelDataset, u, v, sigma2):
     # b as a stack of column vectors, under numpy 1.x and 2.x rules alike
     chi2 = np.maximum((vec * np.linalg.solve(mat, vec[..., None])[..., 0]).sum(axis=-1), 0.0)
     p_values = {"chi2": [chisq_sf(x, d.k - 1) for x in chi2.tolist()]}
-    variance = {f"sigma{l}_sq": s for l, s in enumerate(sigma2.T, start=1)}
     return {"chi2": chi2}, p_values, variance, cov
 
 

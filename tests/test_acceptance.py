@@ -1,10 +1,11 @@
 """Acceptance suite: quantitative exit criteria for the whole package.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
-The Monte Carlo cells are shared through module-scoped fixtures; everything
-is seeded and deterministic.  The two external-data checks at the end are
-skipped unless the corresponding environment variables point at local CSV
-copies of the published datasets.
+The Monte Carlo cells are shared through module-scoped fixtures and run on
+every core unless ``PCT_THREADS`` is set; everything is seeded and
+deterministic, serially or in parallel.  The two external-data checks at the
+end are skipped unless the corresponding environment variables point at
+local CSV copies of the published datasets.
 """
 
 import math
@@ -55,6 +56,16 @@ def report(num, name, ok, detail):
 
 def rates_by_weight(rows, statistic="t2"):
     return {r.weight: r.reject_rate for r in rows if r.statistic == statistic}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def studies_on_every_core():
+    """Run this module's studies on every core unless ``PCT_THREADS`` is set;
+    serial and parallel studies give identical results."""
+    with pytest.MonkeyPatch.context() as mp:
+        if "PCT_THREADS" not in os.environ:
+            mp.setenv("PCT_THREADS", str(os.cpu_count() or 1))
+        yield
 
 
 @pytest.fixture(scope="module")

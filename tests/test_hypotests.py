@@ -336,6 +336,36 @@ class TestTwoSampleTests:
             two_sample_tests(d, WeightSpec(WeightKind.COMPLEMENT), fits=fit_all(d, TIGHT))
 
 
+@pytest.fixture(scope="module")
+def power_2s_draws():
+    """20 draws of the Monte Carlo power design (case 1, beta 0.2, 50+50),
+    each with its fits."""
+    cfg = SimConfig(beta=0.2, group_sizes=(50, 50), replications=20, base_seed=11)
+    draws = [generate_dataset(cfg, rep) for rep in range(cfg.replications)]
+    return [(d, fit_all(d)) for d in draws]
+
+
+class TestTwoSampleIsTheTwoGroupChi2:
+    """T1 and T2 are the k = 2 case of the U- and V-tests: their variances
+    are entry [0, 0] of ``covariance_u`` and ``covariance_v``."""
+
+    @pytest.mark.parametrize("names", ["w1", "w2", "w3", "w4", "w1,w4"])
+    def test_variances_are_the_first_covariance_entry(self, power_2s_draws, names):
+        # one weight, or one per group
+        weights = [parse_weight_spec(w, 2) for w in names.split(",")]
+        weights = weights[0] if len(weights) == 1 else weights
+        for d, fits in power_2s_draws:
+            report = two_sample_tests(d, weights, fits=fits)
+            s2 = [report.variance["sigma1_sq"], report.variance["sigma2_sq"]]
+            assert report.variance["sigma_U"] == math.sqrt(covariance_u(d.group_sizes, s2)[0, 0])
+            assert report.variance["sigma_V"] == math.sqrt(covariance_v(d.group_sizes, s2)[0, 0])
+            # T^2 against u^2 / var (a 1 x 1 solve): a few ulps apart
+            chi_u = chi2_u_test(d, weights, fits=fits).statistics["chi2"]
+            chi_v = chi2_v_test(d, weights, fits=fits).statistics["chi2"]
+            assert report.statistics["T1"] ** 2 == pytest.approx(chi_u, rel=1e-14, abs=0)
+            assert report.statistics["T2"] ** 2 == pytest.approx(chi_v, rel=1e-14, abs=0)
+
+
 class TestFitsOfTheDataset:
     def test_fits_for_another_number_of_groups_rejected(self, rng):
         d = random_dataset(rng, 12, k=2)

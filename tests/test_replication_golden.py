@@ -114,7 +114,7 @@ def per_weight_reading(cfg, rep):
 # SolveDiagnostics (iterations, status, log-likelihood, Fenchel residual and
 # trace, as float64 bytes) and the p-value part of the replication's reading
 REPLICATION_DIGESTS = {
-    "power_2s": "2a60d0ad39678bddbea7c8eb5018c26607f1becc03890e079aa6cf43b12663f5",
+    "power_2s": "c0bd8ab53d52ec1800ac368bc7f406e08b1a5504cf1cb9dc73c51b17fb1fdc23",
     "chi2_k3": "6e8d1ad8e09f3b4895e65abbd34bc3ee1fb33866cebe6c31c826751f8baad6be",
 }
 

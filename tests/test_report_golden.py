@@ -71,7 +71,7 @@ def report_digest():
     return h.hexdigest()
 
 
-REPORT_DIGEST = "03ff732257e9c249635028b9379238b91b478331b19e55b98463bc6e5fe814f5"
+REPORT_DIGEST = "a8f698eace3ce8ec20a1576e88d954b059ffd626f486a0fc9e20e71f62a1e9d7"
 
 
 def test_reports_match_digest():

@@ -1,107 +1,20 @@
-"""Nonparametric estimation and k-sample comparison for panel count data."""
+"""Nonparametric estimation and k-sample comparison for panel count data.
 
-from .core import (
-    ObservationPath,
-    PanelDataset,
-    StepEstimate,
-    TimeGrid,
-    ValidationReport,
-    build_time_grid,
-    eval_step,
-    restrict_to_group,
-    validate_dataset,
-)
-from .estimators import (
-    IcmConfig,
-    SolveDiagnostics,
-    empirical_l2_distance,
-    gradient_and_curvature,
-    isotonic_regression,
-    weighted_score_residual,
-    log_likelihood,
-    npmle,
-    npmple,
-)
-from .hypotests import (
-    DegenerateCovarianceError,
-    DegenerateVarianceError,
-    IncrementMismatchError,
-    SolverConvergenceError,
-    TestReport,
-    chi2_u_test,
-    chi2_v_test,
-    chisq_sf,
-    covariance_u,
-    covariance_v,
-    fit_all,
-    normal_sf,
-    sigma_hat_sq,
-    two_sample_tests,
-    u_statistics,
-    v_statistics,
-)
-from .simulation import (
-    PowerRow,
-    SimConfig,
-    ThreadCountError,
-    TrueMean,
-    generate_dataset,
-    mean_for_group,
-    qq_study,
-    run_power_study,
-    sample_subject,
-)
-from .weights import WeightFn, WeightKind, WeightSpec, make_weight, risk_fraction
+The package exports the public names of its modules, each module's
+``__all__`` in the order below; the command line lives in ``panelcount.cli``.
+"""
+
+from . import core, estimators, hypotests, simulation, weights
+from .core import *
+from .estimators import *
+from .hypotests import *
+from .simulation import *
+from .weights import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ObservationPath",
-    "PanelDataset",
-    "StepEstimate",
-    "TimeGrid",
-    "ValidationReport",
-    "build_time_grid",
-    "eval_step",
-    "restrict_to_group",
-    "validate_dataset",
-    "IcmConfig",
-    "SolveDiagnostics",
-    "empirical_l2_distance",
-    "gradient_and_curvature",
-    "isotonic_regression",
-    "weighted_score_residual",
-    "log_likelihood",
-    "npmle",
-    "npmple",
-    "DegenerateCovarianceError",
-    "DegenerateVarianceError",
-    "IncrementMismatchError",
-    "SolverConvergenceError",
-    "TestReport",
-    "chi2_u_test",
-    "chi2_v_test",
-    "chisq_sf",
-    "covariance_u",
-    "covariance_v",
-    "fit_all",
-    "normal_sf",
-    "sigma_hat_sq",
-    "two_sample_tests",
-    "u_statistics",
-    "v_statistics",
-    "PowerRow",
-    "SimConfig",
-    "ThreadCountError",
-    "TrueMean",
-    "generate_dataset",
-    "mean_for_group",
-    "qq_study",
-    "run_power_study",
-    "sample_subject",
-    "WeightFn",
-    "WeightKind",
-    "WeightSpec",
-    "make_weight",
-    "risk_fraction",
+    name
+    for module in (core, estimators, hypotests, simulation, weights)
+    for name in module.__all__
 ]

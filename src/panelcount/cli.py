@@ -3,7 +3,9 @@
 Datasets are long-format CSV files with header ``subject,group,time,count``,
 one row per visit, counts cumulative.  Reports are JSON; tabular output is
 CSV.  Exit statuses: 0 success, 1 validation failure, 2 usage/IO error,
-3 solver non-convergence, 4 degenerate statistics.
+3 solver non-convergence, 4 any other named failure of
+``hypotests.FAILURE_CAUSES``.  ``test``, ``simulate`` and ``qq`` map those
+errors, and a bad ``PCT_THREADS`` (exit 2), through one context manager.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ from .core import (
 )
 from .estimators import log_likelihood, npmle, npmple
 from .hypotests import (
-    DegenerateCovarianceError,
-    DegenerateVarianceError,
-    IncrementMismatchError,
+    FAILURE_CAUSES,
     SolverConvergenceError,
     TestReport,
     chi2_u_test,
@@ -300,14 +300,15 @@ def _output(out: str):
 
 @contextmanager
 def _test_errors():
-    """A failed solve ends the command with ``error: <message>``, exit 3;
-    a degenerate statistic does so with exit 4."""
+    """A named failure ends the command with ``error: <message>``: a bad
+    ``PCT_THREADS`` with exit 2, a failed solve with exit 3 and every other
+    error of ``FAILURE_CAUSES`` with exit 4."""
     try:
         yield
-    except SolverConvergenceError as exc:
-        _fail(f"error: {exc}", 3)
-    except (DegenerateCovarianceError, DegenerateVarianceError, IncrementMismatchError) as exc:
-        _fail(f"error: {exc}", 4)
+    except ThreadCountError as exc:
+        _fail(f"error: {exc}", 2)
+    except tuple(FAILURE_CAUSES) as exc:
+        _fail(f"error: {exc}", 3 if isinstance(exc, SolverConvergenceError) else 4)
 
 
 # The ``simulate`` CSV columns are the ``PowerRow`` fields in order, these two renamed.
@@ -483,10 +484,8 @@ def simulate(case, beta, sizes, nu, reps, seed, weights, stats, alpha, out):
         )
     except (ValueError, DatasetFormatError) as exc:
         _fail(f"error: {exc}", 2)
-    try:
+    with _test_errors():
         rows = run_power_study([cfg])
-    except ThreadCountError as exc:
-        _fail(f"error: {exc}", 2)
     _write_csv(
         out,
         [_SIMULATE_COLUMNS.get(f.name, f.name) for f in fields(PowerRow)],
@@ -521,10 +520,8 @@ def qq(n, reps, seed, stat, out):
         )
     except ValueError as exc:
         _fail(f"error: {exc}", 2)
-    try:
+    with _test_errors():
         table, failures = qq_study(cfg)
-    except ThreadCountError as exc:
-        _fail(f"error: {exc}", 2)
     _write_csv(
         out,
         ["theoretical", "empirical"],

@@ -31,6 +31,12 @@ one LAPACK ``solve``.  A public test reads a stack of one; a Monte Carlo
 replication calls the kernel once for all of its weights and the reader
 once per method.
 
+A test fails in one of four named ways: an NPMLE that does not converge,
+a floored pooled increment, a singular covariance or a two-sample variance
+that is not positive.  ``FAILURE_CAUSES`` maps each error class to its
+cause name; the Monte Carlo studies count failures by it and the command
+line picks its exit status from it.
+
 P-values come from the standard library: two-sample ones from
 ``math.erfc``, chi-square ones from the closed form in ``chisq_sf``.  The
 runtime dependencies are numpy and click.
@@ -63,6 +69,7 @@ __all__ = [
     "DegenerateCovarianceError",
     "DegenerateVarianceError",
     "IncrementMismatchError",
+    "FAILURE_CAUSES",
     "fit_all",
     "sigma_hat_sq",
     "u_statistics",
@@ -101,6 +108,16 @@ class DegenerateVarianceError(RuntimeError):
 class IncrementMismatchError(RuntimeError):
     """A floored pooled increment is paired with events or a growing numerator,
     signaling a non-converged or mismatched estimate."""
+
+
+# Each named way a test fails, by the error its solves or statistics raise,
+# and its cause name: a Monte Carlo cell counts its failures by these names.
+FAILURE_CAUSES = {
+    SolverConvergenceError: "solver_convergence",
+    IncrementMismatchError: "increment_mismatch",
+    DegenerateCovarianceError: "degenerate_covariance",
+    DegenerateVarianceError: "degenerate_variance",
+}
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ V and sigma^2 of every weight, and one call of the tests' reader per method
 for the statistics and p-values, equal to those of the public tests run one
 weight at a time.  The power study counts rejections from the p-values, the
 QQ study sorts the statistics.  For either study a failing replication is
-replayed through the public tests, excluded and counted by cause
-(``FAILURE_CAUSES``).
+replayed through the public tests, excluded and counted by cause, as
+``hypotests.FAILURE_CAUSES`` names them.
 
 Chi-square p-values come from ``hypotests.chisq_sf`` and ``qq_study``'s
 normal quantiles from ``statistics.NormalDist``: the runtime dependencies
@@ -37,10 +37,7 @@ import numpy as np
 
 from .core import ObservationPath, PanelDataset, _is_integer
 from .hypotests import (
-    DegenerateCovarianceError,
-    DegenerateVarianceError,
-    IncrementMismatchError,
-    SolverConvergenceError,
+    FAILURE_CAUSES,
     _read,
     _statistics,
     chi2_u_test,
@@ -55,7 +52,6 @@ __all__ = [
     "TrueMean",
     "SimConfig",
     "PowerRow",
-    "FAILURE_CAUSES",
     "ThreadCountError",
     "mean_for_group",
     "sample_subject",
@@ -75,16 +71,6 @@ _STATISTICS = {
     "chi2-u": ("U-test", "chi2"),
     "chi2-v": ("V-test", "chi2"),
 }
-
-# Why a replication fails, by the error its solves or statistics raise; the
-# cause names are PowerRow fields and ``simulate`` CSV columns.
-FAILURE_CAUSES = {
-    SolverConvergenceError: "solver_convergence",
-    IncrementMismatchError: "increment_mismatch",
-    DegenerateCovarianceError: "degenerate_covariance",
-    DegenerateVarianceError: "degenerate_variance",
-}
-_STATISTIC_ERRORS = (IncrementMismatchError, DegenerateCovarianceError, DegenerateVarianceError)
 
 
 class ThreadCountError(ValueError):
@@ -194,7 +180,7 @@ class PowerRow:
     """Monte Carlo rejection fraction for one (statistic, weight) pair.
 
     ``failures`` counts the replications excluded from the fraction; the
-    last four fields split it by cause (see ``FAILURE_CAUSES``).
+    last four fields split it by cause, in ``FAILURE_CAUSES`` order.
     """
 
     case: int
@@ -302,7 +288,7 @@ def _replication_reading(cfg: SimConfig, replication_index: int) -> np.ndarray:
     try:
         _, _, u, v, sigma2 = _statistics(d, cfg.weight_specs, fits)
         readings = {m: _read(m, d, u, v, sigma2)[:2] for m in dict.fromkeys(m for m, _ in stats)}
-    except _STATISTIC_ERRORS:
+    except tuple(FAILURE_CAUSES):
         for spec in cfg.weight_specs:
             for method, _ in stats:
                 _public_test(method)(d, spec, fits=fits)

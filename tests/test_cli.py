@@ -7,7 +7,15 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from panelcount import PanelDataset, SimConfig, WeightKind, WeightSpec, run_power_study
+from panelcount import (
+    FAILURE_CAUSES,
+    PanelDataset,
+    SimConfig,
+    SolverConvergenceError,
+    WeightKind,
+    WeightSpec,
+    run_power_study,
+)
 from panelcount.cli import (
     DatasetFormatError,
     _read_rows,
@@ -20,7 +28,7 @@ from panelcount.cli import (
 )
 from panelcount.hypotests import TestReport as Report
 from conftest import path, random_dataset
-from test_pipeline import BAD_FIELDS, CONTINUOUS_TIMES, HALF_INTEGER_TIMES
+from test_pipeline import BAD_FIELDS, CONTINUOUS_TIMES, HALF_INTEGER_TIMES, NAMED_ERRORS
 
 
 @pytest.fixture
@@ -287,6 +295,22 @@ class TestTestCommand:
         result = runner.invoke(main, ["test", "--input", f, "--weight", "complement"])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("error", NAMED_ERRORS, ids=lambda error: error.__name__)
+    def test_every_named_failure_keeps_its_exit_status(self, runner, two_group_file, monkeypatch, error):
+        # the CLI catches what FAILURE_CAUSES names; a table that drops a
+        # class would leave it uncaught
+        assert error in FAILURE_CAUSES
+
+        def failing_test(*args, **kwargs):
+            if error is SolverConvergenceError:
+                raise error("it failed", None)
+            raise error("it failed")
+
+        monkeypatch.setattr("panelcount.cli.two_sample_tests", failing_test)
+        result = runner.invoke(main, ["test", "--input", two_group_file])
+        assert result.exit_code == (3 if error is SolverConvergenceError else 4)
+        assert result.output == "error: it failed\n"
+
     def test_unknown_weight_exit_2(self, runner, two_group_file):
         result = runner.invoke(main, ["test", "--input", two_group_file, "--weight", "nope"])
         assert result.exit_code == 2
@@ -542,6 +566,7 @@ class TestUnwritableOutput:
         assert "Traceback" not in result.output
 
 
+@pytest.mark.reader
 class TestDatasetRoundTrip:
     def test_write_then_read_identity(self, tmp_path, rng):
         d = random_dataset(rng, 9, k=2)
@@ -566,6 +591,7 @@ class TestDatasetRoundTrip:
                 read_dataset_csv(f)
 
 
+@pytest.mark.reader
 class TestReadDatasetErrors:
     """Each DatasetFormatError text, line number included.  Blank lines are
     skipped and do not advance the line count."""
@@ -690,6 +716,7 @@ def reader_path(tmp_path_factory):
     return tmp_path_factory.mktemp("reader") / "data.csv"
 
 
+@pytest.mark.reader
 class TestReaderPaths:
     """``_read_rows``, a loop over rows, is the oracle of ``read_dataset_csv``."""
 
@@ -714,6 +741,7 @@ class TestReaderPaths:
                 read_dataset_csv(f)
 
 
+@pytest.mark.reader
 class TestInputEncoding:
     def test_byte_order_mark_ignored(self, tmp_path, two_group_file):
         marked = tmp_path / "marked.csv"

@@ -345,9 +345,11 @@ def power_2s_draws():
     return [(d, fit_all(d)) for d in draws]
 
 
+@pytest.mark.kernel_invariant
 class TestTwoSampleIsTheTwoGroupChi2:
     """T1 and T2 are the k = 2 case of the U- and V-tests: their variances
-    are entry [0, 0] of ``covariance_u`` and ``covariance_v``."""
+    are entry [0, 0] of ``covariance_u`` and ``covariance_v``, exactly on
+    any kernels, since both sides compute one expression."""
 
     @pytest.mark.parametrize("names", ["w1", "w2", "w3", "w4", "w1,w4"])
     def test_variances_are_the_first_covariance_entry(self, power_2s_draws, names):

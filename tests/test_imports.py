@@ -105,3 +105,16 @@ def test_study_and_analysis_load_no_numpy_ma():
     with_numpy = run_fresh(f"import numpy\n{LOADED_MA}")
     assert run_fresh(f"{STUDY_WORK}\n{LOADED_MA}") == with_numpy
     assert run_fresh(f"{ANALYSIS_WORK}\n{LOADED_MA}") == with_numpy
+
+
+def test_package_exports_each_modules_public_names_once():
+    # every public name is declared in its module's __all__ alone
+    from panelcount import core, estimators, hypotests, simulation, weights
+
+    modules = (core, estimators, hypotests, simulation, weights)
+    names = [name for module in modules for name in module.__all__]
+    assert panelcount.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(panelcount, name) is getattr(module, name), name

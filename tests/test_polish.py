@@ -11,6 +11,9 @@ from panelcount import estimators
 from conftest import TIGHT, path, random_dataset, tied_iterate
 from _oracles import isotonic_brute_force, loglik_direct, loglik_hessian_direct
 
+# the polish and its rule hold on any BLAS and SIMD kernels
+pytestmark = pytest.mark.kernel_invariant
+
 
 def continuous_dataset(seed, n_subjects, horizon=10.0, max_visits=10):
     """Poisson(t) counts at 1..max_visits U(0, horizon] visit times per

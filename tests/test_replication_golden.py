@@ -206,6 +206,9 @@ def assert_same_fit(a, b):
     assert diag_a == diag_b
 
 
+# unlike the digests, holds on any kernels: the batch and the solo solves
+# run in one process
+@pytest.mark.kernel_invariant
 @pytest.mark.parametrize(
     "cfg",
     [

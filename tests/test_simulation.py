@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from panelcount import (
+    PowerRow,
     SimConfig,
     ThreadCountError,
     TrueMean,
@@ -17,7 +19,7 @@ from panelcount import (
     two_sample_tests,
     validate_dataset,
 )
-from panelcount import simulation
+from panelcount import hypotests, simulation
 
 CONST = WeightSpec(WeightKind.CONST)
 
@@ -314,6 +316,13 @@ class TestRunPowerStudy:
         with pytest.raises(ValueError, match="^run_power_study needs at least one statistic$"):
             run_power_study([small_cfg(statistics=())])
 
+    def test_failure_causes_are_the_last_row_fields(self):
+        # the table is declared once, in hypotests, and the row's cause
+        # fields (so the ``simulate`` CSV's last columns) follow its order
+        assert simulation.FAILURE_CAUSES is hypotests.FAILURE_CAUSES
+        names = [f.name for f in fields(PowerRow)]
+        assert names[-4:] == list(hypotests.FAILURE_CAUSES.values())
+
 
 class TestQqStudy:
     def test_shape_and_sorted(self):
@@ -342,6 +351,7 @@ class TestQqStudy:
         with pytest.raises(ValueError, match="^qq_study takes one weight, got 2$"):
             qq_study(small_cfg(replications=2, weight_specs=weights))
 
+    @pytest.mark.kernel_invariant
     @pytest.mark.parametrize("stat", ["t1", "t2"])
     def test_equals_the_public_two_sample_test(self, stat):
         # the public test run on each replication: the table holds, bit for
